@@ -8,8 +8,9 @@ seeded Monte Carlo simulator used to validate every analytic law.
 
 Typical entry points:
 
-    >>> from cellmimo import NetworkConfig, coverage_mmse_interflimited
-    >>> coverage_mmse_interflimited(n_t=2, n_r=4, alpha=4.0, z=1.0)  # doctest: +ELLIPSIS
+    >>> from cellmimo import MmseCoverageRequest, NetworkConfig, coverage_mmse
+    >>> config = NetworkConfig(lam=1.0, alpha=4.0, sigma2=0.0, n_t=2, n_r=4)
+    >>> coverage_mmse(MmseCoverageRequest(config=config, z=1.0))  # doctest: +ELLIPSIS
     0.81285...
 """
 
@@ -22,7 +23,7 @@ from .errors import (
     SizeGuardError,
 )
 from .geometry import NetworkConfig, PzfSplit
-from .mmse import MmseCoverageRequest, coverage_mmse, coverage_mmse_interflimited
+from .mmse import MmseCoverageRequest, coverage_mmse
 from .montecarlo import (
     McEstimate,
     estimate_coverage,
@@ -33,7 +34,6 @@ from .montecarlo import (
 from .pzf import (
     PzfCoverageRequest,
     coverage_pzf,
-    coverage_pzf_interflimited,
     mean_inverse_sinr,
     optimal_m,
 )
@@ -65,9 +65,7 @@ __all__ = [
     "SizeGuardError",
     "__version__",
     "coverage_mmse",
-    "coverage_mmse_interflimited",
     "coverage_pzf",
-    "coverage_pzf_interflimited",
     "default_pzf_split",
     "ergodic_rate",
     "estimate_coverage",

@@ -26,7 +26,7 @@ from .errors import ConfigError, NumericError
 from .geometry import NetworkConfig
 from .montecarlo import estimate_coverage_curve, simulate_sinr
 from .pzf import argmin_mean_inverse_sinr, optimal_m
-from .rate import ergodic_rate, rate_quantile, sinr_ccdf
+from .rate import ergodic_rate, rate_quantile, sinr_ccdf, stream_config
 
 __all__ = ["RunManifest", "main"]
 
@@ -257,13 +257,7 @@ def cmd_rate(args: argparse.Namespace, argv: list[str], started: float) -> int:
     if any(not 0.0 < q < 1.0 for q in quantiles):
         raise ConfigError("--quantiles values must lie in (0, 1)")
 
-    # SST serves one stream at a time, so its SINR law is the n_t = 1 one.
-    stream_n_t = config.n_t if args.scheme == "sm" else 1
-    stream_config = NetworkConfig(
-        lam=config.lam, alpha=config.alpha, sigma2=config.sigma2,
-        n_t=stream_n_t, n_r=config.n_r,
-    )
-    ccdf = sinr_ccdf(stream_config, args.rx, m=m)
+    ccdf = sinr_ccdf(stream_config(config, args.scheme), args.rx, m=m)
     mean = ergodic_rate(ccdf)
     if args.scheme == "sm":
         mean *= config.n_t

@@ -9,10 +9,10 @@ Averaging over the Poisson field term by term leaves finite sums over
 integer partitions with the moment kernels of :mod:`cellmimo.specfun`, and
 one radial integral per (partition length, noise order) pair.
 
-``coverage_mmse_interflimited`` is the zero-noise law (scale-free: the
-base-station intensity cancels; the radial integrals are exact gamma
-moments).  ``coverage_mmse`` adds receiver noise; its radial integrals are
-one-dimensional adaptive quadratures, cached per evaluation.
+``coverage_mmse`` evaluates the law with and without receiver noise; noise
+enters only through the radial moments of :mod:`cellmimo.specfun`, which
+are exact gamma moments at zero noise (the law is then scale-free: the
+base-station intensity cancels).
 
 All terms of the partition sums are positive, so they are assembled in log
 space and accumulated with exact summation.  The partition enumeration
@@ -26,18 +26,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _integrate
-from scipy import special as _sp
 
 from .combinatorics import integer_partitions
-from .errors import ConfigError, NumericError, SizeGuardError
+from .errors import ConfigError, SizeGuardError
 from .geometry import NetworkConfig
-from .specfun import theta_kernel
+from .specfun import radial_moment, theta_kernel
 
 __all__ = [
     "MmseCoverageRequest",
     "coverage_mmse",
-    "coverage_mmse_interflimited",
 ]
 
 _MAX_NR = 16
@@ -79,56 +76,15 @@ def _partition_log_weight(parts, n_t: int, alpha: float, log_theta) -> float | N
     return total
 
 
-def coverage_mmse_interflimited(n_t: int, n_r: int, alpha: float, z: float) -> float:
-    """Zero-noise MMSE coverage probability P[SINR > z] for the typical user.
-
-    Scale-free in the base-station intensity.  The sum runs over the
-    coefficient order m of the conditional SINR law, an own-cell split k,
-    and integer partitions of m - k with parts at most n_t.
-    """
-    _validate_antennas(n_t, n_r)
-    if not (alpha > 2.0 and math.isfinite(alpha)):
-        raise ConfigError(f"path-loss exponent must exceed 2, got {alpha!r}")
-    if not (z >= 0.0 and math.isfinite(z)):
-        raise ConfigError(f"threshold must be finite and >= 0, got {z!r}")
-    if z == 0.0:
-        return 1.0
-
-    log_theta = {s: math.log(theta_kernel(s, n_t, alpha, z)) for s in range(n_r)}
-    log_pref = (1.0 - n_t) * math.log1p(z)
-    log_z = math.log(z)
-
-    log_terms = []
-    for m in range(n_r):
-        for k in range(min(m, n_t - 1) + 1):
-            log_own = math.log(math.comb(n_t - 1, k))
-            for parts in integer_partitions(m - k):
-                lw = _partition_log_weight(parts, n_t, alpha, log_theta)
-                if lw is None:
-                    continue
-                ell = parts.length
-                log_terms.append(
-                    log_pref
-                    + m * log_z
-                    + log_own
-                    + lw
-                    + ell * math.log(2.0)
-                    + _sp.gammaln(ell + 1.0)
-                    - (ell + 1) * log_theta[0]
-                )
-    total = math.fsum(math.exp(t) for t in log_terms)
-    return float(min(max(total, 0.0), 1.0))
-
-
 def coverage_mmse(request: MmseCoverageRequest) -> float:
-    """MMSE coverage probability with receiver noise, P[SINR > z].
+    """MMSE coverage probability P[SINR > z] for the typical user.
 
-    Same partition sum as the zero-noise law plus a noise-order sum; each
-    (partition length, noise order) pair needs one radial integral, cached
-    across the partition loops.  With sigma2 = 0 the radial integrals are
-    exact gamma moments and this reproduces
-    :func:`coverage_mmse_interflimited` (which is also why the zero-noise
-    law is intensity-free).
+    The sum runs over the coefficient order m of the conditional SINR law,
+    a noise order nv, an own-cell split k, and integer partitions of m - k
+    with parts at most n_t.  Each (partition length, noise order) pair
+    takes one radial moment (:func:`cellmimo.specfun.radial_moment`).
+    Without noise only nv = 1 occurs and the radial moments are gamma
+    moments, which is why the zero-noise law is intensity-free.
     """
     cfg = request.config
     n_t, n_r, alpha = cfg.n_t, cfg.n_r, cfg.alpha
@@ -141,62 +97,35 @@ def coverage_mmse(request: MmseCoverageRequest) -> float:
     theta0 = math.exp(log_theta[0])
     # Noise enters only through b = z n_t sigma2 / (pi lam Theta0)^(alpha/2).
     b = z * n_t * cfg.sigma2 / (math.pi * cfg.lam * theta0) ** (alpha / 2.0)
+    nv_max = n_r if b > 0.0 else 1
+    log_b = math.log(b) if b > 0.0 else 0.0
+    # Radial factor for partition length ell and noise order nv = v + 1:
+    # 2^ell / Theta0^(ell+1) * b^v / v! * J(ell + v alpha/2, b), in logs.
+    moments = radial_moment(
+        [[ell + 0.5 * alpha * v for v in range(nv_max)] for ell in range(n_r)], b, alpha
+    )
+    log_radial = [
+        [
+            math.log(j) + v * log_b - math.lgamma(v + 1.0)
+            + ell * math.log(2.0) - (ell + 1) * log_theta[0]
+            if j > 0.0 else -math.inf  # J underflows only for negligible terms
+            for v, j in enumerate(row)
+        ]
+        for ell, row in enumerate(moments.tolist())
+    ]
     log_pref = (1.0 - n_t) * math.log1p(z)
     log_z = math.log(z)
-    half_alpha = alpha / 2.0
-
-    radial_cache: dict[tuple[int, int], float] = {}
-
-    def log_radial(ell: int, nv: int) -> float:
-        """log of the radial integral for partition length ell, noise order nv:
-        2^ell / Theta0^(ell+1) * int u^ell (b u^(a/2))^(nv-1)/(nv-1)! e^{-b u^(a/2)} e^{-u} du
-        """
-        key = (ell, nv)
-        if key not in radial_cache:
-            if b == 0.0:
-                # Pure gamma moment; only nv = 1 ever reaches here.
-                val = _sp.gammaln(ell + 1.0)
-            else:
-                log_b = math.log(b)
-
-                def integrand(u: float) -> float:
-                    lu = math.log(u)
-                    expo = (
-                        ell * lu
-                        + (nv - 1) * (log_b + half_alpha * lu)
-                        - _sp.gammaln(nv)
-                        - b * u**half_alpha
-                        - u
-                    )
-                    return math.exp(expo)
-
-                res = _integrate.quad(
-                    integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11,
-                    limit=200, full_output=True,
-                )
-                if len(res) > 3 and res[1] > 1e-10:
-                    raise NumericError(
-                        f"radial integral failed (ell={ell}, noise order={nv}): {res[3]}"
-                    )
-                if res[0] <= 0.0:
-                    return -math.inf
-                val = math.log(res[0])
-            radial_cache[key] = (
-                val + ell * math.log(2.0) - (ell + 1) * log_theta[0]
-            )
-        return radial_cache[key]
 
     log_terms = []
     for m in range(n_r):
-        nv_max = 1 if b == 0.0 else n_r - m
-        for nv in range(1, nv_max + 1):
+        for nv in range(1, min(nv_max, n_r - m) + 1):
             for k in range(min(m, n_t - 1) + 1):
                 log_own = math.log(math.comb(n_t - 1, k))
                 for parts in integer_partitions(m - k):
                     lw = _partition_log_weight(parts, n_t, alpha, log_theta)
                     if lw is None:
                         continue
-                    lr = log_radial(parts.length, nv)
+                    lr = log_radial[parts.length][nv - 1]
                     if lr == -math.inf:
                         continue
                     log_terms.append(log_pref + m * log_z + log_own + lw + lr)

@@ -8,22 +8,14 @@ exponential per-interferer gains, and averaging over the Poisson field
 leaves expressions built from the interference kernels in
 :mod:`cellmimo.specfun`.
 
-Two analytic routes are implemented:
-
-* ``coverage_pzf_interflimited`` - the zero-noise law.  The coverage is an
-  average over the scale-free distance ratio u = r/R of a finite sum over
-  set-partition signatures (the composite-derivative expansion of the
-  interference functional).  Every term in that sum is positive, so it is
-  assembled in log space and integrated with a doubling Gauss-Legendre rule
-  on (0, 1) with vectorized kernel evaluations.
-
-* ``coverage_pzf`` - the general law with receiver noise.  After rescaling
-  the serving-cell area and conditioning on u, the radial average becomes an
-  inner integral of (polynomial) x exp(-y) x exp(-noise * y^(alpha/2) ...)
-  against an outer integral over u; the hypergeometric kernels depend only
-  on the outer variable, so they are evaluated once per outer node.  With
-  sigma2 = 0 the inner integral reduces to exact gamma moments and the
-  result coincides with the zero-noise law (tested).
+The coverage is an average over the scale-free distance ratio u = r/R of a
+finite sum over set-partition signatures (the composite-derivative
+expansion of the interference functional) and, with receiver noise, over
+the noise order.  Every term in that sum is positive, so it is assembled in
+log space and integrated with a doubling Gauss-Legendre rule on (0, 1) with
+vectorized kernel evaluations.  Receiver noise enters each term only
+through the radial moment :func:`cellmimo.specfun.radial_moment`, which is
+an exact gamma moment without noise.
 
 The mean inverse SINR in closed form and the optimal-split rule derived
 from it live here too.
@@ -36,34 +28,26 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate as _integrate
 from scipy import special as _sp
 
 from .combinatorics import set_partition_signatures
 from .errors import ConfigError, NumericError
 from .geometry import NetworkConfig, PzfSplit
-from .specfun import lambda_kernel, pochhammer
+from .specfun import lambda_kernel, pochhammer, radial_moment
 
 __all__ = [
     "PzfCoverageRequest",
     "laplace_interference",
     "coverage_pzf",
-    "coverage_pzf_interflimited",
-    "coverage_pzf_at_beta",
     "mean_inverse_sinr",
     "mean_inverse_sinr_surrogate",
     "optimal_m",
     "argmin_mean_inverse_sinr",
 ]
 
-# Doubling Gauss-Legendre levels for the zero-noise distance-ratio average.
+# Doubling Gauss-Legendre levels for the distance-ratio average.
 _GL_LEVELS = (24, 48, 96, 192, 384, 768, 1536)
 _GL_TOL = 1e-10
-
-# Tolerances of the noise-capable nested quadrature (outer over the distance
-# ratio, inner over the rescaled serving-cell area).
-_OUTER_EPSABS = 1e-9
-_INNER_EPSABS = 1e-11
 
 
 @dataclass(frozen=True)
@@ -104,131 +88,70 @@ def _log_faa_coeff(j: int, n_t: int, alpha: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _signature_terms(n_t: int, m: int, delta: int, alpha: float):
-    """Static (z-independent) data of the partition expansion, with the
-    gamma-moment factor (m)_blocks of the zero-noise law baked in.
+def _signature_terms(n_t: int, m: int, delta: int, alpha: float, noisy: bool):
+    """Static (z-independent) data of the partition expansion.
 
-    Each entry: (k, log_static, blocks, size_multiplicity).
+    The conditional coverage at u is a sum over set-partition signatures of
+    {1..k}, k <= delta, and, with noise, over the noise order q <= delta - k.
+    Each term's radial average is J(p, c(u)) with p = m - 1 + blocks +
+    alpha q / 2 (:func:`cellmimo.specfun.radial_moment`); its zero-noise
+    value Gamma(p + 1), over the Gamma(m) of the distance-ratio density, is
+    baked into log_static, so the zero-noise law needs no J at all.
+
+    Each entry: (k, q, log_static, blocks, size_multiplicity, p).
     """
     terms = []
     for k in range(delta + 1):
         for sig in set_partition_signatures(k):
-            log_static = (
-                math.log(sig.weight)
-                + _sp.gammaln(m + sig.block_count)
-                - _sp.gammaln(m)
-                - _sp.gammaln(k + 1.0)
-                + sum(cnt * _log_faa_coeff(j, n_t, alpha) for j, cnt in sig.size_multiplicity)
-            )
-            terms.append((k, log_static, sig.block_count, sig.size_multiplicity))
+            for q in range(delta - k + 1 if noisy else 1):
+                p = m - 1 + sig.block_count + 0.5 * alpha * q
+                log_static = (
+                    math.log(sig.weight)
+                    + _sp.gammaln(p + 1.0)
+                    - _sp.gammaln(m)
+                    - _sp.gammaln(k + 1.0)
+                    - _sp.gammaln(q + 1.0)
+                    + sum(cnt * _log_faa_coeff(j, n_t, alpha) for j, cnt in sig.size_multiplicity)
+                )
+                terms.append((k, q, log_static, sig.block_count, sig.size_multiplicity, p))
     return tuple(terms)
 
 
-@lru_cache(maxsize=None)
-def _signature_terms_raw(n_t: int, delta: int, alpha: float):
-    """Partition data without the gamma-moment factor (the noise-capable
-    route obtains that factor from its radial integral instead).
-
-    Each entry: (i, log_static, blocks, size_multiplicity) with
-    log_static = log(weight) - log(i!) + sum_j cnt_j log|c_j|.
-    """
-    terms = []
-    for i in range(delta + 1):
-        for sig in set_partition_signatures(i):
-            log_static = (
-                math.log(sig.weight)
-                - _sp.gammaln(i + 1.0)
-                + sum(cnt * _log_faa_coeff(j, n_t, alpha) for j, cnt in sig.size_multiplicity)
-            )
-            terms.append((i, log_static, sig.block_count, sig.size_multiplicity))
-    return tuple(terms)
-
-
-def _conditional_coverage_u(n_t: int, m: int, delta: int, alpha: float, z: float, u: np.ndarray) -> np.ndarray:
-    """Zero-noise coverage conditioned on u = r/R (the inverse distance ratio).
+def _conditional_coverage_u(
+    n_t: int, m: int, delta: int, alpha: float, z: float, noise: float, u: np.ndarray
+) -> np.ndarray:
+    """Coverage conditioned on u = r/R (the inverse distance ratio).
 
     u is an array with entries in (0, 1]; all partition terms are positive
-    and at most 1, so the log-space sum is overflow-free for any z.
+    and at most 1, so the log-space sum is overflow-free for any z.  Noise
+    enters through c(u) = noise * (u^2 / lambda0)^(alpha/2), the noise
+    scale in units of the radial variable, raised to the noise order q and
+    as the argument of the radial moment.
     """
     x = z * u**alpha
-    log_l0 = np.log(lambda_kernel(0, n_t, alpha, x))
+    l0 = lambda_kernel(0, n_t, alpha, x)
+    log_l0 = np.log(l0)
     log_lj = {j: np.log(lambda_kernel(j, n_t, alpha, x)) for j in range(1, delta + 1)}
     log_x = np.log(x)
+    if noise:
+        c = noise * (u * u / l0) ** (alpha / 2.0)
+        log_c = np.log(c)
+        log_radial: dict[float, np.ndarray] = {}
     total = np.zeros_like(u)
-    for k, log_static, blocks, size_mult in _signature_terms(n_t, m, delta, alpha):
+    terms = _signature_terms(n_t, m, delta, alpha, noise > 0.0)
+    for k, q, log_static, blocks, size_mult, p in terms:
         expo = log_static - (m + blocks) * log_l0
         if k:
             expo = expo + k * log_x
         for j, cnt in size_mult:
             expo = expo + cnt * log_lj[j]
+        if noise:
+            if p not in log_radial:
+                with np.errstate(divide="ignore"):  # J underflows only for negligible terms
+                    log_radial[p] = np.log(radial_moment(p, c, alpha)) - _sp.gammaln(p + 1.0)
+            expo = expo + q * log_c + log_radial[p]
         total += np.exp(expo)
     return total
-
-
-def coverage_pzf_at_beta(n_t: int, m: int, delta: int, alpha: float, z: float, beta) -> float:
-    """Zero-noise PZF coverage for a user at a fixed distance ratio beta = R/r.
-
-    beta = 1 describes a cell-edge user (the nearest uncancelled interferer
-    as close as the serving station).  For m = 1 there is no cancelled
-    interferer and beta must be 1.
-    """
-    _validate_split_args(n_t, m, delta, alpha)
-    if not (z >= 0.0 and math.isfinite(z)):
-        raise ConfigError(f"threshold must be finite and >= 0, got {z!r}")
-    scalar = np.isscalar(beta)
-    bv = np.atleast_1d(np.asarray(beta, dtype=float))
-    if np.any(bv < 1.0):
-        raise ConfigError("distance ratio beta must be >= 1")
-    if m == 1 and np.any(bv != 1.0):
-        raise ConfigError("with m = 1 there is no cancelled interferer; beta must be 1")
-    if z == 0.0:
-        out = np.ones_like(bv)
-    else:
-        out = np.clip(_conditional_coverage_u(n_t, m, delta, alpha, z, 1.0 / bv), 0.0, 1.0)
-    return float(out[0]) if scalar else out.reshape(np.shape(beta))
-
-
-def _validate_split_args(n_t: int, m: int, delta: int, alpha: float) -> None:
-    if not isinstance(n_t, (int, np.integer)) or n_t < 1:
-        raise ConfigError(f"n_t must be a positive integer, got {n_t!r}")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ConfigError(f"m must be a positive integer, got {m!r}")
-    if not isinstance(delta, (int, np.integer)) or delta < 0:
-        raise ConfigError(f"delta must be a nonnegative integer, got {delta!r}")
-    if not (alpha > 2.0 and math.isfinite(alpha)):
-        raise ConfigError(f"path-loss exponent must exceed 2, got {alpha!r}")
-
-
-def coverage_pzf_interflimited(n_t: int, n_r: int, m: int, delta: int, alpha: float, z: float) -> float:
-    """Zero-noise PZF coverage probability P[SINR > z] for the typical user.
-
-    Scale-free: the base-station intensity drops out entirely.  ``n_r`` must
-    equal ``m * n_t + delta``.
-    """
-    _validate_split_args(n_t, m, delta, alpha)
-    if n_r != m * n_t + delta:
-        raise ConfigError(f"n_r={n_r} does not match m*n_t+delta={m * n_t + delta}")
-    if not (z >= 0.0 and math.isfinite(z)):
-        raise ConfigError(f"threshold must be finite and >= 0, got {z!r}")
-    if z == 0.0:
-        return 1.0
-    if m == 1:
-        # No cancelled interferer: the distance ratio is degenerate at 1.
-        val = _conditional_coverage_u(n_t, m, delta, alpha, z, np.ones(1))[0]
-        return float(min(max(val, 0.0), 1.0))
-
-    prev = None
-    for n in _GL_LEVELS:
-        u, w = _leggauss_unit(n)
-        density = 2.0 * (m - 1) * u * (1.0 - u * u) ** (m - 2)
-        val = float(np.dot(w, density * _conditional_coverage_u(n_t, m, delta, alpha, z, u)))
-        if prev is not None and abs(val - prev) <= _GL_TOL * (1.0 + abs(val)):
-            return float(min(max(val, 0.0), 1.0))
-        prev = val
-    raise NumericError(
-        f"distance-ratio average did not converge to {_GL_TOL} "
-        f"(n_t={n_t}, m={m}, delta={delta}, alpha={alpha}, z={z})"
-    )
 
 
 def laplace_interference(s, R: float, lam: float, n_t: int, alpha: float):
@@ -253,89 +176,39 @@ def laplace_interference(s, R: float, lam: float, n_t: int, alpha: float):
     return float(out) if np.isscalar(s) else out
 
 
-def _quad_checked(func, a, b, epsabs, epsrel, what: str, limit: int = 200) -> float:
-    res = _integrate.quad(func, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit, full_output=True)
-    val, abserr = res[0], res[1]
-    if len(res) > 3 and abserr > 100.0 * max(epsabs, epsrel * abs(val)):
-        raise NumericError(f"quadrature failed for {what}: {res[3]}")
-    return val
-
-
 def coverage_pzf(request: PzfCoverageRequest) -> float:
-    """PZF coverage probability with receiver noise, P[SINR > z].
+    """PZF coverage probability P[SINR > z] for the typical user.
 
-    Evaluates the noise-capable law by a nested quadrature: the outer
-    variable is the inverse distance ratio u = r/R (degenerate for m = 1),
-    the inner one the serving-cell area rescaled so that the integrand
-    becomes gamma-like.  With sigma2 = 0 this reproduces
-    :func:`coverage_pzf_interflimited` (the inner integral is then a pure
-    gamma moment); the agreement is part of the test suite.
+    An average over the inverse distance ratio u = r/R (degenerate at 1 for
+    m = 1, where no interferer is cancelled) of the conditional law, by a
+    doubling Gauss-Legendre rule on (0, 1).  Receiver noise enters only
+    through the combination z n_t sigma2 / (pi lam)^(alpha/2); with
+    sigma2 = 0 the law is scale-free and the base-station intensity drops
+    out entirely.
     """
     cfg, split = request.config, request.split
     z = float(request.z)
     if z == 0.0:
         return 1.0
     n_t, m, delta, alpha = cfg.n_t, split.m, split.delta, cfg.alpha
-    # Noise scale: z * n_t * sigma2 * E-free area factor; the density enters
-    # only through this combination (and cancels entirely when sigma2 = 0).
     noise = z * n_t * cfg.sigma2 / (math.pi * cfg.lam) ** (alpha / 2.0)
-    raw_terms = _signature_terms_raw(n_t, delta, alpha)
-    half_alpha = alpha / 2.0
-
-    def inner_integral(v: float) -> float:
-        """Integral over the rescaled cell area at fixed u = v; returns the
-        radial average times lambda0^{-m}."""
-        x = z * v**alpha
-        l0 = lambda_kernel(0, n_t, alpha, x)
-        log_l0 = math.log(l0)
-        log_lj = {j: math.log(lambda_kernel(j, n_t, alpha, x)) for j in range(1, delta + 1)}
-        scale = l0 / (v * v)  # the inner variable is y = (cell area) * scale
-        log_noise_unit = math.log(noise) - half_alpha * math.log(scale) if noise > 0.0 else None
-
-        log_coef = []
-        y_power = []
-        log_zv = math.log(z) + alpha * math.log(v) if v < 1.0 else math.log(z)
-        for i, log_static, blocks, size_mult in raw_terms:
-            base = log_static + i * log_zv - blocks * log_l0
-            for j, cnt in size_mult:
-                base += cnt * log_lj[j]
-            q_max = delta - i if noise > 0.0 else 0
-            for q in range(q_max + 1):
-                if q and log_noise_unit is None:
-                    break
-                lc = base
-                if q:
-                    lc += q * log_noise_unit - _sp.gammaln(q + 1.0)
-                log_coef.append(lc)
-                y_power.append(m - 1 + blocks + half_alpha * q)
-        log_coef_arr = np.array(log_coef)
-        y_power_arr = np.array(y_power)
-        noise_rate = noise / scale**half_alpha if noise > 0.0 else 0.0
-
-        def h(y: float) -> float:
-            ly = math.log(y)
-            expo = -y - noise_rate * y**half_alpha
-            return float(np.exp(log_coef_arr + y_power_arr * ly + expo).sum())
-
-        val = _quad_checked(
-            h, 0.0, np.inf, epsabs=_INNER_EPSABS, epsrel=1e-10,
-            what=f"radial average at u={v:.6g}",
-        )
-        return val * math.exp(-m * log_l0)
-
     if m == 1:
-        val = inner_integral(1.0)
-    else:
-        norm = 2.0 / math.factorial(m - 2)
+        val = _conditional_coverage_u(n_t, m, delta, alpha, z, noise, np.ones(1))[0]
+        return float(min(max(val, 0.0), 1.0))
 
-        def outer(v: float) -> float:
-            return norm * v * (1.0 - v * v) ** (m - 2) * inner_integral(v)
-
-        val = _quad_checked(
-            outer, 0.0, 1.0, epsabs=_OUTER_EPSABS, epsrel=1e-9,
-            what=f"distance-ratio average (m={m}, delta={delta}, z={z:.6g})",
-        )
-    return float(min(max(val, 0.0), 1.0))
+    prev = None
+    for n in _GL_LEVELS:
+        u, w = _leggauss_unit(n)
+        density = 2.0 * (m - 1) * u * (1.0 - u * u) ** (m - 2)
+        conditional = _conditional_coverage_u(n_t, m, delta, alpha, z, noise, u)
+        val = float(np.dot(w, density * conditional))
+        if prev is not None and abs(val - prev) <= _GL_TOL * (1.0 + abs(val)):
+            return float(min(max(val, 0.0), 1.0))
+        prev = val
+    raise NumericError(
+        f"distance-ratio average did not converge to {_GL_TOL} "
+        f"(n_t={n_t}, m={m}, delta={delta}, alpha={alpha}, z={z})"
+    )
 
 
 def mean_inverse_sinr(config: NetworkConfig, m: int) -> float:

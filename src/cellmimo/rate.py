@@ -20,7 +20,7 @@ users who want per-user numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from scipy import integrate as _integrate
@@ -28,17 +28,13 @@ from scipy import optimize as _optimize
 
 from .errors import ConfigError, NumericError
 from .geometry import NetworkConfig, PzfSplit
-from .mmse import MmseCoverageRequest, coverage_mmse, coverage_mmse_interflimited
-from .pzf import (
-    PzfCoverageRequest,
-    coverage_pzf,
-    coverage_pzf_interflimited,
-    optimal_m,
-)
+from .mmse import MmseCoverageRequest, coverage_mmse
+from .pzf import PzfCoverageRequest, coverage_pzf, optimal_m
 
 __all__ = [
     "RateProfile",
     "default_pzf_split",
+    "stream_config",
     "sinr_ccdf",
     "ergodic_rate",
     "rate_quantile",
@@ -81,27 +77,31 @@ def default_pzf_split(config: NetworkConfig) -> PzfSplit:
     return PzfSplit.for_config(config, min(m, m_cap))
 
 
+def stream_config(config: NetworkConfig, scheme: str) -> NetworkConfig:
+    """Configuration whose SINR law a scheme's streams see.
+
+    ``sm`` keeps all n_t streams; ``sst`` serves one stream at a time, so
+    its SINR law is the n_t = 1 one.
+    """
+    if scheme not in _SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {_SCHEMES}")
+    return config if scheme == "sm" else replace(config, n_t=1)
+
+
 def sinr_ccdf(config: NetworkConfig, receiver: str, m: int | None = None) -> Callable[[float], float]:
     """SINR CCDF z -> P[SINR > z] for the given receiver.
 
     For ``pzf``, ``m`` picks the cancellation order (default:
-    :func:`default_pzf_split`).  Zero-noise configurations route to the
-    interference-limited laws, which are faster and intensity-free.
+    :func:`default_pzf_split`).
     """
     if receiver not in _RECEIVERS:
         raise ConfigError(f"unknown receiver {receiver!r}; expected one of {_RECEIVERS}")
     if receiver == "mmse":
         if m is not None:
             raise ConfigError("the MMSE receiver takes no cancellation order")
-        if config.sigma2 == 0.0:
-            n_t, n_r, alpha = config.n_t, config.n_r, config.alpha
-            return lambda z: coverage_mmse_interflimited(n_t, n_r, alpha, z)
         return lambda z: coverage_mmse(MmseCoverageRequest(config=config, z=z))
 
     split = default_pzf_split(config) if m is None else PzfSplit.for_config(config, m)
-    if config.sigma2 == 0.0:
-        n_t, n_r, alpha = config.n_t, config.n_r, config.alpha
-        return lambda z: coverage_pzf_interflimited(n_t, n_r, split.m, split.delta, alpha, z)
     return lambda z: coverage_pzf(PzfCoverageRequest(config=config, split=split, z=z))
 
 
@@ -192,11 +192,8 @@ def mean_sum_rate(
     ``sm``: n_t streams to n_t users, sum rate n_t * C(n_t, n_r).
     ``sst``: one stream shared by time division, sum rate C(1, n_r).
     """
-    if scheme not in _SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {_SCHEMES}")
-    stream_n_t = n_t if scheme == "sm" else 1
-    config = NetworkConfig(lam=lam, alpha=alpha, sigma2=sigma2, n_t=stream_n_t, n_r=n_r)
-    rate = ergodic_rate(sinr_ccdf(config, receiver, m=m))
+    config = NetworkConfig(lam=lam, alpha=alpha, sigma2=sigma2, n_t=n_t, n_r=n_r)
+    rate = ergodic_rate(sinr_ccdf(stream_config(config, scheme), receiver, m=m))
     return n_t * rate if scheme == "sm" else rate
 
 
@@ -213,9 +210,8 @@ def rate_profile(
     convention: str = "calibrated",
 ) -> RateProfile:
     """Mean sum rate plus the 5% (cell-edge) and 80% rate quantiles."""
-    stream_n_t = n_t if scheme == "sm" else 1
-    config = NetworkConfig(lam=lam, alpha=alpha, sigma2=sigma2, n_t=stream_n_t, n_r=n_r)
-    ccdf = sinr_ccdf(config, receiver, m=m)
+    config = NetworkConfig(lam=lam, alpha=alpha, sigma2=sigma2, n_t=n_t, n_r=n_r)
+    ccdf = sinr_ccdf(stream_config(config, scheme), receiver, m=m)
     mean = ergodic_rate(ccdf)
     if scheme == "sm":
         mean = n_t * mean

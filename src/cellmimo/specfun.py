@@ -33,12 +33,16 @@ evaluates the family directly:
 
 The achieved accuracy is verified against mpmath in the test suite at
 1e-12 relative over the full parameter box used by the coverage laws.
+
+Receiver noise adds one more function, the radial moment
+``J(p, b) = ∫_0^∞ y^p exp(-y - b y^(α/2)) dy`` (:func:`radial_moment`),
+which is Γ(p + 1) at b = 0 and within 1e-11 relative of mpmath for
+0 <= p <= 64 and 1e-8 <= b <= 1e4 (tested at α = 2.05 to 6).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -52,7 +56,7 @@ __all__ = [
     "hyp2f1_negz",
     "lambda_kernel",
     "theta_kernel",
-    "HypKernelParams",
+    "radial_moment",
 ]
 
 # Switch point between the direct Pfaff series and the 1/z connection
@@ -80,6 +84,19 @@ _QUAD_PANEL_NODES = 24
 _QUAD_ORIGIN_NODES = 12
 # Rows of z per quadrature block, to bound the (rows x nodes) work array.
 _QUAD_ROWS = 2048
+# Radial moment: trapezoid step in units of the integrand's peak width and
+# in units of 1/s (s = alpha/2), the tail cut (log of the peak-to-cut
+# ratio), and the bound on the difference between the rule and its
+# every-other-node half.  The trapezoid error of an analytic integrand
+# falls as exp(-const/step), so the full rule's error is about the square
+# of that difference.
+_RADIAL_STEP = 1.0 / 6.0
+_RADIAL_STRIP_STEP = 0.25
+_RADIAL_TAIL = 40.0
+_RADIAL_CHECK = 1e-7
+_RADIAL_NEWTON_STEPS = 60
+# Bound on (rows x nodes) of the radial-moment work array.
+_RADIAL_CELLS = 1 << 16
 
 
 def gamma(x):
@@ -263,24 +280,6 @@ def hyp2f1_negz(a: float, b: float, c: float, z):
     return out.reshape(np.shape(z))
 
 
-@dataclass(frozen=True)
-class HypKernelParams:
-    """Parameter triple (a, b, c) of an in-family hypergeometric kernel."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if abs(self.c - (self.b + 1.0)) > 1e-9:
-            raise ConfigError(
-                f"kernel requires c = b + 1, got b={self.b!r}, c={self.c!r}"
-            )
-
-    def evaluate(self, z):
-        return hyp2f1_negz(self.a, self.b, self.c, z)
-
-
 def _validate_kernel_args(order: int, n_t: int, alpha: float) -> None:
     if not isinstance(order, (int, np.integer)) or order < 0:
         raise ConfigError(f"kernel order must be a nonnegative integer, got {order!r}")
@@ -316,3 +315,81 @@ def theta_kernel(order: int, n_t: int, alpha: float, z):
     _validate_kernel_args(order, n_t, alpha)
     b = order - 2.0 / alpha
     return hyp2f1_negz(n_t, b, b + 1.0, z)
+
+
+def radial_moment(p, b, alpha: float):
+    """Radial moment J(p, b) = ∫_0^∞ y^p exp(-y - b y^(α/2)) dy.
+
+    Receiver noise enters the coverage laws only through this integral: y
+    is the serving-cell area in units of the interference scale and b the
+    noise-to-interference ratio.  ``p >= 0`` and ``b >= 0`` broadcast
+    against each other.  J(p, 0) = Γ(p + 1) exactly, which is all the
+    zero-noise laws need.
+
+    For b > 0 the integrand in t = log y is exp(φ(t)) with
+    φ(t) = (p+1) t - e^t - b e^(αt/2), which is strictly concave.  It is
+    integrated by the trapezoid rule centred on its mode, with a step set by
+    the width of its peak and by α; the rule on every other node gives the
+    error estimate, and :class:`NumericError` is raised when that estimate
+    exceeds its bound.
+    """
+    if not (alpha > 2.0 and math.isfinite(alpha)):
+        raise ConfigError(f"path-loss exponent must exceed 2, got {alpha!r}")
+    pv, bv = np.asarray(p, dtype=float), np.asarray(b, dtype=float)
+    b_max = bv.max()
+    # NaN fails the first two comparisons.
+    if not (pv.min() >= 0.0 and bv.min() >= 0.0 and pv.max() < math.inf and b_max < math.inf):
+        raise ConfigError("radial moment needs finite p >= 0 and b >= 0")
+    out = np.asarray(_sp.gamma(pv + 1.0 + 0.0 * bv))  # in the broadcast shape
+    if b_max > 0.0:
+        pb, bb = np.broadcast_arrays(pv, bv)
+        noisy = bb > 0.0
+        out[noisy] = _radial_trapezoid(pb[noisy] + 1.0, bb[noisy], 0.5 * alpha)
+    return float(out) if out.ndim == 0 else out
+
+
+def _radial_trapezoid(q: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
+    """J(q - 1, b) for b > 0, where φ(t) = q t - e^t - b e^(st)."""
+    # Mode: the root of φ'(t) = q - e^t - s b e^(st).  Starting from the
+    # smaller of the two one-term roots, φ' <= 0 and the root lies within
+    # log 2 to the left; φ' is concave and decreasing there, so Newton
+    # steps approach the root monotonically from the right.
+    log_q = np.log(q)
+    t = np.minimum(log_q, (log_q - np.log(s * b)) / s)
+    for _ in range(_RADIAL_NEWTON_STEPS):
+        e1, e2 = np.exp(t), b * np.exp(s * t)
+        dt = (q - e1 - s * e2) / (e1 + s * s * e2)
+        t += dt
+        if np.all(np.abs(dt) <= 1e-14 * (1.0 + np.abs(t))):
+            break
+    e1, e2 = np.exp(t), b * np.exp(s * t)
+    width = 1.0 / np.sqrt(e1 + s * s * e2)  # (-φ''(t*))^(-1/2)
+    log_peak = q * t - e1 - e2
+    # The step resolves the peak and stays well inside the strip
+    # |Im t| < π/(2s) in which exp(-b e^(st)) still decays.
+    step = np.minimum(_RADIAL_STEP * width, _RADIAL_STRIP_STEP / s)
+    # Right of the mode φ''' < 0 gives φ(t* + x) - φ(t*) <= -x²/(2 width²);
+    # left of it φ(t) - φ(t*) <= q (t - t* + 1).  Both cut the integrand at
+    # exp(-_RADIAL_TAIL) of its peak.
+    right = math.ceil(float(np.max(math.sqrt(2.0 * _RADIAL_TAIL) * width / step)))
+    left = math.ceil(float(np.max((1.0 + _RADIAL_TAIL / q) / step)))
+    k = np.arange(-left, right + 1)
+    even = k % 2 == 0
+    out = np.empty_like(q)
+    rows = max(1, _RADIAL_CELLS // k.size)
+    for start in range(0, q.size, rows):
+        blk = slice(start, start + rows)
+        x = step[blk, None] * k  # t - t*
+        f = np.exp(
+            q[blk, None] * x - e1[blk, None] * np.expm1(x) - e2[blk, None] * np.expm1(s * x)
+        )
+        fine = f.sum(axis=1)
+        coarse = 2.0 * f[:, even].sum(axis=1)
+        if np.any(np.abs(fine - coarse) > _RADIAL_CHECK * fine):
+            bad = int(np.argmax(np.abs(fine - coarse) / fine))
+            raise NumericError(
+                f"radial moment rule did not resolve p={q[blk][bad] - 1.0:.6g}, "
+                f"b={b[blk][bad]:.6g}, alpha={2.0 * s:.6g}"
+            )
+        out[blk] = np.exp(log_peak[blk] + np.log(step[blk] * fine))
+    return out

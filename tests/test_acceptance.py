@@ -15,11 +15,7 @@ import pytest
 from scipy import stats
 
 from cellmimo.geometry import NetworkConfig, PzfSplit
-from cellmimo.mmse import (
-    MmseCoverageRequest,
-    coverage_mmse,
-    coverage_mmse_interflimited,
-)
+from cellmimo.mmse import MmseCoverageRequest, coverage_mmse
 from cellmimo.montecarlo import (
     NetworkRealization,
     estimate_coverage,
@@ -30,7 +26,6 @@ from cellmimo.pzf import (
     PzfCoverageRequest,
     argmin_mean_inverse_sinr,
     coverage_pzf,
-    coverage_pzf_interflimited,
     mean_inverse_sinr,
     optimal_m,
 )
@@ -46,7 +41,7 @@ def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):
 
 def test_criterion_01_single_antenna_coverage_anchor():
     t0 = time.perf_counter()
-    value = coverage_pzf_interflimited(1, 1, 1, 0, 4.0, 1.0)
+    value = coverage_pzf(PzfCoverageRequest(_config(1, 1), PzfSplit(1, 0), 1.0))
     elapsed = time.perf_counter() - t0
     assert value == pytest.approx(0.560099, abs=1e-4)
     # Same point in closed form: 1 / (1 + sqrt(z) atan(sqrt(z))) at z = 1.
@@ -73,7 +68,7 @@ def test_criterion_02_pzf_1x4_reference_curves():
     for m, refs in _PZF_1X4_CURVES.items():
         for z_db, ref in zip(_CURVE_Z_DB, refs):
             z = 10.0 ** (z_db / 10.0)
-            value = coverage_pzf_interflimited(1, 4, m, 4 - m, 4.0, z)
+            value = coverage_pzf(PzfCoverageRequest(_config(1, 4), PzfSplit(m, 4 - m), z))
             assert value == pytest.approx(ref, abs=2e-3), (m, z_db)
     assert time.perf_counter() - t0 < 30.0
 
@@ -98,7 +93,7 @@ _DELTA0_SWEEP = {
 def test_criterion_03_delta0_coverage_sweep():
     for n_t, refs in _DELTA0_SWEEP.items():
         for m, ref in enumerate(refs, start=1):
-            value = coverage_pzf_interflimited(n_t, m * n_t, m, 0, 4.0, 1.0)
+            value = coverage_pzf(PzfCoverageRequest(_config(n_t, m * n_t), PzfSplit(m, 0), 1.0))
             assert value == pytest.approx(ref, abs=2e-3), (n_t, m)
 
 
@@ -115,7 +110,7 @@ _MMSE_ANCHORS = (
 
 def test_criterion_04_mmse_reference_points():
     for n_t, n_r, ref in _MMSE_ANCHORS:
-        value = coverage_mmse_interflimited(n_t, n_r, 4.0, 1.0)
+        value = coverage_mmse(MmseCoverageRequest(_config(n_t, n_r), 1.0))
         assert value == pytest.approx(ref, abs=2e-3), (n_t, n_r)
 
 
@@ -185,7 +180,7 @@ def test_criterion_05_quadrature_equivalence_for_m2():
         delta = n_r - 2 * n_t
         for z in (0.1, 1.0, 10.0):
             ref = reference(z, 4.0)
-            value = coverage_pzf_interflimited(n_t, n_r, 2, delta, 4.0, z)
+            value = coverage_pzf(PzfCoverageRequest(_config(n_t, n_r), PzfSplit(2, delta), z))
             assert value == pytest.approx(ref, abs=1e-8), (n_t, n_r, z)
 
 
@@ -291,12 +286,6 @@ _MC_CASES = (
 
 def _analytic_coverage(config, receiver, m, z):
     delta = config.n_r - m * config.n_t
-    if config.sigma2 == 0.0:
-        if receiver == "pzf":
-            return coverage_pzf_interflimited(
-                config.n_t, config.n_r, m, delta, config.alpha, z
-            )
-        return coverage_mmse_interflimited(config.n_t, config.n_r, config.alpha, z)
     if receiver == "pzf":
         request = PzfCoverageRequest(
             config=config, split=PzfSplit(m=m, delta=delta), z=z

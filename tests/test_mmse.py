@@ -1,15 +1,11 @@
-"""Linear MMSE coverage law, interference-limited and noisy routes."""
+"""Linear MMSE coverage law, with and without receiver noise."""
 
 import pytest
 
 from cellmimo.errors import ConfigError, SizeGuardError
-from cellmimo.geometry import NetworkConfig
-from cellmimo.mmse import (
-    MmseCoverageRequest,
-    coverage_mmse,
-    coverage_mmse_interflimited,
-)
-from cellmimo.pzf import coverage_pzf_interflimited
+from cellmimo.geometry import NetworkConfig, PzfSplit
+from cellmimo.mmse import MmseCoverageRequest, coverage_mmse
+from cellmimo.pzf import PzfCoverageRequest, coverage_pzf
 
 
 def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):
@@ -27,13 +23,13 @@ _ANCHORS = [
 
 @pytest.mark.parametrize("n_t,n_r,expected", _ANCHORS)
 def test_reference_points(n_t, n_r, expected):
-    assert coverage_mmse_interflimited(n_t, n_r, 4.0, 1.0) == pytest.approx(
+    assert coverage_mmse(MmseCoverageRequest(_config(n_t, n_r), 1.0)) == pytest.approx(
         expected, abs=1e-5
     )
 
 
 def test_reference_point_off_zero_db():
-    assert coverage_mmse_interflimited(2, 4, 4.0, 10.0 ** 0.5) == pytest.approx(
+    assert coverage_mmse(MmseCoverageRequest(_config(2, 4), 10.0 ** 0.5)) == pytest.approx(
         0.5369888237024917, rel=1e-10
     )
 
@@ -42,33 +38,52 @@ def test_single_antenna_equals_pzf():
     # With one antenna on each side there is nothing to null or combine:
     # both receivers reduce to the same scalar SINR law.
     for z in (0.5, 1.0, 10.0):
-        assert coverage_mmse_interflimited(1, 1, 4.0, z) == pytest.approx(
-            coverage_pzf_interflimited(1, 1, 1, 0, 4.0, z), rel=1e-12
+        assert coverage_mmse(MmseCoverageRequest(_config(1, 1), z)) == pytest.approx(
+            coverage_pzf(PzfCoverageRequest(_config(1, 1), PzfSplit(1, 0), z)), rel=1e-12
         )
 
 
 @pytest.mark.parametrize("n_t,n_r", [(1, 4), (2, 4), (3, 6)])
 def test_dominates_every_pzf_split(n_t, n_r):
-    mmse = coverage_mmse_interflimited(n_t, n_r, 4.0, 1.0)
+    mmse = coverage_mmse(MmseCoverageRequest(_config(n_t, n_r), 1.0))
     for m in range(1, n_r // n_t + 1):
-        pzf = coverage_pzf_interflimited(n_t, n_r, m, n_r - m * n_t, 4.0, 1.0)
+        pzf = coverage_pzf(PzfCoverageRequest(_config(n_t, n_r), PzfSplit(m, n_r - m * n_t), 1.0))
         assert mmse >= pzf
 
 
 def test_edge_thresholds():
-    assert coverage_mmse_interflimited(2, 4, 4.0, 0.0) == 1.0
-    assert coverage_mmse_interflimited(2, 4, 4.0, 1e8) < 2e-4
-    values = [coverage_mmse_interflimited(2, 4, 4.0, z) for z in (0.1, 1.0, 10.0, 100.0)]
+    assert coverage_mmse(MmseCoverageRequest(_config(2, 4), 0.0)) == 1.0
+    assert coverage_mmse(MmseCoverageRequest(_config(2, 4), 1e8)) < 2e-4
+    values = [
+        coverage_mmse(MmseCoverageRequest(_config(2, 4), z)) for z in (0.1, 1.0, 10.0, 100.0)
+    ]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_noisy_route_reduces_to_interference_limited():
+    # Vanishing noise takes the quadrature branch of the radial moments;
+    # zero noise takes their exact gamma branch.
     for n_t, n_r in [(1, 2), (2, 4), (3, 5)]:
         for z in (0.5, 2.0):
-            noisy = coverage_mmse(MmseCoverageRequest(config=_config(n_t, n_r), z=z))
-            assert noisy == pytest.approx(
-                coverage_mmse_interflimited(n_t, n_r, 4.0, z), rel=1e-9
+            faint = coverage_mmse(MmseCoverageRequest(_config(n_t, n_r, sigma2=1e-12), z))
+            assert faint == pytest.approx(
+                coverage_mmse(MmseCoverageRequest(_config(n_t, n_r), z)), rel=1e-9
             )
+
+
+# (n_t, n_r, z, sigma2, coverage) from the per-term quad route at 9a3f446.
+_NOISY_PINS = [
+    (2, 4, 1.0, 0.4, 0.793270026662932),
+    (1, 4, 3.0, 0.4, 0.8008021352785238),
+    (2, 4, 1.0, 1.0, 0.7681241754197276),
+    (1, 4, 3.0, 1.0, 0.768291164389659),
+]
+
+
+@pytest.mark.parametrize("n_t,n_r,z,sigma2,expected", _NOISY_PINS)
+def test_noisy_law_pinned_values(n_t, n_r, z, sigma2, expected):
+    request = MmseCoverageRequest(_config(n_t, n_r, sigma2=sigma2), z)
+    assert coverage_mmse(request) == pytest.approx(expected, abs=1e-8)
 
 
 def test_noise_hurts_and_density_helps():
@@ -98,5 +113,5 @@ def test_request_validation():
 
 def test_antenna_count_guard():
     with pytest.raises(SizeGuardError):
-        coverage_mmse_interflimited(1, 17, 4.0, 1.0)
-    coverage_mmse_interflimited(1, 16, 4.0, 1.0)  # boundary stays supported
+        coverage_mmse(MmseCoverageRequest(_config(1, 17), 1.0))
+    coverage_mmse(MmseCoverageRequest(_config(1, 16), 1.0))  # boundary stays supported

@@ -8,10 +8,12 @@ than a statistical one.
 """
 
 import math
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from cellmimo.errors import ConditioningError, ConfigError, NumericError
 from cellmimo.geometry import NetworkConfig, PzfSplit
@@ -32,8 +34,8 @@ from cellmimo.montecarlo import (
     sample_network,
     simulate_sinr,
 )
-from cellmimo.mmse import coverage_mmse_interflimited
-from cellmimo.pzf import coverage_pzf_interflimited
+from cellmimo.mmse import MmseCoverageRequest, coverage_mmse
+from cellmimo.pzf import PzfCoverageRequest, coverage_pzf
 from cellmimo.rate import mean_sum_rate
 
 
@@ -64,6 +66,60 @@ def test_default_window_radius():
         assert lam * math.pi * w * w == pytest.approx(1600.0, rel=1e-12)
     with pytest.raises(ConfigError):
         default_window_radius(0.0)
+
+
+# The README's window-truncation bias of 1x1 coverage at the default window:
+# alpha -> (bias at 0 dB, bias at 10 dB), as printed there.
+_WINDOW_BIAS_README = {
+    4.0: ("2.2e-4", "1.0e-4"),
+    3.5: ("1.15e-3", "4.2e-4"),
+    3.0: ("5.9e-3", "1.6e-3"),
+}
+
+
+def _windowed_bias_1x1(alpha, z, radius, lam=1.0):
+    """Exact 1x1 coverage with stations only inside ``radius``, minus the
+    plane law 1 / F(1, -2/alpha; 1 - 2/alpha; -z).
+
+    Given the serving distance r, the windowed law is exp(-I_R(r)), with
+    I_R(r) = 2 pi lam int_r^R x / (1 + x^alpha / (z r^alpha)) dx over the
+    annulus, and the plane law is exp(-I_inf(r)); the integrand below is
+    their difference, exp(-I_inf) (exp(I_inf - I_R) - 1), so no digits
+    cancel.
+    """
+    lam0 = float(mp.hyp2f1(1, -2.0 / alpha, 1.0 - 2.0 / alpha, -z))
+
+    def beyond_window(r):
+        s = z * r**alpha
+        val, _ = integrate.quad(
+            lambda x: x / (1.0 + x**alpha / s), radius, math.inf,
+            epsabs=0.0, epsrel=1e-12, limit=200,
+        )
+        return 2.0 * math.pi * lam * val
+
+    def integrand(r):
+        serving = 2.0 * math.pi * lam * r * math.exp(-lam * math.pi * r * r * lam0)
+        return serving * math.expm1(beyond_window(r))
+
+    # Serving distances beyond sqrt(80 / (pi lam)) carry less than exp(-80).
+    r_max = min(radius, math.sqrt(80.0 / (math.pi * lam)))
+    val, _ = integrate.quad(integrand, 0.0, r_max, epsabs=0.0, epsrel=1e-10, limit=200)
+    return val
+
+
+@pytest.mark.parametrize("alpha", sorted(_WINDOW_BIAS_README))
+def test_default_window_bias_matches_readme(alpha):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stated = _WINDOW_BIAS_README[alpha]
+    assert f"| {alpha:g} | {stated[0]} | {stated[1]} |" in readme
+    radius = default_window_radius(1.0)
+    for z_db, text in zip((0.0, 10.0), stated):
+        z = 10.0 ** (z_db / 10.0)
+        bias = _windowed_bias_1x1(alpha, z, radius)
+        assert bias == pytest.approx(float(text), rel=0.1), (alpha, z_db)
+        # Four times the stations doubles the radius: bias ~ radius^(2 - alpha).
+        larger = _windowed_bias_1x1(alpha, z, 2.0 * radius)
+        assert larger / bias == pytest.approx(2.0 ** (2.0 - alpha), rel=0.1), (alpha, z_db)
 
 
 def test_sample_network_layout():
@@ -268,10 +324,10 @@ def test_matches_analytic_interference_limited():
     z = 1.0
     curve = estimate_coverage_curve(config, "mmse", [z], 4096, 7)
     est = curve[0]
-    exact = coverage_mmse_interflimited(2, 4, 4.0, z)
+    exact = coverage_mmse(MmseCoverageRequest(_config(2, 4), z))
     assert abs(est.mean - exact) <= 4.0 * est.std_error
     pzf_est = estimate_coverage(config, "pzf", z, 4096, 7, m=1)
-    pzf_exact = coverage_pzf_interflimited(2, 4, 1, 2, 4.0, z)
+    pzf_exact = coverage_pzf(PzfCoverageRequest(_config(2, 4), PzfSplit(1, 2), z))
     assert abs(pzf_est.mean - pzf_exact) <= 4.0 * pzf_est.std_error
 
 

@@ -8,8 +8,11 @@ Independent oracles used here:
   derivatives of the interference Laplace transform; the test evaluates
   those derivatives by finite differences, bypassing the partition
   machinery entirely.
-* The zero-noise limit of the noisy law must reproduce the
-  interference-limited law (two very different quadratures).
+* Vanishing noise must reproduce the zero-noise law: the radial moments
+  then come from the quadrature branch of the radial-moment rule instead
+  of its exact gamma branch.
+* Noisy values are pinned to the nested scipy ``quad`` route that the
+  package used up to commit 9a3f446.
 """
 
 import math
@@ -18,14 +21,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cellmimo.errors import ConfigError
+from cellmimo import specfun
+from cellmimo.errors import ConfigError, NumericError
 from cellmimo.geometry import NetworkConfig, PzfSplit
 from cellmimo.pzf import (
     PzfCoverageRequest,
+    _conditional_coverage_u,
     argmin_mean_inverse_sinr,
     coverage_pzf,
-    coverage_pzf_at_beta,
-    coverage_pzf_interflimited,
     laplace_interference,
     mean_inverse_sinr,
     mean_inverse_sinr_surrogate,
@@ -45,10 +48,10 @@ def test_single_antenna_closed_form():
     # classic 0.5601 coverage figure.
     for z in (0.3, 1.0, 7.0, 40.0):
         expected = 1.0 / (1.0 + math.sqrt(z) * math.atan(math.sqrt(z)))
-        assert coverage_pzf_interflimited(1, 1, 1, 0, 4.0, z) == pytest.approx(
+        assert coverage_pzf(PzfCoverageRequest(_config(1, 1), PzfSplit(1, 0), z)) == pytest.approx(
             expected, rel=1e-10
         )
-    assert coverage_pzf_interflimited(1, 1, 1, 0, 4.0, 1.0) == pytest.approx(
+    assert coverage_pzf(PzfCoverageRequest(_config(1, 1), PzfSplit(1, 0), 1.0)) == pytest.approx(
         0.560099, abs=1e-6
     )
 
@@ -57,24 +60,24 @@ def test_reference_curve_values():
     # 1x4 with m = 2 and m = 4 at 0 dB, and the 2-antenna delta = 0 sweep
     # point (m = 3); high-precision values frozen from this implementation
     # after cross-validation against Monte Carlo.
-    assert coverage_pzf_interflimited(1, 4, 2, 2, 4.0, 1.0) == pytest.approx(
+    assert coverage_pzf(PzfCoverageRequest(_config(1, 4), PzfSplit(2, 2), 1.0)) == pytest.approx(
         0.919708, abs=2e-6
     )
-    assert coverage_pzf_interflimited(1, 4, 4, 0, 4.0, 1.0) == pytest.approx(
+    assert coverage_pzf(PzfCoverageRequest(_config(1, 4), PzfSplit(4, 0), 1.0)) == pytest.approx(
         0.766596, abs=2e-6
     )
-    assert coverage_pzf_interflimited(2, 6, 3, 0, 4.0, 1.0) == pytest.approx(
+    assert coverage_pzf(PzfCoverageRequest(_config(2, 6), PzfSplit(3, 0), 1.0)) == pytest.approx(
         0.606318, abs=2e-6
     )
 
 
 def test_coverage_at_zero_threshold_is_one():
-    assert coverage_pzf_interflimited(1, 4, 2, 2, 4.0, 0.0) == 1.0
+    assert coverage_pzf(PzfCoverageRequest(_config(1, 4), PzfSplit(2, 2), 0.0)) == 1.0
 
 
 def test_coverage_decreasing_in_threshold():
     values = [
-        coverage_pzf_interflimited(2, 5, 2, 1, 4.0, z)
+        coverage_pzf(PzfCoverageRequest(_config(2, 5), PzfSplit(2, 1), z))
         for z in (0.1, 0.5, 1.0, 5.0, 20.0)
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -84,7 +87,7 @@ def test_coverage_decreasing_in_threshold():
 def test_coverage_improves_with_array_gain():
     # More surplus dimensions at fixed m can only help.
     by_delta = [
-        coverage_pzf_interflimited(1, 1 + d, 1, d, 4.0, 2.0) for d in range(4)
+        coverage_pzf(PzfCoverageRequest(_config(1, 1 + d), PzfSplit(1, d), 2.0)) for d in range(4)
     ]
     assert all(a < b for a, b in zip(by_delta, by_delta[1:]))
 
@@ -117,37 +120,26 @@ def test_matches_laplace_derivative_oracle():
         lambda r: 2 * math.pi * lam * r * math.exp(-lam * math.pi * r * r) * conditional(r),
         0.0, np.inf, limit=200,
     )
-    assert coverage_pzf_interflimited(1, 3, 1, 2, alpha, z) == pytest.approx(
-        oracle, rel=1e-8
-    )
+    request = PzfCoverageRequest(_config(1, 3, alpha=alpha), PzfSplit(1, 2), z)
+    assert coverage_pzf(request) == pytest.approx(oracle, rel=1e-8)
 
 
 # ----------------------------------------------------------------------
-# Conditional-on-beta law
+# Conditional law given the distance ratio
 
-def test_at_beta_monotone_in_interferer_distance():
-    values = [
-        coverage_pzf_at_beta(1, 2, 2, 4.0, 1.0, b) for b in (1.0, 1.5, 2.0, 8.0)
-    ]
+def test_conditional_coverage_monotone_in_interferer_distance():
+    # u = r/R = 1/beta: the nearest uncancelled interferer recedes as u falls.
+    u = 1.0 / np.array([1.0, 1.5, 2.0, 8.0])
+    values = _conditional_coverage_u(1, 2, 2, 4.0, 1.0, 0.0, u)
     assert all(a < b for a, b in zip(values, values[1:]))
     assert values[-1] == pytest.approx(1.0, abs=1e-6)
-
-
-def test_at_beta_m1_requires_unit_beta():
-    assert coverage_pzf_at_beta(1, 1, 0, 4.0, 1.0, 1.0) == pytest.approx(
-        0.560099, abs=1e-6
-    )
-    with pytest.raises(ConfigError):
-        coverage_pzf_at_beta(1, 1, 0, 4.0, 1.0, 2.0)
-    with pytest.raises(ConfigError):
-        coverage_pzf_at_beta(1, 2, 1, 4.0, 1.0, 0.8)  # beta < 1
 
 
 # ----------------------------------------------------------------------
 # Noisy law
 
 _NOISE_EQUIV_GRID = [
-    # (n_t, n_r, m): zero-noise route must equal the interference-limited law
+    # (n_t, n_r, m): vanishing noise must reproduce the zero-noise law
     (1, 2, 1),
     (1, 4, 2),
     (2, 4, 1),
@@ -158,12 +150,39 @@ _NOISE_EQUIV_GRID = [
 
 @pytest.mark.parametrize("n_t,n_r,m", _NOISE_EQUIV_GRID)
 def test_noisy_law_reduces_to_interference_limited(n_t, n_r, m):
-    config = _config(n_t, n_r)
-    split = PzfSplit.for_config(config, m)
+    split = PzfSplit.for_config(_config(n_t, n_r), m)
     for z in (0.5, 2.0):
-        noisy = coverage_pzf(PzfCoverageRequest(config=config, split=split, z=z))
-        exact = coverage_pzf_interflimited(n_t, n_r, m, split.delta, 4.0, z)
-        assert noisy == pytest.approx(exact, rel=1e-8)
+        faint = coverage_pzf(PzfCoverageRequest(_config(n_t, n_r, sigma2=1e-12), split, z))
+        exact = coverage_pzf(PzfCoverageRequest(_config(n_t, n_r), split, z))
+        assert faint == pytest.approx(exact, rel=1e-9)
+
+
+# (n_t, n_r, m, z, sigma2, coverage) from the nested-quad route at 9a3f446.
+_NOISY_PINS = [
+    (1, 2, 1, 1.0, 0.4, 0.7471432366157242),
+    (2, 4, 1, 2.0, 0.4, 0.5300480930745418),
+    (1, 4, 2, 1.0, 0.4, 0.9065043084323655),
+    (2, 5, 2, 0.5, 0.4, 0.8253616236158552),
+    (1, 2, 1, 1.0, 1.0, 0.7277870762749233),
+    (2, 4, 1, 2.0, 1.0, 0.5125321925838693),
+    (1, 4, 2, 1.0, 1.0, 0.8879534497419319),
+    (2, 5, 2, 0.5, 1.0, 0.8029521182808315),
+]
+
+
+@pytest.mark.parametrize("n_t,n_r,m,z,sigma2,expected", _NOISY_PINS)
+def test_noisy_law_pinned_values(n_t, n_r, m, z, sigma2, expected):
+    config = _config(n_t, n_r, sigma2=sigma2)
+    request = PzfCoverageRequest(config, PzfSplit.for_config(config, m), z)
+    assert coverage_pzf(request) == pytest.approx(expected, abs=1e-8)
+
+
+def test_noisy_law_raises_when_radial_moment_unresolved(monkeypatch):
+    monkeypatch.setattr(specfun, "_RADIAL_STEP", 2.0)
+    monkeypatch.setattr(specfun, "_RADIAL_STRIP_STEP", 2.0)
+    config = _config(1, 4, sigma2=1.0)
+    with pytest.raises(NumericError):
+        coverage_pzf(PzfCoverageRequest(config, PzfSplit.for_config(config, 2), 1.0))
 
 
 def test_noise_hurts_and_density_helps():
@@ -231,7 +250,8 @@ def test_mean_inverse_sinr_matches_coverage_law(n_t, n_r, m, alpha):
     delta = n_r - m * n_t
 
     def outage(t):
-        return 1.0 - coverage_pzf_interflimited(n_t, n_r, m, delta, alpha, 1.0 / t)
+        config = _config(n_t, n_r, alpha=alpha)
+        return 1.0 - coverage_pzf(PzfCoverageRequest(config, PzfSplit(m, delta), 1.0 / t))
 
     head, _ = integrate.quad(outage, 0.0, 1.0, epsabs=1e-12, epsrel=1e-9, limit=200)
     tail, _ = integrate.quad(outage, 1.0, np.inf, epsabs=1e-12, epsrel=1e-9, limit=200)

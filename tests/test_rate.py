@@ -114,11 +114,11 @@ def test_sinr_ccdf_validation_and_dispatch():
         sinr_ccdf(_config(2, 4), "mrc")
     with pytest.raises(ConfigError):
         sinr_ccdf(_config(2, 4), "mmse", m=1)
-    from cellmimo.pzf import coverage_pzf_interflimited
+    from cellmimo.pzf import PzfCoverageRequest, coverage_pzf
 
     ccdf = sinr_ccdf(_config(2, 4), "pzf", m=1)
     assert ccdf(1.0) == pytest.approx(
-        coverage_pzf_interflimited(2, 4, 1, 2, 4.0, 1.0), rel=1e-12
+        coverage_pzf(PzfCoverageRequest(_config(2, 4), PzfSplit(1, 2), 1.0)), rel=1e-12
     )
 
 

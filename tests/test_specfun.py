@@ -15,13 +15,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cellmimo.errors import ConfigError, PoleError
+from cellmimo import specfun
+from cellmimo.errors import ConfigError, NumericError, PoleError
 from cellmimo.specfun import (
-    HypKernelParams,
     gamma,
     hyp2f1_negz,
     lambda_kernel,
     pochhammer,
+    radial_moment,
     theta_kernel,
 )
 
@@ -87,13 +88,6 @@ def test_hyp2f1_domain_errors():
         hyp2f1_negz(2.0, 0.5, 1.5, -0.5)  # negative z
     with pytest.raises(ConfigError):
         hyp2f1_negz(2.0, -1.0, 0.0, 1.0)  # c at a pole
-
-
-def test_kernel_params_dataclass():
-    params = HypKernelParams(a=2.5, b=0.5, c=1.5)
-    assert params.evaluate(2.0) == pytest.approx(hyp2f1_negz(2.5, 0.5, 1.5, 2.0), rel=1e-15)
-    with pytest.raises(ConfigError):
-        HypKernelParams(a=2.5, b=0.5, c=2.0)
 
 
 @settings(deadline=None, max_examples=80)
@@ -173,3 +167,82 @@ def test_theta_equals_lambda_at_order_zero():
         assert theta_kernel(0, 3, 4.0, z) == pytest.approx(
             lambda_kernel(0, 3, 4.0, z), rel=1e-15
         )
+
+
+# ----------------------------------------------------------------------
+# Radial moment J(p, b) = int_0^inf y^p exp(-y - b y^(alpha/2)) dy
+
+_RADIAL_P = np.array([0.0, 0.25, 1.0, 2.5, 7.0, 20.0, 41.5, 64.0])
+_RADIAL_B = np.array([1e-8, 1e-5, 1e-3, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4])
+
+
+def _mp_radial_moment_pcfd(p, b):
+    """alpha = 4 in closed form (Gradshteyn-Ryzhik 3.462.1):
+    (2b)^(-nu/2) Gamma(nu) e^(1/(8b)) D_(-nu)(1/sqrt(2b)), nu = p + 1."""
+    with mp.workdps(40):
+        nu, b = mp.mpf(p) + 1, mp.mpf(b)
+        return (2 * b) ** (-nu / 2) * mp.gamma(nu) * mp.exp(1 / (8 * b)) * mp.pcfd(
+            -nu, 1 / mp.sqrt(2 * b)
+        )
+
+
+def _mp_radial_moment_quad(p, b, alpha):
+    """mpmath quadrature in t = log y, divided by the integrand's peak so
+    that mpmath's error target is relative, and cut where the integrand is
+    below exp(-80) of its peak."""
+    with mp.workdps(30):
+        q, b, s = mp.mpf(p) + 1, mp.mpf(b), mp.mpf(alpha) / 2
+
+        def phi(t):
+            return q * t - mp.exp(t) - b * mp.exp(s * t)
+
+        start = min(mp.log(q), (mp.log(q) - mp.log(s * b)) / s)
+        mode = mp.findroot(lambda t: q - mp.exp(t) - s * b * mp.exp(s * t), start)
+        width = 1 / mp.sqrt(mp.exp(mode) + s * s * b * mp.exp(s * mode))
+        peak = phi(mode)
+        steps = (-8, -4, -2, -1, 0, 1, 2, 4, 8, 14)
+        cuts = [mode - 1 - 80 / q] + [mode + width * k for k in steps]
+        return mp.exp(peak) * mp.quad(lambda t: mp.exp(phi(t) - peak), cuts)
+
+
+@pytest.mark.parametrize("alpha", [2.05, 4.0, 6.0])
+def test_radial_moment_without_noise_is_gamma(alpha):
+    values = radial_moment(_RADIAL_P, 0.0, alpha)
+    assert values.shape == _RADIAL_P.shape
+    for p, value in zip(_RADIAL_P, values):
+        assert radial_moment(p, 0.0, alpha) == value == gamma(p + 1.0)
+        assert value == pytest.approx(math.gamma(p + 1.0), rel=1e-15)
+
+
+def test_radial_moment_matches_parabolic_cylinder_oracle():
+    values = radial_moment(_RADIAL_P[:, None], _RADIAL_B[None, :], 4.0)
+    for i, p in enumerate(_RADIAL_P):
+        for j, b in enumerate(_RADIAL_B):
+            expected = _mp_radial_moment_pcfd(p, b)
+            assert values[i, j] == pytest.approx(float(expected), rel=1e-11), (p, b)
+
+
+@pytest.mark.parametrize("alpha", [2.05, 3.0, 6.0])
+def test_radial_moment_matches_mpmath_quadrature(alpha):
+    p_grid, b_grid = _RADIAL_P[::2], _RADIAL_B[::2]
+    values = radial_moment(p_grid[:, None], b_grid[None, :], alpha)
+    for i, p in enumerate(p_grid):
+        for j, b in enumerate(b_grid):
+            expected = _mp_radial_moment_quad(p, b, alpha)
+            assert values[i, j] == pytest.approx(float(expected), rel=1e-11), (p, b)
+
+
+def test_radial_moment_domain_errors():
+    for p, b, alpha in [(-0.5, 1.0, 4.0), (1.0, -1e-3, 4.0), (math.nan, 1.0, 4.0),
+                        (1.0, math.inf, 4.0), (1.0, 1.0, 2.0)]:
+        with pytest.raises(ConfigError):
+            radial_moment(p, b, alpha)
+
+
+def test_radial_moment_raises_when_the_rule_cannot_resolve(monkeypatch):
+    # A step far too coarse for the peak fails the rule's own error check.
+    monkeypatch.setattr(specfun, "_RADIAL_STEP", 2.0)
+    monkeypatch.setattr(specfun, "_RADIAL_STRIP_STEP", 2.0)
+    with pytest.raises(NumericError):
+        radial_moment(0.0, 1.0, 4.0)
+    assert radial_moment(3.0, 0.0, 4.0) == 6.0
