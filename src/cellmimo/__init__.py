@@ -8,10 +8,12 @@ seeded Monte Carlo simulator used to validate every analytic law.
 
 Typical entry points:
 
-    >>> from cellmimo import MmseCoverageRequest, NetworkConfig, coverage_mmse
+    >>> from cellmimo import NetworkConfig, coverage_mmse, coverage_pzf
     >>> config = NetworkConfig(lam=1.0, alpha=4.0, sigma2=0.0, n_t=2, n_r=4)
-    >>> coverage_mmse(MmseCoverageRequest(config=config, z=1.0))  # doctest: +ELLIPSIS
+    >>> coverage_mmse(config, 1.0)  # doctest: +ELLIPSIS
     0.81285...
+    >>> coverage_pzf(config, 1.0, m=1)  # doctest: +ELLIPSIS
+    0.71499...
 """
 
 from .errors import (
@@ -22,8 +24,8 @@ from .errors import (
     PoleError,
     SizeGuardError,
 )
-from .geometry import NetworkConfig, PzfSplit
-from .mmse import MmseCoverageRequest, coverage_mmse
+from .geometry import NetworkConfig
+from .mmse import coverage_mmse
 from .montecarlo import (
     McEstimate,
     estimate_coverage,
@@ -32,14 +34,13 @@ from .montecarlo import (
     simulate_sinr,
 )
 from .pzf import (
-    PzfCoverageRequest,
     coverage_pzf,
+    default_m,
     mean_inverse_sinr,
     optimal_m,
 )
 from .rate import (
     RateProfile,
-    default_pzf_split,
     ergodic_rate,
     mean_sum_rate,
     rate_profile,
@@ -55,18 +56,15 @@ __all__ = [
     "ConditioningError",
     "ConfigError",
     "McEstimate",
-    "MmseCoverageRequest",
     "NetworkConfig",
     "NumericError",
     "PoleError",
-    "PzfCoverageRequest",
-    "PzfSplit",
     "RateProfile",
     "SizeGuardError",
     "__version__",
     "coverage_mmse",
     "coverage_pzf",
-    "default_pzf_split",
+    "default_m",
     "ergodic_rate",
     "estimate_coverage",
     "estimate_coverage_curve",

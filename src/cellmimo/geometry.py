@@ -1,10 +1,8 @@
-"""Distance laws of the Poisson cellular model.
+"""Network configuration of the Poisson cellular model.
 
 Base stations form a homogeneous Poisson field of intensity ``lam`` per unit
-area; the user attaches to the nearest one.  Everything downstream needs
-three scalar laws derived from that: the serving-distance density, the
-conditional density of the (m-1)-th nearest interferer, and the scale-free
-distance ratio beta = R/r between that interferer and the serving site.
+area; the user attaches to the nearest one.  :class:`NetworkConfig` holds
+the static parameters every law and the simulator take.
 """
 
 from __future__ import annotations
@@ -13,20 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import ConfigError
 
-__all__ = [
-    "NetworkConfig",
-    "PzfSplit",
-    "pdf_serving_distance",
-    "pdf_conditional_interferer",
-    "pdf_beta",
-    "mean_beta",
-    "beta_inverse_moment",
-    "sample_beta",
-]
+__all__ = ["NetworkConfig"]
 
 
 @dataclass(frozen=True)
@@ -57,115 +45,3 @@ class NetworkConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-
-
-@dataclass(frozen=True)
-class PzfSplit:
-    """Partial zero-forcing resource split.
-
-    The receiver nulls the m-1 nearest interfering base stations (all their
-    streams) plus the serving station's other streams, and keeps
-    delta = n_r - m*n_t surplus dimensions for array gain.
-    """
-
-    m: int
-    delta: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
-            raise ConfigError(f"m must be a positive integer, got {self.m!r}")
-        if not isinstance(self.delta, (int, np.integer)) or self.delta < 0:
-            raise ConfigError(f"delta must be a nonnegative integer, got {self.delta!r}")
-
-    @classmethod
-    def for_config(cls, config: NetworkConfig, m: int) -> "PzfSplit":
-        """Split with all surplus dimensions, delta = n_r - m*n_t."""
-        delta = config.n_r - m * config.n_t
-        if delta < 0:
-            raise ConfigError(
-                f"infeasible split: m={m} needs {m * config.n_t} receive dimensions "
-                f"but n_r={config.n_r}"
-            )
-        return cls(m=int(m), delta=int(delta))
-
-
-def pdf_serving_distance(r, lam: float):
-    """Density of the nearest-base-station distance: 2 pi lam r exp(-lam pi r^2)."""
-    if not (lam > 0.0):
-        raise ConfigError(f"intensity must be positive, got {lam!r}")
-    rv = np.asarray(r, dtype=float)
-    out = np.where(rv >= 0.0, 2.0 * math.pi * lam * rv * np.exp(-lam * math.pi * rv**2), 0.0)
-    return float(out) if np.isscalar(r) else out
-
-
-def pdf_conditional_interferer(R, r: float, m: int, lam: float):
-    """Density of the (m-1)-th nearest interferer distance R given serving distance r.
-
-    Valid for m >= 2; the annulus area A = pi lam (R^2 - r^2) is Gamma(m-1)
-    distributed, which is exactly what this density expresses.
-    """
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise ConfigError(f"conditional interferer law needs m >= 2, got {m!r}")
-    if not (lam > 0.0 and r >= 0.0):
-        raise ConfigError("need lam > 0 and r >= 0")
-    Rv = np.asarray(R, dtype=float)
-    area = math.pi * lam * (Rv**2 - r**2)
-    with np.errstate(invalid="ignore"):
-        out = (
-            2.0 * math.pi * lam * Rv
-            * np.exp(-area)
-            * area ** (m - 2)
-            / math.factorial(m - 2)
-        )
-    out = np.where(Rv > r, out, 0.0)
-    return float(out) if np.isscalar(R) else out
-
-
-def pdf_beta(beta, m: int):
-    """Density of beta = R/r, the scale-free interferer-to-serving distance ratio.
-
-    g(b) = 2 (m-1) b^(1-2m) (b^2 - 1)^(m-2) on b > 1, for m >= 2.  Note the
-    heavy tail: E[beta^nu] diverges for nu >= 2.
-    """
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise ConfigError(f"beta law needs m >= 2, got {m!r}")
-    bv = np.asarray(beta, dtype=float)
-    with np.errstate(invalid="ignore"):
-        out = 2.0 * (m - 1) * bv ** (1 - 2 * m) * (bv**2 - 1.0) ** (m - 2)
-    out = np.where(bv > 1.0, out, 0.0)
-    return float(out) if np.isscalar(beta) else out
-
-
-def mean_beta(m: int) -> float:
-    """E[beta] = sqrt(pi) Gamma(m) / Gamma(m - 1/2), for m >= 2."""
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise ConfigError(f"beta law needs m >= 2, got {m!r}")
-    return math.sqrt(math.pi) * math.exp(_sp.gammaln(m) - _sp.gammaln(m - 0.5))
-
-
-def beta_inverse_moment(m: int, nu: float) -> float:
-    """E[beta^(-nu)] = Gamma(nu/2 + 1) Gamma(m) / Gamma(m + nu/2), nu >= 0, m >= 2.
-
-    Unlike positive moments these always exist; they are the building block
-    of the interference-limited coverage sums.
-    """
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise ConfigError(f"beta law needs m >= 2, got {m!r}")
-    if nu < 0:
-        raise ConfigError(f"moment order must be >= 0, got {nu!r}")
-    return math.exp(
-        _sp.gammaln(nu / 2.0 + 1.0) + _sp.gammaln(m) - _sp.gammaln(m + nu / 2.0)
-    )
-
-
-def sample_beta(m: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw from the beta = R/r law by inverse transform (used for checks).
-
-    With y = (1/beta)^2, the density of y is (m-1)(1-y)^(m-2) on (0,1), whose
-    CDF inverts in closed form.
-    """
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise ConfigError(f"beta law needs m >= 2, got {m!r}")
-    t = rng.random(size)
-    y = 1.0 - (1.0 - t) ** (1.0 / (m - 1.0))
-    return 1.0 / np.sqrt(y)

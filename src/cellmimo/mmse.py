@@ -23,44 +23,15 @@ beyond that, use the Monte Carlo estimator, which has no such limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .combinatorics import integer_partitions
 from .errors import ConfigError, SizeGuardError
 from .geometry import NetworkConfig
 from .specfun import radial_moment, theta_kernel
 
-__all__ = [
-    "MmseCoverageRequest",
-    "coverage_mmse",
-]
+__all__ = ["coverage_mmse"]
 
 _MAX_NR = 16
-
-
-@dataclass(frozen=True)
-class MmseCoverageRequest:
-    """A single MMSE coverage evaluation: network config plus threshold."""
-
-    config: NetworkConfig
-    z: float
-
-    def __post_init__(self) -> None:
-        if not (self.z >= 0.0 and math.isfinite(self.z)):
-            raise ConfigError(f"threshold must be finite and >= 0, got {self.z!r}")
-
-
-def _validate_antennas(n_t: int, n_r: int) -> None:
-    for name, value in (("n_t", n_t), ("n_r", n_r)):
-        if not isinstance(value, (int, np.integer)) or value < 1:
-            raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    if n_r > _MAX_NR:
-        raise SizeGuardError(
-            f"n_r={n_r} exceeds the analytic-law guard ({_MAX_NR}); "
-            "use the Monte Carlo estimator for larger arrays"
-        )
 
 
 def _partition_log_weight(parts, n_t: int, alpha: float, log_theta) -> float | None:
@@ -76,7 +47,7 @@ def _partition_log_weight(parts, n_t: int, alpha: float, log_theta) -> float | N
     return total
 
 
-def coverage_mmse(request: MmseCoverageRequest) -> float:
+def coverage_mmse(config: NetworkConfig, z: float) -> float:
     """MMSE coverage probability P[SINR > z] for the typical user.
 
     The sum runs over the coefficient order m of the conditional SINR law,
@@ -84,19 +55,25 @@ def coverage_mmse(request: MmseCoverageRequest) -> float:
     with parts at most n_t.  Each (partition length, noise order) pair
     takes one radial moment (:func:`cellmimo.specfun.radial_moment`).
     Without noise only nv = 1 occurs and the radial moments are gamma
-    moments, which is why the zero-noise law is intensity-free.
+    moments, which is why the zero-noise law is intensity-free.  z must be
+    finite and >= 0; n_r above 16 raises SizeGuardError.
     """
-    cfg = request.config
-    n_t, n_r, alpha = cfg.n_t, cfg.n_r, cfg.alpha
-    _validate_antennas(n_t, n_r)
-    z = float(request.z)
+    if not (z >= 0.0 and math.isfinite(z)):
+        raise ConfigError(f"threshold must be finite and >= 0, got {z!r}")
+    n_t, n_r, alpha = config.n_t, config.n_r, config.alpha
+    if n_r > _MAX_NR:
+        raise SizeGuardError(
+            f"n_r={n_r} exceeds the analytic-law guard ({_MAX_NR}); "
+            "use the Monte Carlo estimator for larger arrays"
+        )
+    z = float(z)
     if z == 0.0:
         return 1.0
 
     log_theta = {s: math.log(theta_kernel(s, n_t, alpha, z)) for s in range(n_r)}
     theta0 = math.exp(log_theta[0])
     # Noise enters only through b = z n_t sigma2 / (pi lam Theta0)^(alpha/2).
-    b = z * n_t * cfg.sigma2 / (math.pi * cfg.lam * theta0) ** (alpha / 2.0)
+    b = z * n_t * config.sigma2 / (math.pi * config.lam * theta0) ** (alpha / 2.0)
     nv_max = n_r if b > 0.0 else 1
     log_b = math.log(b) if b > 0.0 else 0.0
     # Radial factor for partition length ell and noise order nv = v + 1:

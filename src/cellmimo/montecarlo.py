@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, ConfigError, NumericError
-from .geometry import NetworkConfig, PzfSplit
+from .geometry import NetworkConfig
+from .pzf import _split_delta, default_m
 
 __all__ = [
     "NetworkRealization",
@@ -134,41 +135,38 @@ def sample_network(
     )
 
 
-def _pzf_targets(realization: NetworkRealization, split: PzfSplit, stream: int) -> np.ndarray:
+def _pzf_targets(realization: NetworkRealization, m: int, stream: int) -> np.ndarray:
     """Stack the vectors the PZF filter must null: the serving station's
     other streams plus every stream of the m-1 nearest interferers."""
     channels = realization.channels
     n_r, n_t = channels.shape[1], channels.shape[2]
     if not (0 <= stream < n_t):
         raise ConfigError(f"stream index {stream} out of range for n_t={n_t}")
-    if split.m * n_t - 1 > n_r - 1:
-        raise ConfigError(
-            f"infeasible split: nulling m*n_t-1={split.m * n_t - 1} directions "
-            f"needs n_r >= {split.m * n_t}, got {n_r}"
-        )
-    if channels.shape[0] < split.m:
+    _split_delta(n_t, n_r, m)
+    if channels.shape[0] < m:
         raise NumericError(
-            f"window holds {channels.shape[0]} stations but the split needs {split.m}; "
+            f"window holds {channels.shape[0]} stations but the split needs {m}; "
             "enlarge the window"
         )
     own = np.delete(realization.channels[0], stream, axis=1)
-    near = channels[1 : split.m].transpose(1, 0, 2).reshape(n_r, -1)
+    near = channels[1:m].transpose(1, 0, 2).reshape(n_r, -1)
     return np.concatenate((own, near), axis=1)
 
 
 def pzf_filter(
     realization: NetworkRealization,
-    split: PzfSplit,
+    m: int,
     stream: int = 0,
 ) -> np.ndarray:
-    """Unit-norm partial zero-forcing filter for one stream.
+    """Unit-norm partial zero-forcing filter for one stream, nulling the
+    m-1 nearest interferers.
 
     Projects the desired channel onto the orthogonal complement of the
     nulling targets (with one re-orthogonalization pass) and normalizes.
     Raises :class:`NumericError` on rank deficiency or if the residual
     overlap with the nulled subspace exceeds 1e-10.
     """
-    targets = _pzf_targets(realization, split, stream)
+    targets = _pzf_targets(realization, m, stream)
     h = realization.channels[0][:, stream]
     if targets.shape[1] == 0:
         v = h / np.linalg.norm(h)
@@ -192,16 +190,16 @@ def pzf_filter(
 def pzf_sinr(
     realization: NetworkRealization,
     config: NetworkConfig,
-    split: PzfSplit,
+    m: int,
     stream: int = 0,
 ) -> float:
     """Post-filter SINR of the PZF receiver for one realization."""
-    v = pzf_filter(realization, split, stream)
+    v = pzf_filter(realization, m, stream)
     h = realization.channels[0][:, stream]
     d = realization.distances
     signal = d[0] ** (-config.alpha) * abs(np.vdot(v, h)) ** 2
     interference = 0.0
-    for j in range(split.m, len(d)):
+    for j in range(m, len(d)):
         gains = np.abs(v.conj() @ realization.channels[j]) ** 2
         interference += d[j] ** (-config.alpha) * gains.sum()
     return float(signal / (config.n_t * config.sigma2 + interference))
@@ -404,8 +402,8 @@ def simulate_sinr(
 
     PZF and MMSE samples with the same index belong to the same network
     realization.  ``m`` is the PZF cancellation order (default:
-    :func:`cellmimo.rate.default_pzf_split`, the m minimizing the exact
-    mean inverse SINR).
+    :func:`cellmimo.pzf.default_m`, the m minimizing the exact mean
+    inverse SINR).
     """
     receivers = _resolve_receivers(receivers)
     if not isinstance(trials, (int, np.integer)) or trials < 1:
@@ -417,12 +415,8 @@ def simulate_sinr(
 
     pzf_m: int | None = None
     if "pzf" in receivers:
-        if m is None:
-            from .rate import default_pzf_split
-
-            pzf_m = default_pzf_split(config).m
-        else:
-            pzf_m = PzfSplit.for_config(config, m).m
+        pzf_m = default_m(config) if m is None else m
+        _split_delta(config.n_t, config.n_r, pzf_m)
     elif m is not None:
         raise ConfigError("cancellation order m is only meaningful for the PZF receiver")
 

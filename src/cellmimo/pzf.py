@@ -24,7 +24,6 @@ from it live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -32,16 +31,14 @@ from scipy import special as _sp
 
 from .combinatorics import set_partition_signatures
 from .errors import ConfigError, NumericError
-from .geometry import NetworkConfig, PzfSplit
+from .geometry import NetworkConfig
 from .specfun import lambda_kernel, pochhammer, radial_moment
 
 __all__ = [
-    "PzfCoverageRequest",
-    "laplace_interference",
     "coverage_pzf",
     "mean_inverse_sinr",
-    "mean_inverse_sinr_surrogate",
     "optimal_m",
+    "default_m",
     "argmin_mean_inverse_sinr",
 ]
 
@@ -50,23 +47,20 @@ _GL_LEVELS = (24, 48, 96, 192, 384, 768, 1536)
 _GL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PzfCoverageRequest:
-    """A single coverage evaluation: network config, resource split, threshold."""
+def _split_delta(n_t: int, n_r: int, m: int) -> int:
+    """Surplus dimensions delta = n_r - m*n_t left after nulling the m - 1
+    nearest interferers and the serving station's other streams.
 
-    config: NetworkConfig
-    split: PzfSplit
-    z: float
-
-    def __post_init__(self) -> None:
-        expected = self.config.n_r - self.split.m * self.config.n_t
-        if expected != self.split.delta:
-            raise ConfigError(
-                f"inconsistent split: n_r={self.config.n_r}, m={self.split.m}, "
-                f"n_t={self.config.n_t} imply delta={expected}, got {self.split.delta}"
-            )
-        if not (self.z >= 0.0 and math.isfinite(self.z)):
-            raise ConfigError(f"threshold must be finite and >= 0, got {self.z!r}")
+    Raises ConfigError unless m is a positive integer with delta >= 0.
+    """
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise ConfigError(f"m must be a positive integer, got {m!r}")
+    delta = n_r - m * n_t
+    if delta < 0:
+        raise ConfigError(
+            f"infeasible split: m={m} needs {m * n_t} receive dimensions but n_r={n_r}"
+        )
+    return int(delta)
 
 
 @lru_cache(maxsize=None)
@@ -154,29 +148,7 @@ def _conditional_coverage_u(
     return total
 
 
-def laplace_interference(s, R: float, lam: float, n_t: int, alpha: float):
-    """Laplace transform of the interference from beyond radius R.
-
-    E[exp(-s I)] for the aggregate interference of a Poisson field of
-    intensity lam outside radius R, each station sending n_t unit-power
-    streams through independent Rayleigh channels with path-loss exponent
-    alpha.  Vectorized over s >= 0.
-    """
-    if not (R > 0.0 and lam > 0.0):
-        raise ConfigError("need R > 0 and lam > 0")
-    if not isinstance(n_t, (int, np.integer)) or n_t < 1:
-        raise ConfigError(f"n_t must be a positive integer, got {n_t!r}")
-    if not (alpha > 2.0):
-        raise ConfigError(f"path-loss exponent must exceed 2, got {alpha!r}")
-    sv = np.asarray(s, dtype=float)
-    if np.any(sv < 0.0):
-        raise ConfigError("transform argument must be >= 0")
-    grown = lambda_kernel(0, n_t, alpha, R ** (-alpha) * sv)
-    out = np.exp(-lam * math.pi * R**2 * (grown - 1.0))
-    return float(out) if np.isscalar(s) else out
-
-
-def coverage_pzf(request: PzfCoverageRequest) -> float:
+def coverage_pzf(config: NetworkConfig, z: float, m: int) -> float:
     """PZF coverage probability P[SINR > z] for the typical user.
 
     An average over the inverse distance ratio u = r/R (degenerate at 1 for
@@ -184,14 +156,17 @@ def coverage_pzf(request: PzfCoverageRequest) -> float:
     doubling Gauss-Legendre rule on (0, 1).  Receiver noise enters only
     through the combination z n_t sigma2 / (pi lam)^(alpha/2); with
     sigma2 = 0 the law is scale-free and the base-station intensity drops
-    out entirely.
+    out entirely.  ``m`` is the cancellation order (the m - 1 nearest
+    interferers are nulled); z must be finite and >= 0.
     """
-    cfg, split = request.config, request.split
-    z = float(request.z)
+    delta = _split_delta(config.n_t, config.n_r, m)
+    if not (z >= 0.0 and math.isfinite(z)):
+        raise ConfigError(f"threshold must be finite and >= 0, got {z!r}")
+    z = float(z)
     if z == 0.0:
         return 1.0
-    n_t, m, delta, alpha = cfg.n_t, split.m, split.delta, cfg.alpha
-    noise = z * n_t * cfg.sigma2 / (math.pi * cfg.lam) ** (alpha / 2.0)
+    n_t, m, alpha = config.n_t, int(m), config.alpha
+    noise = z * n_t * config.sigma2 / (math.pi * config.lam) ** (alpha / 2.0)
     if m == 1:
         val = _conditional_coverage_u(n_t, m, delta, alpha, z, noise, np.ones(1))[0]
         return float(min(max(val, 0.0), 1.0))
@@ -227,37 +202,11 @@ def mean_inverse_sinr(config: NetworkConfig, m: int) -> float:
     inverse signal gain then has a divergent mean); raises for infeasible
     splits.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ConfigError(f"m must be a positive integer, got {m!r}")
-    delta = config.n_r - m * config.n_t
-    if delta < 0:
-        raise ConfigError(f"infeasible split: m={m} exceeds n_r/n_t")
+    delta = _split_delta(config.n_t, config.n_r, m)
     if delta == 0:
         return math.inf
     s = config.alpha / 2.0
     interference = math.exp(_sp.gammaln(m + 1.0) - _sp.gammaln(m + s)) / (s - 1.0)
-    noise = config.sigma2 * (math.pi * config.lam) ** (-s)
-    return config.n_t * math.gamma(1.0 + s) / delta * (interference + noise)
-
-
-def mean_inverse_sinr_surrogate(config: NetworkConfig, m: int) -> float:
-    """Smooth surrogate of the mean inverse SINR behind the abstract's rule.
-
-    Replaces the gamma ratio Gamma(m+1)/Gamma(m + alpha/2) of the
-    interference term by the smooth (m + alpha/4 - 1/2)^(1 - alpha/2).  The
-    stationary point in m is then (1 - 2/alpha)(n_r/n_t - 1/2), which
-    rounded up is the split rule stated in the paper's abstract.
-    :func:`optimal_m` does not use it.
-    """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ConfigError(f"m must be a positive integer, got {m!r}")
-    delta = config.n_r - m * config.n_t
-    if delta < 0:
-        raise ConfigError(f"infeasible split: m={m} exceeds n_r/n_t")
-    if delta == 0:
-        return math.inf
-    s = config.alpha / 2.0
-    interference = (m + config.alpha / 4.0 - 0.5) ** (1.0 - s) / (s - 1.0)
     noise = config.sigma2 * (math.pi * config.lam) ** (-s)
     return config.n_t * math.gamma(1.0 + s) / delta * (interference + noise)
 
@@ -290,6 +239,21 @@ def optimal_m(config: NetworkConfig) -> int:
     m_max = _feasible_m_range(config)
     m = math.floor((config.alpha - 2.0) * config.n_r / (config.alpha * config.n_t))
     return int(min(max(m, 1), m_max))
+
+
+def default_m(config: NetworkConfig) -> int:
+    """Default cancellation order for rate sweeps and simulations.
+
+    :func:`optimal_m` where a delta >= 1 split exists, otherwise m = 1
+    (delta = 0); raises ConfigError when not even that is feasible
+    (n_r < n_t).
+    """
+    try:
+        m = optimal_m(config)
+    except ConfigError:
+        m = 1
+    _split_delta(config.n_t, config.n_r, m)
+    return m
 
 
 def argmin_mean_inverse_sinr(config: NetworkConfig) -> tuple[int, ...]:

@@ -27,13 +27,12 @@ from scipy import integrate as _integrate
 from scipy import optimize as _optimize
 
 from .errors import ConfigError, NumericError
-from .geometry import NetworkConfig, PzfSplit
-from .mmse import MmseCoverageRequest, coverage_mmse
-from .pzf import PzfCoverageRequest, coverage_pzf, optimal_m
+from .geometry import NetworkConfig
+from .mmse import coverage_mmse
+from .pzf import _split_delta, coverage_pzf, default_m
 
 __all__ = [
     "RateProfile",
-    "default_pzf_split",
     "stream_config",
     "sinr_ccdf",
     "ergodic_rate",
@@ -45,6 +44,10 @@ __all__ = [
 _SCHEMES = ("sm", "sst")
 _RECEIVERS = ("pzf", "mmse")
 _CONVENTIONS = ("calibrated", "per-stream")
+# ergodic_rate truncates the rate integral where the CCDF drops below
+# _CCDF_FLOOR, and gives up if that takes t = log2(1 + z) beyond _T_MAX.
+_CCDF_FLOOR = 1e-8
+_T_MAX = 256.0
 
 
 @dataclass(frozen=True)
@@ -56,25 +59,6 @@ class RateProfile:
     q80: float
     scheme: str
     receiver: str
-
-
-def default_pzf_split(config: NetworkConfig) -> PzfSplit:
-    """Default cancellation split for rate sweeps.
-
-    Uses :func:`cellmimo.pzf.optimal_m`, the m minimizing the exact mean
-    inverse SINR, where a delta >= 1 split exists, otherwise falls back to
-    m = 1; always returns a feasible split (delta >= 0).
-    """
-    m_cap = config.n_r // config.n_t
-    if m_cap < 1:
-        raise ConfigError(
-            f"PZF needs n_r >= n_t (got n_t={config.n_t}, n_r={config.n_r})"
-        )
-    try:
-        m = optimal_m(config)
-    except ConfigError:
-        m = 1
-    return PzfSplit.for_config(config, min(m, m_cap))
 
 
 def stream_config(config: NetworkConfig, scheme: str) -> NetworkConfig:
@@ -92,38 +76,34 @@ def sinr_ccdf(config: NetworkConfig, receiver: str, m: int | None = None) -> Cal
     """SINR CCDF z -> P[SINR > z] for the given receiver.
 
     For ``pzf``, ``m`` picks the cancellation order (default:
-    :func:`default_pzf_split`).
+    :func:`cellmimo.pzf.default_m`).
     """
     if receiver not in _RECEIVERS:
         raise ConfigError(f"unknown receiver {receiver!r}; expected one of {_RECEIVERS}")
     if receiver == "mmse":
         if m is not None:
             raise ConfigError("the MMSE receiver takes no cancellation order")
-        return lambda z: coverage_mmse(MmseCoverageRequest(config=config, z=z))
+        return lambda z: coverage_mmse(config, z)
 
-    split = default_pzf_split(config) if m is None else PzfSplit.for_config(config, m)
-    return lambda z: coverage_pzf(PzfCoverageRequest(config=config, split=split, z=z))
+    m = default_m(config) if m is None else m
+    _split_delta(config.n_t, config.n_r, m)  # an infeasible m fails here, not at the first call
+    return lambda z: coverage_pzf(config, z, m)
 
 
-def ergodic_rate(
-    coverage_fn: Callable[[float], float],
-    *,
-    ccdf_floor: float = 1e-8,
-    t_max: float = 256.0,
-) -> float:
+def ergodic_rate(coverage_fn: Callable[[float], float]) -> float:
     """Per-stream ergodic rate E[log2(1 + SINR)] in bits/s/Hz.
 
     Integrates the CCDF over t = log2(1 + z) up to a cutoff T found by
-    doubling until the CCDF drops below ``ccdf_floor``; the neglected tail
-    is below ccdf_floor * alpha/(2 ln 2) for every law in this package.
-    Raises :class:`NumericError` if no such T exists below ``t_max``.
+    doubling until the CCDF drops below 1e-8; the neglected tail is below
+    1e-8 * alpha/(2 ln 2) for every law in this package.  Raises
+    :class:`NumericError` if no such T exists up to T = 256.
     """
     t_hi = 8.0
-    while coverage_fn(2.0**t_hi - 1.0) >= ccdf_floor:
+    while coverage_fn(2.0**t_hi - 1.0) >= _CCDF_FLOOR:
         t_hi *= 2.0
-        if t_hi > t_max:
+        if t_hi > _T_MAX:
             raise NumericError(
-                f"rate integral truncation budget exhausted (T > {t_max}); "
+                f"rate integral truncation budget exhausted (T > {_T_MAX}); "
                 "the CCDF decays too slowly"
             )
     val, abserr = _integrate.quad(

@@ -51,7 +51,6 @@ from scipy import special as _sp
 from .errors import ConfigError, NumericError, PoleError
 
 __all__ = [
-    "gamma",
     "pochhammer",
     "hyp2f1_negz",
     "lambda_kernel",
@@ -97,21 +96,6 @@ _RADIAL_CHECK = 1e-7
 _RADIAL_NEWTON_STEPS = 60
 # Bound on (rows x nodes) of the radial-moment work array.
 _RADIAL_CELLS = 1 << 16
-
-
-def gamma(x):
-    """Gamma function with an explicit pole check.
-
-    Accepts a scalar or array.  Raises :class:`PoleError` if any entry is a
-    non-positive integer (where the function has poles) instead of silently
-    returning inf/nan like the raw scipy routine.
-    """
-    arr = np.asarray(x, dtype=float)
-    on_pole = (arr <= 0.0) & (arr == np.floor(arr))
-    if np.any(on_pole):
-        raise PoleError(f"gamma evaluated at a non-positive integer: {arr[on_pole].flat[0]}")
-    out = _sp.gamma(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -205,7 +189,9 @@ def _increasing_quadrature(a: int, delta: float, z: np.ndarray) -> np.ndarray:
             p *= x
             p += coef[k]
         p *= x
-        with np.errstate(divide="ignore"):  # P(0) = 0 gives g = 0 exactly
+        # P(0) = 0 and a subnormal P both overflow 1/P to inf; g = 0 then,
+        # exact at x = 0 and otherwise far below the ulp of F >= 1.
+        with np.errstate(divide="ignore", over="ignore"):
             np.divide(1.0, p, out=p)
         p += 1.0
         np.divide(1.0, p, out=p)

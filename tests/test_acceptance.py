@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cellmimo.geometry import NetworkConfig, PzfSplit
-from cellmimo.mmse import MmseCoverageRequest, coverage_mmse
+from cellmimo.geometry import NetworkConfig
+from cellmimo.mmse import coverage_mmse
 from cellmimo.montecarlo import (
     NetworkRealization,
     estimate_coverage,
@@ -23,7 +23,6 @@ from cellmimo.montecarlo import (
     simulate_sinr,
 )
 from cellmimo.pzf import (
-    PzfCoverageRequest,
     argmin_mean_inverse_sinr,
     coverage_pzf,
     mean_inverse_sinr,
@@ -41,7 +40,7 @@ def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):
 
 def test_criterion_01_single_antenna_coverage_anchor():
     t0 = time.perf_counter()
-    value = coverage_pzf(PzfCoverageRequest(_config(1, 1), PzfSplit(1, 0), 1.0))
+    value = coverage_pzf(_config(1, 1), 1.0, 1)
     elapsed = time.perf_counter() - t0
     assert value == pytest.approx(0.560099, abs=1e-4)
     # Same point in closed form: 1 / (1 + sqrt(z) atan(sqrt(z))) at z = 1.
@@ -68,7 +67,7 @@ def test_criterion_02_pzf_1x4_reference_curves():
     for m, refs in _PZF_1X4_CURVES.items():
         for z_db, ref in zip(_CURVE_Z_DB, refs):
             z = 10.0 ** (z_db / 10.0)
-            value = coverage_pzf(PzfCoverageRequest(_config(1, 4), PzfSplit(m, 4 - m), z))
+            value = coverage_pzf(_config(1, 4), z, m)
             assert value == pytest.approx(ref, abs=2e-3), (m, z_db)
     assert time.perf_counter() - t0 < 30.0
 
@@ -93,7 +92,7 @@ _DELTA0_SWEEP = {
 def test_criterion_03_delta0_coverage_sweep():
     for n_t, refs in _DELTA0_SWEEP.items():
         for m, ref in enumerate(refs, start=1):
-            value = coverage_pzf(PzfCoverageRequest(_config(n_t, m * n_t), PzfSplit(m, 0), 1.0))
+            value = coverage_pzf(_config(n_t, m * n_t), 1.0, m)
             assert value == pytest.approx(ref, abs=2e-3), (n_t, m)
 
 
@@ -110,7 +109,7 @@ _MMSE_ANCHORS = (
 
 def test_criterion_04_mmse_reference_points():
     for n_t, n_r, ref in _MMSE_ANCHORS:
-        value = coverage_mmse(MmseCoverageRequest(_config(n_t, n_r), 1.0))
+        value = coverage_mmse(_config(n_t, n_r), 1.0)
         assert value == pytest.approx(ref, abs=2e-3), (n_t, n_r)
 
 
@@ -177,10 +176,9 @@ _QUAD_CASES = (
 
 def test_criterion_05_quadrature_equivalence_for_m2():
     for n_t, n_r, reference in _QUAD_CASES:
-        delta = n_r - 2 * n_t
         for z in (0.1, 1.0, 10.0):
             ref = reference(z, 4.0)
-            value = coverage_pzf(PzfCoverageRequest(_config(n_t, n_r), PzfSplit(2, delta), z))
+            value = coverage_pzf(_config(n_t, n_r), z, 2)
             assert value == pytest.approx(ref, abs=1e-8), (n_t, n_r, z)
 
 
@@ -285,13 +283,9 @@ _MC_CASES = (
 
 
 def _analytic_coverage(config, receiver, m, z):
-    delta = config.n_r - m * config.n_t
     if receiver == "pzf":
-        request = PzfCoverageRequest(
-            config=config, split=PzfSplit(m=m, delta=delta), z=z
-        )
-        return coverage_pzf(request)
-    return coverage_mmse(MmseCoverageRequest(config=config, z=z))
+        return coverage_pzf(config, z, m)
+    return coverage_mmse(config, z)
 
 
 def test_criterion_08_monte_carlo_matches_analytic():
@@ -344,7 +338,7 @@ def test_criterion_09_distribution_and_invariance_properties():
     gains = np.empty(10_000)
     for i in range(gains.size):
         real = _manual_realization(rng, [0.7, 1.2, 1.9], n_r=m * n_t + delta, n_t=n_t)
-        v = pzf_filter(real, PzfSplit(m=m, delta=delta))
+        v = pzf_filter(real, m)
         gains[i] = abs(np.vdot(v, real.channels[0][:, 0])) ** 2
     assert stats.kstest(gains, stats.gamma(a=delta + 1).cdf).pvalue > 0.01
 
@@ -352,22 +346,19 @@ def test_criterion_09_distribution_and_invariance_properties():
     gains = np.empty(10_000)
     for i in range(gains.size):
         real = _manual_realization(rng, [0.7, 1.2, 1.9], n_r=4, n_t=1)
-        v = pzf_filter(real, PzfSplit(m=2, delta=2))
+        v = pzf_filter(real, 2)
         gains[i] = abs(np.vdot(v, real.channels[2][:, 0])) ** 2
     assert stats.kstest(gains, stats.expon.cdf).pvalue > 0.01
 
     # Scale invariance at sigma2 = 0: the noise-capable analytic route
     # must not depend on the station density.
-    split = PzfSplit(m=2, delta=2)
-    base_pzf = coverage_pzf(
-        PzfCoverageRequest(config=_config(1, 4), split=split, z=1.0)
-    )
-    base_mmse = coverage_mmse(MmseCoverageRequest(config=_config(1, 4), z=1.0))
+    base_pzf = coverage_pzf(_config(1, 4), 1.0, 2)
+    base_mmse = coverage_mmse(_config(1, 4), 1.0)
     for lam in (0.5, 4.0):
         scaled = _config(1, 4, lam=lam)
-        p = coverage_pzf(PzfCoverageRequest(config=scaled, split=split, z=1.0))
+        p = coverage_pzf(scaled, 1.0, 2)
         assert abs(p - base_pzf) < 1e-8
-        q = coverage_mmse(MmseCoverageRequest(config=scaled, z=1.0))
+        q = coverage_mmse(scaled, 1.0)
         assert abs(q - base_mmse) < 1e-8
 
     # Scale invariance of the simulator, window scaled with density.

@@ -1,11 +1,13 @@
 """Linear MMSE coverage law, with and without receiver noise."""
 
+import math
+
 import pytest
 
 from cellmimo.errors import ConfigError, SizeGuardError
-from cellmimo.geometry import NetworkConfig, PzfSplit
-from cellmimo.mmse import MmseCoverageRequest, coverage_mmse
-from cellmimo.pzf import PzfCoverageRequest, coverage_pzf
+from cellmimo.geometry import NetworkConfig
+from cellmimo.mmse import coverage_mmse
+from cellmimo.pzf import coverage_pzf
 
 
 def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):
@@ -23,13 +25,13 @@ _ANCHORS = [
 
 @pytest.mark.parametrize("n_t,n_r,expected", _ANCHORS)
 def test_reference_points(n_t, n_r, expected):
-    assert coverage_mmse(MmseCoverageRequest(_config(n_t, n_r), 1.0)) == pytest.approx(
+    assert coverage_mmse(_config(n_t, n_r), 1.0) == pytest.approx(
         expected, abs=1e-5
     )
 
 
 def test_reference_point_off_zero_db():
-    assert coverage_mmse(MmseCoverageRequest(_config(2, 4), 10.0 ** 0.5)) == pytest.approx(
+    assert coverage_mmse(_config(2, 4), 10.0 ** 0.5) == pytest.approx(
         0.5369888237024917, rel=1e-10
     )
 
@@ -38,24 +40,24 @@ def test_single_antenna_equals_pzf():
     # With one antenna on each side there is nothing to null or combine:
     # both receivers reduce to the same scalar SINR law.
     for z in (0.5, 1.0, 10.0):
-        assert coverage_mmse(MmseCoverageRequest(_config(1, 1), z)) == pytest.approx(
-            coverage_pzf(PzfCoverageRequest(_config(1, 1), PzfSplit(1, 0), z)), rel=1e-12
+        assert coverage_mmse(_config(1, 1), z) == pytest.approx(
+            coverage_pzf(_config(1, 1), z, 1), rel=1e-12
         )
 
 
 @pytest.mark.parametrize("n_t,n_r", [(1, 4), (2, 4), (3, 6)])
 def test_dominates_every_pzf_split(n_t, n_r):
-    mmse = coverage_mmse(MmseCoverageRequest(_config(n_t, n_r), 1.0))
+    mmse = coverage_mmse(_config(n_t, n_r), 1.0)
     for m in range(1, n_r // n_t + 1):
-        pzf = coverage_pzf(PzfCoverageRequest(_config(n_t, n_r), PzfSplit(m, n_r - m * n_t), 1.0))
+        pzf = coverage_pzf(_config(n_t, n_r), 1.0, m)
         assert mmse >= pzf
 
 
 def test_edge_thresholds():
-    assert coverage_mmse(MmseCoverageRequest(_config(2, 4), 0.0)) == 1.0
-    assert coverage_mmse(MmseCoverageRequest(_config(2, 4), 1e8)) < 2e-4
+    assert coverage_mmse(_config(2, 4), 0.0) == 1.0
+    assert coverage_mmse(_config(2, 4), 1e8) < 2e-4
     values = [
-        coverage_mmse(MmseCoverageRequest(_config(2, 4), z)) for z in (0.1, 1.0, 10.0, 100.0)
+        coverage_mmse(_config(2, 4), z) for z in (0.1, 1.0, 10.0, 100.0)
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -65,9 +67,9 @@ def test_noisy_route_reduces_to_interference_limited():
     # zero noise takes their exact gamma branch.
     for n_t, n_r in [(1, 2), (2, 4), (3, 5)]:
         for z in (0.5, 2.0):
-            faint = coverage_mmse(MmseCoverageRequest(_config(n_t, n_r, sigma2=1e-12), z))
+            faint = coverage_mmse(_config(n_t, n_r, sigma2=1e-12), z)
             assert faint == pytest.approx(
-                coverage_mmse(MmseCoverageRequest(_config(n_t, n_r), z)), rel=1e-9
+                coverage_mmse(_config(n_t, n_r), z), rel=1e-9
             )
 
 
@@ -82,17 +84,12 @@ _NOISY_PINS = [
 
 @pytest.mark.parametrize("n_t,n_r,z,sigma2,expected", _NOISY_PINS)
 def test_noisy_law_pinned_values(n_t, n_r, z, sigma2, expected):
-    request = MmseCoverageRequest(_config(n_t, n_r, sigma2=sigma2), z)
-    assert coverage_mmse(request) == pytest.approx(expected, abs=1e-8)
+    assert coverage_mmse(_config(n_t, n_r, sigma2=sigma2), z) == pytest.approx(expected, abs=1e-8)
 
 
 def test_noise_hurts_and_density_helps():
-    z = 1.0
-
     def cov(sigma2, lam=1.0):
-        return coverage_mmse(
-            MmseCoverageRequest(config=_config(2, 4, sigma2=sigma2, lam=lam), z=z)
-        )
+        return coverage_mmse(_config(2, 4, sigma2=sigma2, lam=lam), 1.0)
 
     assert cov(0.0) > cov(0.3) > cov(1.0)
     assert cov(0.3, lam=4.0) > cov(0.3, lam=1.0)
@@ -100,18 +97,19 @@ def test_noise_hurts_and_density_helps():
 
 def test_zero_noise_density_invariance():
     values = [
-        coverage_mmse(MmseCoverageRequest(config=_config(2, 4, lam=lam), z=1.7))
+        coverage_mmse(_config(2, 4, lam=lam), 1.7)
         for lam in (0.2, 1.0, 6.0)
     ]
     assert max(values) - min(values) < 1e-8
 
 
 def test_request_validation():
-    with pytest.raises(ConfigError):
-        MmseCoverageRequest(config=_config(2, 4), z=-0.5)
+    for z in (-0.5, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            coverage_mmse(_config(2, 4), z)
 
 
 def test_antenna_count_guard():
     with pytest.raises(SizeGuardError):
-        coverage_mmse(MmseCoverageRequest(_config(1, 17), 1.0))
-    coverage_mmse(MmseCoverageRequest(_config(1, 16), 1.0))  # boundary stays supported
+        coverage_mmse(_config(1, 17), 1.0)
+    coverage_mmse(_config(1, 16), 1.0)  # boundary stays supported

@@ -16,7 +16,7 @@ import pytest
 from scipy import integrate, stats
 
 from cellmimo.errors import ConditioningError, ConfigError, NumericError
-from cellmimo.geometry import NetworkConfig, PzfSplit
+from cellmimo.geometry import NetworkConfig
 from cellmimo.montecarlo import (
     CHUNK_TRIALS,
     McEstimate,
@@ -34,8 +34,8 @@ from cellmimo.montecarlo import (
     sample_network,
     simulate_sinr,
 )
-from cellmimo.mmse import MmseCoverageRequest, coverage_mmse
-from cellmimo.pzf import PzfCoverageRequest, coverage_pzf
+from cellmimo.mmse import coverage_mmse
+from cellmimo.pzf import coverage_pzf
 from cellmimo.rate import mean_sum_rate
 
 
@@ -144,8 +144,7 @@ def test_sample_network_count_distribution():
 def test_pzf_filter_nulls_targets():
     rng = np.random.default_rng(3)
     real = _manual_realization(rng, [0.5, 0.8, 1.1, 1.7, 2.2], n_r=6, n_t=2)
-    split = PzfSplit(m=2, delta=2)
-    v = pzf_filter(real, split, stream=0)
+    v = pzf_filter(real, 2, stream=0)
     assert np.linalg.norm(v) == pytest.approx(1.0, rel=1e-12)
     # Own cross stream and every stream of the nulled interferer.
     assert abs(np.vdot(v, real.channels[0][:, 1])) < 1e-10
@@ -158,7 +157,7 @@ def test_pzf_filter_nulls_targets():
 def test_pzf_filter_matched_when_nothing_to_null():
     rng = np.random.default_rng(4)
     real = _manual_realization(rng, [0.6, 1.4], n_r=4, n_t=1)
-    v = pzf_filter(real, PzfSplit(m=1, delta=3))
+    v = pzf_filter(real, 1)
     h = real.channels[0][:, 0]
     assert np.allclose(v, h / np.linalg.norm(h))
 
@@ -171,7 +170,7 @@ def test_signal_gain_is_chi_square():
     gains = np.empty(4000)
     for i in range(gains.size):
         real = _manual_realization(rng, [0.7, 1.2, 1.9], n_r=n_r, n_t=n_t)
-        v = pzf_filter(real, PzfSplit(m=m, delta=delta))
+        v = pzf_filter(real, m)
         gains[i] = abs(np.vdot(v, real.channels[0][:, 0])) ** 2
     result = stats.kstest(gains, stats.gamma(a=delta + 1).cdf)
     assert result.pvalue > 0.01
@@ -183,7 +182,7 @@ def test_interference_gain_is_exponential():
     gains = np.empty(4000)
     for i in range(gains.size):
         real = _manual_realization(rng, [0.7, 1.2, 1.9], n_r=4, n_t=1)
-        v = pzf_filter(real, PzfSplit(m=2, delta=2))
+        v = pzf_filter(real, 2)
         gains[i] = abs(np.vdot(v, real.channels[2][:, 0])) ** 2
     result = stats.kstest(gains, stats.expon.cdf)
     assert result.pvalue > 0.01
@@ -192,10 +191,9 @@ def test_interference_gain_is_exponential():
 def test_mmse_dominates_pzf_per_realization():
     rng = np.random.default_rng(13)
     config = _config(2, 4)
-    split = PzfSplit.for_config(config, 1)
     for _ in range(500):
         real = sample_network(1.0, 8.0, rng, n_r=4, n_t=2)
-        assert mmse_sinr(real, config) >= pzf_sinr(real, config, split) - 1e-9
+        assert mmse_sinr(real, config) >= pzf_sinr(real, config, 1) - 1e-9
 
 
 def test_mmse_near_singular_covariance_raises():
@@ -210,14 +208,14 @@ def test_pzf_window_too_small_raises():
     rng = np.random.default_rng(6)
     real = _manual_realization(rng, [0.7], n_r=4, n_t=2)
     with pytest.raises(NumericError):
-        pzf_sinr(real, _config(2, 4), PzfSplit(m=2, delta=0))
+        pzf_sinr(real, _config(2, 4), 2)
 
 
 def test_stream_index_validation():
     rng = np.random.default_rng(8)
     real = _manual_realization(rng, [0.5, 1.0], n_r=4, n_t=2)
     with pytest.raises(ConfigError):
-        pzf_filter(real, PzfSplit(m=1, delta=2), stream=2)
+        pzf_filter(real, 1, stream=2)
     with pytest.raises(ConfigError):
         mmse_sinr(real, _config(2, 4), stream=-1)
 
@@ -238,7 +236,6 @@ def test_batched_engine_matches_reference_ops():
     n_int = r2.shape[1] - 1
     block = _draw_channels(rng, (n_trials, n_int, config.n_r, config.n_t))
 
-    split = PzfSplit.for_config(config, m)
     ref_pzf = np.empty(n_trials)
     ref_mmse = np.empty(n_trials)
     for t in range(n_trials):
@@ -253,7 +250,7 @@ def test_batched_engine_matches_reference_ops():
             positions=np.column_stack((radii, np.zeros(count))),
             channels=channels, window_radius=window, lam=config.lam,
         )
-        ref_pzf[t] = pzf_sinr(real, config, split)
+        ref_pzf[t] = pzf_sinr(real, config, m)
         ref_mmse[t] = mmse_sinr(real, config)
 
     # Agreement up to the engine's single-precision interferer arithmetic.
@@ -324,26 +321,22 @@ def test_matches_analytic_interference_limited():
     z = 1.0
     curve = estimate_coverage_curve(config, "mmse", [z], 4096, 7)
     est = curve[0]
-    exact = coverage_mmse(MmseCoverageRequest(_config(2, 4), z))
+    exact = coverage_mmse(_config(2, 4), z)
     assert abs(est.mean - exact) <= 4.0 * est.std_error
     pzf_est = estimate_coverage(config, "pzf", z, 4096, 7, m=1)
-    pzf_exact = coverage_pzf(PzfCoverageRequest(_config(2, 4), PzfSplit(1, 2), z))
+    pzf_exact = coverage_pzf(_config(2, 4), z, 1)
     assert abs(pzf_est.mean - pzf_exact) <= 4.0 * pzf_est.std_error
 
 
 def test_matches_analytic_with_noise():
     sigma2 = 0.1 * math.pi**2  # 0.1 (pi lam)^(alpha/2) at lam = 1, alpha = 4
     config = _config(2, 4, sigma2=sigma2)
-    from cellmimo.mmse import MmseCoverageRequest, coverage_mmse
-    from cellmimo.pzf import PzfCoverageRequest, coverage_pzf
-
     est = estimate_coverage(config, "mmse", 1.0, 4096, 17)
-    exact = coverage_mmse(MmseCoverageRequest(config=config, z=1.0))
+    exact = coverage_mmse(config, 1.0)
     assert abs(est.mean - exact) <= 4.0 * est.std_error
 
-    split = PzfSplit.for_config(config, 1)
     est = estimate_coverage(config, "pzf", 1.0, 4096, 17, m=1)
-    exact = coverage_pzf(PzfCoverageRequest(config=config, split=split, z=1.0))
+    exact = coverage_pzf(config, 1.0, 1)
     assert abs(est.mean - exact) <= 4.0 * est.std_error
 
 

@@ -23,17 +23,15 @@ from scipy import integrate
 
 from cellmimo import specfun
 from cellmimo.errors import ConfigError, NumericError
-from cellmimo.geometry import NetworkConfig, PzfSplit
+from cellmimo.geometry import NetworkConfig
 from cellmimo.pzf import (
-    PzfCoverageRequest,
     _conditional_coverage_u,
     argmin_mean_inverse_sinr,
     coverage_pzf,
-    laplace_interference,
     mean_inverse_sinr,
-    mean_inverse_sinr_surrogate,
     optimal_m,
 )
+from cellmimo.specfun import lambda_kernel
 
 
 def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):
@@ -48,10 +46,10 @@ def test_single_antenna_closed_form():
     # classic 0.5601 coverage figure.
     for z in (0.3, 1.0, 7.0, 40.0):
         expected = 1.0 / (1.0 + math.sqrt(z) * math.atan(math.sqrt(z)))
-        assert coverage_pzf(PzfCoverageRequest(_config(1, 1), PzfSplit(1, 0), z)) == pytest.approx(
+        assert coverage_pzf(_config(1, 1), z, 1) == pytest.approx(
             expected, rel=1e-10
         )
-    assert coverage_pzf(PzfCoverageRequest(_config(1, 1), PzfSplit(1, 0), 1.0)) == pytest.approx(
+    assert coverage_pzf(_config(1, 1), 1.0, 1) == pytest.approx(
         0.560099, abs=1e-6
     )
 
@@ -60,24 +58,24 @@ def test_reference_curve_values():
     # 1x4 with m = 2 and m = 4 at 0 dB, and the 2-antenna delta = 0 sweep
     # point (m = 3); high-precision values frozen from this implementation
     # after cross-validation against Monte Carlo.
-    assert coverage_pzf(PzfCoverageRequest(_config(1, 4), PzfSplit(2, 2), 1.0)) == pytest.approx(
+    assert coverage_pzf(_config(1, 4), 1.0, 2) == pytest.approx(
         0.919708, abs=2e-6
     )
-    assert coverage_pzf(PzfCoverageRequest(_config(1, 4), PzfSplit(4, 0), 1.0)) == pytest.approx(
+    assert coverage_pzf(_config(1, 4), 1.0, 4) == pytest.approx(
         0.766596, abs=2e-6
     )
-    assert coverage_pzf(PzfCoverageRequest(_config(2, 6), PzfSplit(3, 0), 1.0)) == pytest.approx(
+    assert coverage_pzf(_config(2, 6), 1.0, 3) == pytest.approx(
         0.606318, abs=2e-6
     )
 
 
 def test_coverage_at_zero_threshold_is_one():
-    assert coverage_pzf(PzfCoverageRequest(_config(1, 4), PzfSplit(2, 2), 0.0)) == 1.0
+    assert coverage_pzf(_config(1, 4), 0.0, 2) == 1.0
 
 
 def test_coverage_decreasing_in_threshold():
     values = [
-        coverage_pzf(PzfCoverageRequest(_config(2, 5), PzfSplit(2, 1), z))
+        coverage_pzf(_config(2, 5), z, 2)
         for z in (0.1, 0.5, 1.0, 5.0, 20.0)
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -87,9 +85,18 @@ def test_coverage_decreasing_in_threshold():
 def test_coverage_improves_with_array_gain():
     # More surplus dimensions at fixed m can only help.
     by_delta = [
-        coverage_pzf(PzfCoverageRequest(_config(1, 1 + d), PzfSplit(1, d), 2.0)) for d in range(4)
+        coverage_pzf(_config(1, 1 + d), 2.0, 1) for d in range(4)
     ]
     assert all(a < b for a, b in zip(by_delta, by_delta[1:]))
+
+
+def laplace_interference(s, R: float, lam: float, n_t: int, alpha: float):
+    """Laplace transform E[exp(-s I)] of the interference from beyond radius
+    R: a Poisson field of intensity lam, each station sending n_t unit-power
+    streams through independent Rayleigh channels with path-loss exponent
+    alpha.  The oracle of the finite-difference check below."""
+    grown = lambda_kernel(0, n_t, alpha, R ** (-alpha) * s)
+    return math.exp(-lam * math.pi * R**2 * (grown - 1.0))
 
 
 def test_laplace_interference_anchor():
@@ -120,8 +127,7 @@ def test_matches_laplace_derivative_oracle():
         lambda r: 2 * math.pi * lam * r * math.exp(-lam * math.pi * r * r) * conditional(r),
         0.0, np.inf, limit=200,
     )
-    request = PzfCoverageRequest(_config(1, 3, alpha=alpha), PzfSplit(1, 2), z)
-    assert coverage_pzf(request) == pytest.approx(oracle, rel=1e-8)
+    assert coverage_pzf(_config(1, 3, alpha=alpha), z, 1) == pytest.approx(oracle, rel=1e-8)
 
 
 # ----------------------------------------------------------------------
@@ -150,10 +156,9 @@ _NOISE_EQUIV_GRID = [
 
 @pytest.mark.parametrize("n_t,n_r,m", _NOISE_EQUIV_GRID)
 def test_noisy_law_reduces_to_interference_limited(n_t, n_r, m):
-    split = PzfSplit.for_config(_config(n_t, n_r), m)
     for z in (0.5, 2.0):
-        faint = coverage_pzf(PzfCoverageRequest(_config(n_t, n_r, sigma2=1e-12), split, z))
-        exact = coverage_pzf(PzfCoverageRequest(_config(n_t, n_r), split, z))
+        faint = coverage_pzf(_config(n_t, n_r, sigma2=1e-12), z, m)
+        exact = coverage_pzf(_config(n_t, n_r), z, m)
         assert faint == pytest.approx(exact, rel=1e-9)
 
 
@@ -173,8 +178,7 @@ _NOISY_PINS = [
 @pytest.mark.parametrize("n_t,n_r,m,z,sigma2,expected", _NOISY_PINS)
 def test_noisy_law_pinned_values(n_t, n_r, m, z, sigma2, expected):
     config = _config(n_t, n_r, sigma2=sigma2)
-    request = PzfCoverageRequest(config, PzfSplit.for_config(config, m), z)
-    assert coverage_pzf(request) == pytest.approx(expected, abs=1e-8)
+    assert coverage_pzf(config, z, m) == pytest.approx(expected, abs=1e-8)
 
 
 def test_noisy_law_raises_when_radial_moment_unresolved(monkeypatch):
@@ -182,17 +186,12 @@ def test_noisy_law_raises_when_radial_moment_unresolved(monkeypatch):
     monkeypatch.setattr(specfun, "_RADIAL_STRIP_STEP", 2.0)
     config = _config(1, 4, sigma2=1.0)
     with pytest.raises(NumericError):
-        coverage_pzf(PzfCoverageRequest(config, PzfSplit.for_config(config, 2), 1.0))
+        coverage_pzf(config, 1.0, 2)
 
 
 def test_noise_hurts_and_density_helps():
-    split_cfg = _config(1, 4, sigma2=0.4)
-    split = PzfSplit.for_config(split_cfg, 2)
-    z = 1.0
-
     def cov(sigma2, lam):
-        config = _config(1, 4, sigma2=sigma2, lam=lam)
-        return coverage_pzf(PzfCoverageRequest(config=config, split=split, z=z))
+        return coverage_pzf(_config(1, 4, sigma2=sigma2, lam=lam), 1.0, 2)
 
     quiet, noisy, noisier = cov(0.0, 1.0), cov(0.4, 1.0), cov(1.5, 1.0)
     assert quiet > noisy > noisier
@@ -204,9 +203,7 @@ def test_noise_hurts_and_density_helps():
 def test_zero_noise_density_invariance():
     z = 1.3
     values = [
-        coverage_pzf(PzfCoverageRequest(
-            config=_config(1, 4, lam=lam), split=PzfSplit(m=2, delta=2), z=z,
-        ))
+        coverage_pzf(_config(1, 4, lam=lam), z, 2)
         for lam in (0.25, 1.0, 5.0)
     ]
     assert max(values) - min(values) < 1e-8
@@ -214,12 +211,12 @@ def test_zero_noise_density_invariance():
 
 def test_request_validation():
     config = _config(2, 5)
-    with pytest.raises(ConfigError):
-        PzfCoverageRequest(config=config, split=PzfSplit(m=2, delta=2), z=1.0)
-    with pytest.raises(ConfigError):
-        PzfCoverageRequest(
-            config=config, split=PzfSplit.for_config(config, 2), z=-1.0
-        )
+    for m in (0, 3, 2.0):  # m = 3 would need 6 receive dimensions
+        with pytest.raises(ConfigError):
+            coverage_pzf(config, 1.0, m)
+    for z in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            coverage_pzf(config, z, 2)
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +226,6 @@ def test_mean_inverse_sinr_values():
     config = _config(1, 10)
     # 1 * Gamma(3)/5 * Gamma(6)/Gamma(7) = 1/15.
     assert mean_inverse_sinr(config, 5) == pytest.approx(1.0 / 15.0, rel=1e-12)
-    assert mean_inverse_sinr_surrogate(config, 5) == pytest.approx(8.0 / 110.0, rel=1e-12)
     # delta = 0 leaves no surplus dimension: the mean diverges.
     assert mean_inverse_sinr(config, 10) == math.inf
     with pytest.raises(ConfigError):
@@ -247,11 +243,8 @@ def test_mean_inverse_sinr_matches_coverage_law(n_t, n_r, m, alpha):
     # E[1/SINR] = int_0^inf P[1/SINR > t] dt = int_0^inf (1 - P[SINR > 1/t]) dt,
     # integrated over the zero-noise coverage law.  alpha = 4 alone cannot
     # tell a stray Gamma(1 + alpha/2)/2 factor, which is 1 there.
-    delta = n_r - m * n_t
-
     def outage(t):
-        config = _config(n_t, n_r, alpha=alpha)
-        return 1.0 - coverage_pzf(PzfCoverageRequest(config, PzfSplit(m, delta), 1.0 / t))
+        return 1.0 - coverage_pzf(_config(n_t, n_r, alpha=alpha), 1.0 / t, m)
 
     head, _ = integrate.quad(outage, 0.0, 1.0, epsabs=1e-12, epsrel=1e-9, limit=200)
     tail, _ = integrate.quad(outage, 1.0, np.inf, epsabs=1e-12, epsrel=1e-9, limit=200)

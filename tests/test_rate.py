@@ -5,9 +5,9 @@ import math
 import pytest
 
 from cellmimo.errors import ConfigError, NumericError
-from cellmimo.geometry import NetworkConfig, PzfSplit
+from cellmimo.geometry import NetworkConfig
+from cellmimo.pzf import coverage_pzf, default_m
 from cellmimo.rate import (
-    default_pzf_split,
     ergodic_rate,
     mean_sum_rate,
     rate_profile,
@@ -96,17 +96,17 @@ def test_ergodic_rate_exponential_oracle():
 
 def test_ergodic_rate_rejects_slow_decay():
     with pytest.raises(NumericError):
-        ergodic_rate(lambda z: 1.0, t_max=64.0)
+        ergodic_rate(lambda z: 1.0)
 
 
 def test_default_split_rule():
-    assert default_pzf_split(_config(1, 4)) == PzfSplit(m=2, delta=2)
-    assert default_pzf_split(_config(1, 10)) == PzfSplit(m=5, delta=5)
-    assert default_pzf_split(_config(2, 4)) == PzfSplit(m=1, delta=2)
+    assert default_m(_config(1, 4)) == 2
+    assert default_m(_config(1, 10)) == 5
+    assert default_m(_config(2, 4)) == 1
     # No feasible split with surplus: fall back to full-dimension nulling.
-    assert default_pzf_split(_config(4, 4)) == PzfSplit(m=1, delta=0)
+    assert default_m(_config(4, 4)) == 1
     with pytest.raises(ConfigError):
-        default_pzf_split(_config(4, 2))
+        default_m(_config(4, 2))
 
 
 def test_sinr_ccdf_validation_and_dispatch():
@@ -114,12 +114,11 @@ def test_sinr_ccdf_validation_and_dispatch():
         sinr_ccdf(_config(2, 4), "mrc")
     with pytest.raises(ConfigError):
         sinr_ccdf(_config(2, 4), "mmse", m=1)
-    from cellmimo.pzf import PzfCoverageRequest, coverage_pzf
+    with pytest.raises(ConfigError):
+        sinr_ccdf(_config(2, 4), "pzf", m=3)  # infeasible: fails before any call
 
     ccdf = sinr_ccdf(_config(2, 4), "pzf", m=1)
-    assert ccdf(1.0) == pytest.approx(
-        coverage_pzf(PzfCoverageRequest(_config(2, 4), PzfSplit(1, 2), 1.0)), rel=1e-12
-    )
+    assert ccdf(1.0) == pytest.approx(coverage_pzf(_config(2, 4), 1.0, 1), rel=1e-12)
 
 
 def test_rate_quantile_validation():
