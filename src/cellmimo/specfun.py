@@ -12,24 +12,27 @@ together with the gamma function and Pochhammer symbols.  The stock
 for the tolerance-stacked quadratures built on top of it, so ``hyp2f1_negz``
 evaluates the family directly:
 
-* the increasing sub-family (a a positive integer, -1 < b < 0, which holds
-  the order-0 coverage kernels) for ``z <= 1e4``: a fixed positive-weight
-  quadrature of ``1 + δ ∫_0^1 t^(-δ-1) [1 - (1+zt)^(-a)] dt`` with
-  ``δ = -b``, built from additions, multiplications and divisions of
-  nonnegative numbers only.  Rounding can then never make the computed
-  function decrease in z; the Pfaff product below multiplies a decreasing
-  and an increasing factor and steps down by an ulp between neighbouring
-  floats for most z.
-* otherwise ``z <= 24``: Pfaff transformation ``(1+z)^(-a) F(a, 1; b+1; w)`` with
-  ``w = z/(1+z) <= 0.96``.  All series terms are positive for the parameter
-  ranges used here, so there is no cancellation; terms are generated in
-  vectorized blocks.
-* ``z > 24``: the standard connection formula in ``1/z`` whose second
+* integer a with either -1 < b < 0 (a <= 64; the order-0 coverage
+  kernels) or 0 < b <= 32 (a <= 28; the higher orders), for ``z <= 1e4``:
+  the Euler integral ``F = b ∫_0^1 t^(b-1) (1+zt)^(-a) dt`` (DLMF 15.6.1)
+  by one fixed-node panel rule.  For b > 0 the integrand is positive and
+  is summed as it stands.  For b < 0 it is summed in the form
+  ``1 + δ ∫_0^1 t^(-δ-1) [1 - (1+zt)^(-a)] dt`` with ``δ = -b``, built
+  from additions, multiplications and divisions of nonnegative numbers
+  only, so rounding can never make the computed function decrease in z.
+* otherwise ``z <= 24``: Pfaff transformation ``(1+z)^(-a) F(a, 1; b+1; w)``
+  with ``w = z/(1+z) <= 0.96``.  All series terms are positive for the
+  parameter ranges used here, so there is no cancellation; terms are
+  generated in vectorized blocks.
+* beyond that: the standard connection formula in ``1/z`` whose second
   hypergeometric factor is again in-family with argument ``1/z < 1/24``,
   so it converges in a handful of terms.  This path needs ``a - b`` to stay
   away from integers (the formula degenerates there).
-* the rare remaining corner (large z and ``a - b`` within 0.05 of an
-  integer) falls back to mpmath at 30 significant digits.
+* the rare remaining corner (``a - b`` within 0.05 of an integer beyond
+  the first two routes) falls back to mpmath at 30 significant digits.
+  The coverage kernels reach it only where 2/α is within 0.05 of an
+  integer (α < 2.11 or α > 40), at z > 1e4, or at z > 24 for the orders
+  beyond the Euler route's bounds.
 
 The achieved accuracy is verified against mpmath in the test suite at
 1e-12 relative over the full parameter box used by the coverage laws.
@@ -67,16 +70,23 @@ _SERIES_SWITCH = 24.0
 # formula; closer than this the gamma prefactors start cancelling and we
 # delegate to mpmath.
 _INT_SEPARATION = 0.05
+# Series terms per block, doubling from _FIRST_BLOCK: the connection
+# formula's series (w < 1/25) needs only a few terms.
+_FIRST_BLOCK = 8
 _BLOCK = 64
 _MAX_TERMS = 8192
 _TERM_STOP = 1e-17
-# Quadrature of the increasing sub-family: Gauss-Legendre panels
-# [8^-(k+1), 8^-k], k < 6, plus a Gauss-Jacobi panel [0, 8^-6] that absorbs
-# the t^-δ endpoint singularity.  Up to z = 1e4 the integrand's pole at
-# t = -1/z stays more than 25 origin-panel lengths from that panel, and the
-# rule is within 1e-14 of mpmath for a <= 64 and 0 < δ < 1.
+# Euler-integral quadrature: Gauss-Legendre panels [8^-(k+1), 8^-k], k < 6,
+# plus a Gauss-Jacobi panel [0, 8^-6] that absorbs the t^(b-1) endpoint
+# power.  Up to z = 1e4 the integrand's pole at t = -1/z stays more than 25
+# origin-panel lengths from that panel.  Against mpmath the rule is within
+# 1e-14 for a <= 64 and -1 < b < 0, and within 4e-13 for a <= 28 and
+# 0 < b <= 32; its error grows with the pole order a (9.4e-13 at a = 32,
+# 4e-12 at a = 40) and with b beyond 32 (1e-11 at b = 100).
 _QUAD_Z_MAX = 1.0e4
 _QUAD_MAX_A = 64
+_QUAD_MAX_A_POSITIVE = 28
+_QUAD_MAX_B = 32.0
 _QUAD_PANEL_RATIO = 0.125
 _QUAD_PANELS = 6
 _QUAD_PANEL_NODES = 24
@@ -117,15 +127,16 @@ def _pfaff_series(a: float, b: float, z: np.ndarray) -> np.ndarray:
     w = z / (1.0 + z)
     acc = np.ones_like(w)
     term = np.ones_like(w)
-    n0 = 1
+    n0, block = 1, _FIRST_BLOCK
     while n0 < _MAX_TERMS:
-        n = np.arange(n0, n0 + _BLOCK, dtype=float)
+        n = np.arange(n0, n0 + block, dtype=float)
         # ratio t_n / t_{n-1} = w * (a + n - 1) / (b + n)
-        ratios = ((a + n - 1.0) / (b + n)).reshape((_BLOCK,) + (1,) * w.ndim) * w
+        ratios = ((a + n - 1.0) / (b + n)).reshape((block,) + (1,) * w.ndim) * w
         terms = term * np.cumprod(ratios, axis=0)
         acc = acc + terms.sum(axis=0)
         term = terms[-1]
-        n0 += _BLOCK
+        n0 += block
+        block = min(2 * block, _BLOCK)
         if np.all(np.abs(term) <= _TERM_STOP * np.abs(acc)):
             break
     else:
@@ -149,9 +160,10 @@ def _connection_large_z(a: float, b: float, z: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _increasing_nodes(delta: float) -> tuple[np.ndarray, np.ndarray]:
+def _panel_nodes(b: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes t_i in (0, 1) and positive weights c_i with
-    sum_i c_i f(t_i) ~ int_0^1 t^(-delta-1) f(t) dt for f(t) = O(t) at 0."""
+    sum_i c_i f(t_i) ~ int_0^1 t^(b-1) f(t) dt, for b > 0 and f smooth on
+    [0, 1], or for -1 < b < 0 and f(t) = O(t) at 0."""
     xs, ws = np.polynomial.legendre.leggauss(_QUAD_PANEL_NODES)
     nodes, weights = [], []
     for k in range(_QUAD_PANELS):
@@ -159,45 +171,71 @@ def _increasing_nodes(delta: float) -> tuple[np.ndarray, np.ndarray]:
         lo = hi * _QUAD_PANEL_RATIO
         t = lo + 0.5 * (hi - lo) * (xs + 1.0)
         nodes.append(t)
-        weights.append(0.5 * (hi - lo) * ws * t ** (-delta - 1.0))
+        weights.append(0.5 * (hi - lo) * ws * t ** (b - 1.0))
     eps = _QUAD_PANEL_RATIO**_QUAD_PANELS
-    xj, wj = _sp.roots_jacobi(_QUAD_ORIGIN_NODES, 0.0, -delta)
-    t = 0.5 * eps * (xj + 1.0)
+    if b > 0.0:
+        xj, wj = _sp.roots_jacobi(_QUAD_ORIGIN_NODES, 0.0, b - 1.0)
+        t = 0.5 * eps * (xj + 1.0)
+        # The weights lose digits as b - 1 nears -1 (3e-8 of their sum at
+        # b = 1e-9); their exact sum is 2^b / b.
+        c = wj * (0.5 * eps) ** b * (2.0**b / b / wj.sum())
+    else:
+        # t^(b-1) is not integrable at 0: the Jacobi weight t^b takes f(t)/t.
+        xj, wj = _sp.roots_jacobi(_QUAD_ORIGIN_NODES, 0.0, b)
+        t = 0.5 * eps * (xj + 1.0)
+        c = wj * (0.5 * eps) ** (1.0 + b) / t
     nodes.append(t)
-    weights.append(wj * (0.5 * eps) ** (1.0 - delta) / t)
+    weights.append(c)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _increasing_quadrature(a: int, delta: float, z: np.ndarray) -> np.ndarray:
-    """F(a, -delta; 1 - delta; -z) for integer 1 <= a <= 64, 0 < delta < 1
-    and 0 <= z <= 1e4, nondecreasing in z in floating point.
+def _euler_integral(a: int, b: float, z: np.ndarray) -> np.ndarray:
+    """F(a, b; b+1; -z) = b int_0^1 t^(b-1) (1+zt)^(-a) dt (DLMF 15.6.1)
+    for integer a >= 1 and 0 <= z <= 1e4, by the panel rule.
 
-    Uses F = 1 + delta * sum_i c_i g(z t_i) with g(x) = 1 - (1+x)^(-a)
-    evaluated as 1 / (1 + 1/P(x)), P(x) = (1+x)^a - 1 in Horner form with
-    binomial coefficients.  Every operation is a correctly rounded +, * or /
-    of nonnegative operands, each monotone in its z-dependent operand, and
-    the sum runs in the same order for every z, so z1 <= z2 gives
-    F(z1) <= F(z2) exactly; the form is also free of cancellation.
+    For b > 0 the integrand is positive and F = b sum_i c_i (1 + z t_i)^(-a),
+    capped at 1, the exact bound of F that rounding of sum_i c_i can
+    exceed by an ulp at z ~ 0.  (The form of the b < 0 case below,
+    1 - b sum_i c_i g(z t_i), would cancel catastrophically here, where F
+    is small at large z.)
+
+    For -1 < b < 0 (delta = -b) it is F = 1 + delta sum_i c_i g(z t_i)
+    with g from :func:`_monotone_g`.  Every operation is then a correctly
+    rounded +, * or / of nonnegative operands, each monotone in its
+    z-dependent operand, and the sum runs in the same order for every z,
+    so z1 <= z2 gives F(z1) <= F(z2) exactly; the form is also free of
+    cancellation.
     """
-    t, c = _increasing_nodes(delta)
-    coef = [float(math.comb(a, k)) for k in range(a + 1)]
+    t, c = _panel_nodes(b)
     out = np.empty_like(z)
     for start in range(0, z.size, _QUAD_ROWS):
-        x = np.multiply.outer(z[start : start + _QUAD_ROWS], t)
-        p = np.full_like(x, coef[a])
-        for k in range(a - 1, 0, -1):
-            p *= x
-            p += coef[k]
-        p *= x
-        # P(0) = 0 and a subnormal P both overflow 1/P to inf; g = 0 then,
-        # exact at x = 0 and otherwise far below the ulp of F >= 1.
-        with np.errstate(divide="ignore", over="ignore"):
-            np.divide(1.0, p, out=p)
-        p += 1.0
-        np.divide(1.0, p, out=p)
-        p *= c
-        out[start : start + _QUAD_ROWS] = 1.0 + delta * p.sum(axis=-1)
+        blk = slice(start, start + _QUAD_ROWS)
+        x = np.multiply.outer(z[blk], t)
+        if b > 0.0:
+            x += 1.0
+            np.power(x, -a, out=x)
+            out[blk] = np.minimum(b * (x @ c), 1.0)
+        else:
+            out[blk] = 1.0 - b * (_monotone_g(a, x) * c).sum(axis=-1)
     return out
+
+
+def _monotone_g(a: int, x: np.ndarray) -> np.ndarray:
+    """g(x) = 1 - (1+x)^(-a) as 1 / (1 + 1/P(x)), P(x) = (1+x)^a - 1 in
+    Horner form with binomial coefficients."""
+    coef = [float(math.comb(a, k)) for k in range(a + 1)]
+    p = np.full_like(x, coef[a])
+    for k in range(a - 1, 0, -1):
+        p *= x
+        p += coef[k]
+    p *= x
+    # P(0) = 0 and a subnormal P both overflow 1/P to inf; g = 0 then,
+    # exact at x = 0 and otherwise far below the ulp of F >= 1.
+    with np.errstate(divide="ignore", over="ignore"):
+        np.divide(1.0, p, out=p)
+    p += 1.0
+    np.divide(1.0, p, out=p)
+    return p
 
 
 def _mpmath_pointwise(a: float, b: float, z: np.ndarray) -> np.ndarray:
@@ -228,6 +266,14 @@ def hyp2f1_negz(a: float, b: float, c: float, z):
     Returns
     -------
     float or ndarray matching the shape of ``z``.
+
+    Notes
+    -----
+    Integer ``a`` with -1 < b < 0 or 0 < b <= 32 takes the Euler integral
+    up to z = 1e4, vectorized over z; other parameters take the Pfaff
+    series up to z = 24.  Beyond those the 1/z connection formula applies,
+    or mpmath where ``a - b`` is within 0.05 of an integer (see the module
+    docstring for the bounds on ``a``).
     """
     a = float(a)
     b = float(b)
@@ -241,26 +287,26 @@ def hyp2f1_negz(a: float, b: float, c: float, z):
 
     scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
     zv = np.atleast_1d(np.asarray(z, dtype=float))
-    if zv.size and (np.any(zv < 0.0) or not np.all(np.isfinite(zv))):
+    # NaN fails both comparisons.
+    if zv.size and not (zv.min() >= 0.0 and zv.max() < math.inf):
         raise ConfigError("hyp2f1_negz requires finite z >= 0")
 
+    euler = a.is_integer() and a >= 1.0 and (
+        (-1.0 < b < 0.0 and a <= _QUAD_MAX_A)
+        or (0.0 < b <= _QUAD_MAX_B and a <= _QUAD_MAX_A_POSITIVE)
+    )
+    near = zv <= (_QUAD_Z_MAX if euler else _SERIES_SWITCH)
     out = np.empty_like(zv)
-    if a.is_integer() and 1.0 <= a <= _QUAD_MAX_A and -1.0 < b < 0.0:
-        quad = zv <= _QUAD_Z_MAX
-        if np.any(quad):
-            out[quad] = _increasing_quadrature(int(a), -b, zv[quad])
-    else:
-        quad = np.zeros(zv.shape, dtype=bool)
-    small = ~quad & (zv <= _SERIES_SWITCH)
-    if np.any(small):
-        out[small] = _pfaff_series(a, b, zv[small])
-    big = ~quad & (zv > _SERIES_SWITCH)
-    if np.any(big):
+    if np.any(near):
+        zn = zv[near]
+        out[near] = _euler_integral(int(a), b, zn) if euler else _pfaff_series(a, b, zn)
+    if not np.all(near):
+        far = ~near
         d = a - b
         if a > 0.0 and abs(d - round(d)) >= _INT_SEPARATION:
-            out[big] = _connection_large_z(a, b, zv[big])
+            out[far] = _connection_large_z(a, b, zv[far])
         else:
-            out[big] = _mpmath_pointwise(a, b, zv[big])
+            out[far] = _mpmath_pointwise(a, b, zv[far])
     if scalar:
         return float(out[0])
     return out.reshape(np.shape(z))

@@ -288,6 +288,7 @@ def _analytic_coverage(config, receiver, m, z):
     return coverage_mmse(config, z)
 
 
+@pytest.mark.slow
 def test_criterion_08_monte_carlo_matches_analytic():
     t0 = time.perf_counter()
     failures = []

@@ -13,6 +13,8 @@ Independent oracles used here:
   of its exact gamma branch.
 * Noisy values are pinned to the nested scipy ``quad`` route that the
   package used up to commit 9a3f446.
+* Small coverages are checked against adaptive scipy ``quad`` in the
+  distance ratio u, with breakpoints at z^(-1/alpha) 2^k.
 """
 
 import math
@@ -26,6 +28,7 @@ from cellmimo.errors import ConfigError, NumericError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.pzf import (
     _conditional_coverage_u,
+    _split_delta,
     argmin_mean_inverse_sinr,
     coverage_pzf,
     mean_inverse_sinr,
@@ -128,6 +131,40 @@ def test_matches_laplace_derivative_oracle():
         0.0, np.inf, limit=200,
     )
     assert coverage_pzf(_config(1, 3, alpha=alpha), z, 1) == pytest.approx(oracle, rel=1e-8)
+
+
+def _adaptive_u_average(n_t, n_r, m, alpha, z):
+    """Zero-noise coverage by adaptive quad over u = r/R, breaking the range
+    at z^(-1/alpha) 2^k, where the conditional law turns over and decays."""
+    delta = _split_delta(n_t, n_r, m)
+
+    def integrand(u):
+        conditional = _conditional_coverage_u(n_t, m, delta, alpha, z, 0.0, np.array([u]))[0]
+        return 2.0 * (m - 1) * u * (1.0 - u * u) ** (m - 2) * conditional
+
+    knee = z ** (-1.0 / alpha)
+    points = [knee * 2.0**k for k in range(-40, 80) if knee * 2.0**k < 1.0]
+    value, _ = integrate.quad(integrand, 0.0, 1.0, points=points, epsabs=0.0,
+                              epsrel=1e-12, limit=1000)
+    return value
+
+
+@pytest.mark.parametrize("n_t,n_r,m,alpha,z", [
+    # 160, 180 and 140 dB: coverages of 1e-9 to 4e-8, where a stopping
+    # rule on an absolute difference converges before it resolves the knee.
+    (1, 8, 4, 4.0, 1e16),
+    (1, 4, 2, 4.0, 1e18),
+    (1, 12, 2, 3.0, 1e14),
+    # z = 2^64 across alpha.
+    (2, 8, 2, 3.0, 2.0**64),
+    (2, 6, 2, 5.0, 2.0**64),
+    (1, 6, 3, 3.5, 2.0**64),
+    (1, 4, 2, 2.05, 2.0**64),
+])
+def test_small_coverage_matches_adaptive_quadrature(n_t, n_r, m, alpha, z):
+    expected = _adaptive_u_average(n_t, n_r, m, alpha, z)
+    got = coverage_pzf(_config(n_t, n_r, alpha=alpha), z, m)
+    assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,9 @@ from scipy import special
 
 from cellmimo import specfun
 from cellmimo.errors import ConfigError, NumericError, PoleError
+from cellmimo.geometry import NetworkConfig
+from cellmimo.mmse import coverage_mmse
+from cellmimo.pzf import coverage_pzf
 from cellmimo.specfun import (
     hyp2f1_negz,
     lambda_kernel,
@@ -104,6 +107,25 @@ def test_hyp2f1_matches_mpmath(n_t, order, alpha, log_z):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+@settings(deadline=None, max_examples=80)
+@given(
+    a=st.integers(min_value=1, max_value=specfun._QUAD_MAX_A_POSITIVE),
+    order=st.integers(min_value=1, max_value=specfun._QUAD_MAX_A_POSITIVE),
+    alpha=st.floats(min_value=2.01, max_value=2.1, exclude_max=True),
+    log_z=st.floats(min_value=-3.0, max_value=4.0),
+)
+def test_hyp2f1_near_alpha_two_matches_mpmath(a, order, alpha, log_z):
+    """1e-12 relative agreement with mpmath where 2/alpha is within 0.05 of
+    1, over the orders and first parameters of the Euler-integral route
+    (lambda kernels have a = n_t + order, theta kernels a = n_t)."""
+    z = 10.0**log_z
+    b = order - 2.0 / alpha
+    got = hyp2f1_negz(float(a), b, b + 1.0, z)
+    with mp.workdps(30):
+        want = float(mp.hyp2f1(a, b, b + 1.0, -z))
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     n_t=st.integers(min_value=1, max_value=6),
@@ -153,6 +175,34 @@ def test_higher_kernels_in_unit_interval(n_t, order, alpha, z):
     for kernel in (lambda_kernel, theta_kernel):
         value = kernel(order, n_t, alpha, z)
         assert 0.0 < value <= 1.0
+
+
+@pytest.mark.parametrize("alpha", [2.01, 2.05, 2.5, 3.0, 4.0, 6.0])
+def test_higher_kernels_in_unit_interval_near_zero(alpha):
+    # The positive Euler sum b sum_i c_i is 1 only up to rounding.
+    for z in (0.0, 1e-300, 1e-12):
+        for order in range(1, 17):
+            for n_t in range(1, 13):
+                for kernel in (lambda_kernel, theta_kernel):
+                    value = kernel(order, n_t, alpha, z)
+                    assert 0.0 < value <= 1.0, (kernel.__name__, order, n_t, z)
+
+
+def test_kernels_skip_mpmath_below_the_euler_bound(monkeypatch):
+    """Near alpha = 2 (2/alpha within 0.05 of 1) every kernel the zero-noise
+    laws need up to z = 1e4 comes from the Euler integral, not mpmath."""
+
+    def refuse(a, b, z):
+        raise AssertionError(f"mpmath reached: a={a}, b={b}")
+
+    monkeypatch.setattr(specfun, "_mpmath_pointwise", refuse)
+    zs = [10.0 ** (db / 10.0) for db in range(-5, 21)]
+    pzf_config = NetworkConfig(lam=1.0, alpha=2.05, sigma2=0.0, n_t=1, n_r=4)
+    mmse_config = NetworkConfig(lam=1.0, alpha=2.05, sigma2=0.0, n_t=4, n_r=16)
+    pzf_curve = [coverage_pzf(pzf_config, z, 2) for z in zs]
+    mmse_curve = [coverage_mmse(mmse_config, z) for z in zs]
+    for curve in (pzf_curve, mmse_curve):
+        assert all(1.0 >= v > w > 0.0 for v, w in zip(curve, curve[1:]))
 
 
 @settings(deadline=None, max_examples=40)
