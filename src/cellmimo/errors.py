@@ -20,10 +20,12 @@ class PoleError(ConfigError):
 
 
 class SizeGuardError(ConfigError):
-    """A combinatorial size guard tripped (the computation would blow up).
+    """A size guard tripped: the input lies beyond the range a law is
+    checked for.
 
-    For coverage laws this usually means the antenna count is too large for
-    the partition sums; the Monte Carlo estimator has no such limit.
+    For coverage laws this means an antenna count above the analytic-law
+    guards (n_r > 16 for MMSE, delta > 20 for PZF); the Monte Carlo
+    estimator has no such limit.
     """
 
 

@@ -14,49 +14,47 @@ enters only through the radial moments of :mod:`cellmimo.specfun`, which
 are exact gamma moments at zero noise (the law is then scale-free: the
 base-station intensity cancels).
 
-All terms of the partition sums are positive, so they are assembled in log
-space and accumulated with exact summation.  The partition enumeration
-grows quickly with the receive antenna count, hence the n_r <= 16 guard;
-beyond that, use the Monte Carlo estimator, which has no such limit.
+A term depends on its integer partition (parts at most n_t) only through a
+product over the parts and the partition length, so each sum over
+partitions is one coefficient of a polynomial power, read from the table of
+:func:`cellmimo.specfun._power_table`; its recurrence adds positive numbers
+only.  The law is checked up to n_r = 16, hence the guard; beyond that, use
+the Monte Carlo estimator, which has no such limit.
 """
 
 from __future__ import annotations
 
 import math
 
-from .combinatorics import integer_partitions
+import numpy as np
+from scipy import special as _sp
+
 from .errors import ConfigError, SizeGuardError
 from .geometry import NetworkConfig
-from .specfun import radial_moment, theta_kernel
+from .specfun import _power_table, radial_moment, theta_kernel
 
 __all__ = ["coverage_mmse"]
 
 _MAX_NR = 16
 
 
-def _partition_log_weight(parts, n_t: int, alpha: float, log_theta) -> float | None:
-    """log of prod_j C(n_t, p_j) Theta_{p_j}(z) / (alpha p_j - 2), divided by
-    the multiplicity factorials; None when a part exceeds n_t (binomial = 0).
-    """
-    total = 0.0
-    for p in parts.parts:
-        if p > n_t:
-            return None
-        total += math.log(math.comb(n_t, p)) + log_theta[p] - math.log(alpha * p - 2.0)
-    total -= math.log(parts.multiplicity_factorial())
-    return total
-
-
 def coverage_mmse(config: NetworkConfig, z: float) -> float:
     """MMSE coverage probability P[SINR > z] for the typical user.
 
-    The sum runs over the coefficient order m of the conditional SINR law,
-    a noise order nv, an own-cell split k, and integer partitions of m - k
-    with parts at most n_t.  Each (partition length, noise order) pair
-    takes one radial moment (:func:`cellmimo.specfun.radial_moment`).
-    Without noise only nv = 1 occurs and the radial moments are gamma
-    moments, which is why the zero-noise law is intensity-free.  z must be
-    finite and >= 0; n_r above 16 raises SizeGuardError.
+    The numerator of the conditional law is a polynomial of degree n_r - 1
+    in z.  Averaged over the Poisson field, its coefficients of order
+    <= n_r - 1 - v with partition length ell sum to the entry
+    S[ell, n_r - 1 - v] of the power table
+    (:func:`cellmimo.specfun._power_table`) of
+    g_p = 2 C(n_t, p) Theta_p z^p / (Theta_0 (alpha p - 2)), p <= n_t,
+    times the own-cell polynomial C(n_t - 1, k) z^k / (1 + z)^(n_t - 1).
+    The coverage sums those entries over ell and the noise order v, each
+    times the radial factor b^v / v! J(ell + v alpha / 2, b) / Theta_0 with
+    the radial moment J (:func:`cellmimo.specfun.radial_moment`) and
+    b = z n_t sigma2 / (pi lam Theta_0)^(alpha/2).  Without noise only
+    v = 0 occurs and J(ell, 0) = ell!, which is why the zero-noise law is
+    intensity-free.  z must be finite and >= 0; n_r above 16 raises
+    SizeGuardError.
     """
     if not (z >= 0.0 and math.isfinite(z)):
         raise ConfigError(f"threshold must be finite and >= 0, got {z!r}")
@@ -70,41 +68,25 @@ def coverage_mmse(config: NetworkConfig, z: float) -> float:
     if z == 0.0:
         return 1.0
 
-    log_theta = {s: math.log(theta_kernel(s, n_t, alpha, z)) for s in range(n_r)}
-    theta0 = math.exp(log_theta[0])
-    # Noise enters only through b = z n_t sigma2 / (pi lam Theta0)^(alpha/2).
-    b = z * n_t * config.sigma2 / (math.pi * config.lam * theta0) ** (alpha / 2.0)
-    nv_max = n_r if b > 0.0 else 1
-    log_b = math.log(b) if b > 0.0 else 0.0
-    # Radial factor for partition length ell and noise order nv = v + 1:
-    # 2^ell / Theta0^(ell+1) * b^v / v! * J(ell + v alpha/2, b), in logs.
-    moments = radial_moment(
-        [[ell + 0.5 * alpha * v for v in range(nv_max)] for ell in range(n_r)], b, alpha
+    theta = np.array([theta_kernel(p, n_t, alpha, z) for p in range(min(n_t, n_r - 1) + 1)])
+    log_theta = np.log(theta)
+    log_z, log_1pz = math.log(z), math.log1p(z)
+    p = np.arange(1, theta.size)
+    g = np.zeros(n_r)
+    g[p] = np.exp(
+        np.log(2.0 * _sp.comb(n_t, p) / (alpha * p - 2.0))
+        + log_theta[p] + p * log_z - log_theta[0]
     )
-    log_radial = [
-        [
-            math.log(j) + v * log_b - math.lgamma(v + 1.0)
-            + ell * math.log(2.0) - (ell + 1) * log_theta[0]
-            if j > 0.0 else -math.inf  # J underflows only for negligible terms
-            for v, j in enumerate(row)
-        ]
-        for ell, row in enumerate(moments.tolist())
-    ]
-    log_pref = (1.0 - n_t) * math.log1p(z)
-    log_z = math.log(z)
+    k = np.arange(min(n_t, n_r))
+    first = np.zeros(n_r)
+    first[k] = _sp.comb(n_t - 1, k) * np.exp(k * log_z - (n_t - 1) * log_1pz)
+    table = _power_table(g, first)
 
-    log_terms = []
-    for m in range(n_r):
-        for nv in range(1, min(nv_max, n_r - m) + 1):
-            for k in range(min(m, n_t - 1) + 1):
-                log_own = math.log(math.comb(n_t - 1, k))
-                for parts in integer_partitions(m - k):
-                    lw = _partition_log_weight(parts, n_t, alpha, log_theta)
-                    if lw is None:
-                        continue
-                    lr = log_radial[parts.length][nv - 1]
-                    if lr == -math.inf:
-                        continue
-                    log_terms.append(log_pref + m * log_z + log_own + lw + lr)
-    total = math.fsum(math.exp(t) for t in log_terms)
-    return float(min(max(total, 0.0), 1.0))
+    b = z * n_t * config.sigma2 / (math.pi * config.lam * theta[0]) ** (alpha / 2.0)
+    # The (partition length, noise order) pairs with a term: ell + v <= n_r - 1.
+    ell, v = np.nonzero(np.add.outer(np.arange(n_r), np.arange(n_r if b > 0.0 else 1)) < n_r)
+    with np.errstate(divide="ignore"):  # J underflows only for negligible terms
+        log_radial = np.log(radial_moment(ell + 0.5 * alpha * v, b, alpha))
+    radial = np.exp(log_radial + _sp.xlogy(v, b) - _sp.gammaln(v + 1.0) - log_theta[0])
+    total = float(np.dot(table[ell, n_r - 1 - v], radial))
+    return min(max(total, 0.0), 1.0)

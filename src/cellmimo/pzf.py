@@ -9,12 +9,16 @@ leaves expressions built from the interference kernels in
 :mod:`cellmimo.specfun`.
 
 The coverage is an average over the scale-free distance ratio u = r/R of a
-finite sum over set-partition signatures (the composite-derivative
-expansion of the interference functional) and, with receiver noise, over
-the noise order.  Every term in that sum is positive, so it is assembled in
-log space and integrated with Gauss-Legendre rules on panels graded toward
-u = 0, with vectorized kernel evaluations.  Receiver noise enters each
-term only through the radial moment :func:`cellmimo.specfun.radial_moment`,
+finite sum over the set partitions of {1..k}, k <= delta (the
+composite-derivative expansion of the interference functional), and, with
+receiver noise, over the noise order.  A term depends on its partition only
+through a product over the blocks and the block count, so the partition sum
+is one coefficient table of a polynomial power
+(:func:`cellmimo.specfun._power_table`), built by a recurrence that adds
+positive numbers only; the noise order picks a column of that table.  The
+result is integrated with Gauss-Legendre rules on panels graded toward
+u = 0, with vectorized kernel evaluations.  Receiver noise enters each term
+only through the radial moment :func:`cellmimo.specfun.radial_moment`,
 which is an exact gamma moment without noise.
 
 The mean inverse SINR in closed form and the optimal-split rule derived
@@ -29,10 +33,9 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sp
 
-from .combinatorics import set_partition_signatures
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, SizeGuardError
 from .geometry import NetworkConfig
-from .specfun import lambda_kernel, pochhammer, radial_moment
+from .specfun import _power_table, lambda_kernel, pochhammer, radial_moment
 
 __all__ = [
     "coverage_pzf",
@@ -47,6 +50,10 @@ __all__ = [
 _GL_FIRST = 8
 _GL_LAST = 256
 _GL_TOL = 1e-10
+
+# The law is checked up to this many surplus dimensions; beyond it, use the
+# Monte Carlo estimator.
+_MAX_DELTA = 20
 
 
 def _split_delta(n_t: int, n_r: int, m: int) -> int:
@@ -77,45 +84,30 @@ def _ratio_rule(n: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _log_faa_coeff(j: int, n_t: int, alpha: float) -> float:
-    """log |c_j| for the composite-derivative coefficients.
+def _static_terms(n_t: int, m: int, delta: int, alpha: float, noisy: bool):
+    """The z-independent data of the conditional law; callers must not
+    modify the arrays.
 
+    log_c: log(|c_j| / j!) for j = 0..delta (-inf at j = 0), where
     c_j = (n_t)_j (-2/alpha)_j / (1 - 2/alpha)_j is negative for every
-    j >= 1 (exactly one negative factor); combined with the partition-sign
-    (-1)^blocks of the expansion, all coverage terms end up positive.
+    j >= 1 (exactly one negative factor); combined with the partition sign
+    (-1)^blocks of the composite-derivative expansion, every term ends up
+    positive.  ell, q: the (block count, noise order) pairs with a term,
+    ell + q <= delta (q = 0 only without noise).  p, pair_p: the distinct
+    radial orders p = m - 1 + ell + alpha q / 2 and each pair's index into
+    them.  log_w: log(1 / (q! Gamma(m))) per pair.
     """
-    c = pochhammer(n_t, j) * pochhammer(-2.0 / alpha, j) / pochhammer(1.0 - 2.0 / alpha, j)
-    return math.log(abs(c))
-
-
-@lru_cache(maxsize=None)
-def _signature_terms(n_t: int, m: int, delta: int, alpha: float, noisy: bool):
-    """Static (z-independent) data of the partition expansion.
-
-    The conditional coverage at u is a sum over set-partition signatures of
-    {1..k}, k <= delta, and, with noise, over the noise order q <= delta - k.
-    Each term's radial average is J(p, c(u)) with p = m - 1 + blocks +
-    alpha q / 2 (:func:`cellmimo.specfun.radial_moment`); its zero-noise
-    value Gamma(p + 1), over the Gamma(m) of the distance-ratio density, is
-    baked into log_static, so the zero-noise law needs no J at all.
-
-    Each entry: (k, q, log_static, blocks, size_multiplicity, p).
-    """
-    terms = []
-    for k in range(delta + 1):
-        for sig in set_partition_signatures(k):
-            for q in range(delta - k + 1 if noisy else 1):
-                p = m - 1 + sig.block_count + 0.5 * alpha * q
-                log_static = (
-                    math.log(sig.weight)
-                    + _sp.gammaln(p + 1.0)
-                    - _sp.gammaln(m)
-                    - _sp.gammaln(k + 1.0)
-                    - _sp.gammaln(q + 1.0)
-                    + sum(cnt * _log_faa_coeff(j, n_t, alpha) for j, cnt in sig.size_multiplicity)
-                )
-                terms.append((k, q, log_static, sig.block_count, sig.size_multiplicity, p))
-    return tuple(terms)
+    s = 2.0 / alpha
+    log_c = [-math.inf] + [
+        math.log(abs(pochhammer(n_t, j) * pochhammer(-s, j) / pochhammer(1.0 - s, j)))
+        - math.lgamma(j + 1.0)
+        for j in range(1, delta + 1)
+    ]
+    ell, q = np.nonzero(
+        np.add.outer(np.arange(delta + 1), np.arange(delta + 1 if noisy else 1)) <= delta
+    )
+    p, pair_p = np.unique(m - 1 + ell + 0.5 * alpha * q, return_inverse=True)
+    return np.array(log_c), ell, q, p, pair_p, -_sp.gammaln(q + 1.0) - _sp.gammaln(m)
 
 
 def _conditional_coverage_u(
@@ -123,36 +115,27 @@ def _conditional_coverage_u(
 ) -> np.ndarray:
     """Coverage conditioned on u = r/R (the inverse distance ratio).
 
-    u is an array with entries in (0, 1]; all partition terms are positive
-    and at most 1, so the log-space sum is overflow-free for any z.  Noise
-    enters through c(u) = noise * (u^2 / lambda0)^(alpha/2), the noise
-    scale in units of the radial variable, raised to the noise order q and
-    as the argument of the radial moment.
+    u is an array with entries in (0, 1].  The term of block count ell and
+    noise order q is S[ell, delta - q] times the radial factor
+    J(p, c) c^q / q! / (Gamma(m) lambda0^m), p = m - 1 + ell + alpha q / 2,
+    where S is the power table of g_j = |c_j| lambda_j x^j / (j! lambda0)
+    (:func:`cellmimo.specfun._power_table`) and J the radial moment.  Noise
+    enters only through c(u) = noise * (u^2 / lambda0)^(alpha/2), the noise
+    scale in units of the radial variable; at zero noise only q = 0 occurs
+    and J(p, 0) = Gamma(p + 1).
     """
+    log_c, ell, q, p, pair_p, log_w = _static_terms(n_t, m, delta, alpha, noise > 0.0)
     x = z * u**alpha
-    l0 = lambda_kernel(0, n_t, alpha, x)
-    log_l0 = np.log(l0)
-    log_lj = {j: np.log(lambda_kernel(j, n_t, alpha, x)) for j in range(1, delta + 1)}
-    log_x = np.log(x)
-    if noise:
-        c = noise * (u * u / l0) ** (alpha / 2.0)
-        log_c = np.log(c)
-        log_radial: dict[float, np.ndarray] = {}
-    total = np.zeros_like(u)
-    terms = _signature_terms(n_t, m, delta, alpha, noise > 0.0)
-    for k, q, log_static, blocks, size_mult, p in terms:
-        expo = log_static - (m + blocks) * log_l0
-        if k:
-            expo = expo + k * log_x
-        for j, cnt in size_mult:
-            expo = expo + cnt * log_lj[j]
-        if noise:
-            if p not in log_radial:
-                with np.errstate(divide="ignore"):  # J underflows only for negligible terms
-                    log_radial[p] = np.log(radial_moment(p, c, alpha)) - _sp.gammaln(p + 1.0)
-            expo = expo + q * log_c + log_radial[p]
-        total += np.exp(expo)
-    return total
+    lam = np.array([lambda_kernel(j, n_t, alpha, x) for j in range(delta + 1)])
+    log_lam = np.log(lam)
+    g = np.exp(log_c[:, None] + log_lam + np.outer(np.arange(delta + 1), np.log(x)) - log_lam[0])
+    table = _power_table(g, np.eye(delta + 1, 1))
+    # Without noise the radial moments are the constants Gamma(p + 1).
+    c = noise * (u * u / lam[0]) ** (alpha / 2.0) if noise else 0.0
+    with np.errstate(divide="ignore"):  # J underflows only for negligible terms
+        log_radial = np.log(radial_moment(p[:, None], c, alpha))[pair_p]
+    radial = np.exp(log_radial + _sp.xlogy(q[:, None], c) + (log_w[:, None] - m * log_lam[0]))
+    return (table[ell, delta - q] * radial).sum(axis=0)
 
 
 def coverage_pzf(config: NetworkConfig, z: float, m: int) -> float:
@@ -168,9 +151,15 @@ def coverage_pzf(config: NetworkConfig, z: float, m: int) -> float:
     through the combination z n_t sigma2 / (pi lam)^(alpha/2); with
     sigma2 = 0 the law is scale-free and the base-station intensity drops
     out entirely.  ``m`` is the cancellation order (the m - 1 nearest
-    interferers are nulled); z must be finite and >= 0.
+    interferers are nulled); z must be finite and >= 0.  delta above 20
+    raises SizeGuardError.
     """
     delta = _split_delta(config.n_t, config.n_r, m)
+    if delta > _MAX_DELTA:
+        raise SizeGuardError(
+            f"delta={delta} exceeds the analytic-law guard ({_MAX_DELTA}); "
+            "use the Monte Carlo estimator for larger arrays"
+        )
     if not (z >= 0.0 and math.isfinite(z)):
         raise ConfigError(f"threshold must be finite and >= 0, got {z!r}")
     z = float(z)

@@ -37,6 +37,9 @@ evaluates the family directly:
 The achieved accuracy is verified against mpmath in the test suite at
 1e-12 relative over the full parameter box used by the coverage laws.
 
+Both coverage laws read their sums over partitions from one coefficient
+table of a polynomial power, :func:`_power_table`.
+
 Receiver noise adds one more function, the radial moment
 ``J(p, b) = ∫_0^∞ y^p exp(-y - b y^(α/2)) dy`` (:func:`radial_moment`),
 which is Γ(p + 1) at b = 0 and within 1e-11 relative of mpmath for
@@ -425,3 +428,27 @@ def _radial_trapezoid(q: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
             )
         out[blk] = np.exp(log_peak[blk] + np.log(step[blk] * fine))
     return out
+
+
+def _power_table(g: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Cumulative coefficients of first(t) g(t)^ℓ / ℓ!, the partition sums
+    of both coverage laws.
+
+    ``g`` and ``first`` hold polynomial coefficients along axis 0, with
+    g[0] = 0 and any trailing axes broadcast.  With n = len(g), returns S
+    of shape (n, n, ...) with S[ℓ, j] = Σ_{k<=j} [t^k] first(t) g(t)^ℓ / ℓ!.
+    The term of degree k of g(t)^ℓ / ℓ! sums a product over the ℓ blocks of
+    every partition of k (a partial Bell polynomial; Comtet, *Advanced
+    Combinatorics*, 1974, §3.3).  It is built by b_ℓ = (b_{ℓ-1} g) / ℓ,
+    truncated at degree n - 1; for nonnegative inputs every step adds
+    products of nonnegative numbers, so no term cancels.
+    """
+    n = len(g)
+    b = np.zeros((n,) + np.broadcast_shapes(np.shape(g), np.shape(first)))
+    b[0] = first
+    for ell in range(1, n):
+        # b_{ℓ-1} has no term below degree ℓ - 1, g none below degree 1.
+        for i in range(1, n - ell + 1):
+            b[ell, ell - 1 + i:] += g[i] * b[ell - 1, ell - 1:n - i]
+        b[ell] /= ell
+    return np.cumsum(b, axis=1)

@@ -1,13 +1,16 @@
-"""The documented examples: the package docstring runs as a doctest, and
-the README quick start reproduces the values its comments print."""
+"""The documented examples: the package docstring runs as a doctest, the
+README quick start reproduces the values its comments print, and the README
+module map names exactly the package's modules."""
 
 import ast
 import doctest
+import re
 from pathlib import Path
 
 import cellmimo
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(cellmimo.__file__).resolve().parent
 
 
 def test_package_docstring_examples():
@@ -50,3 +53,10 @@ def test_readme_quick_start_anchors():
             assert _matches(v, a), (source, v, a)
         anchors += len(expected)
     assert anchors == 6
+
+
+def test_module_map_matches_package():
+    section = README.read_text().split("## Module map", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"^- `(\w+)`:", section, flags=re.MULTILINE)
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    assert sorted(named) == sorted(modules)

@@ -1,4 +1,8 @@
-"""Linear MMSE coverage law, with and without receiver noise."""
+"""Linear MMSE coverage law, with and without receiver noise.
+
+For n_r <= 8 the law is checked against its sum taken term by term over
+every integer partition.
+"""
 
 import math
 
@@ -8,6 +12,7 @@ from cellmimo.errors import ConfigError, SizeGuardError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.mmse import coverage_mmse
 from cellmimo.pzf import coverage_pzf
+from cellmimo.specfun import radial_moment, theta_kernel
 
 
 def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):
@@ -85,6 +90,48 @@ _NOISY_PINS = [
 @pytest.mark.parametrize("n_t,n_r,z,sigma2,expected", _NOISY_PINS)
 def test_noisy_law_pinned_values(n_t, n_r, z, sigma2, expected):
     assert coverage_mmse(_config(n_t, n_r, sigma2=sigma2), z) == pytest.approx(expected, abs=1e-8)
+
+
+def _integer_partitions(total, largest):
+    """Every partition of ``total`` into nonincreasing parts <= ``largest``."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, largest), 0, -1):
+        for rest in _integer_partitions(total - first, first):
+            yield (first,) + rest
+
+
+def _partition_sum(config, z):
+    """MMSE coverage term by term: coefficient order m, noise order v, own-cell
+    split k and every partition of m - k into parts <= n_t."""
+    n_t, n_r, alpha = config.n_t, config.n_r, config.alpha
+    theta = [theta_kernel(p, n_t, alpha, z) for p in range(n_t + 1)]
+    b = z * n_t * config.sigma2 / (math.pi * config.lam * theta[0]) ** (alpha / 2.0)
+    total = 0.0
+    for m in range(n_r):
+        for v in range(n_r - m if b > 0.0 else 1):
+            for k in range(min(m, n_t - 1) + 1):
+                own = math.comb(n_t - 1, k) * z**m / (1.0 + z) ** (n_t - 1)
+                for parts in _integer_partitions(m - k, n_t):
+                    weight = math.prod(
+                        math.comb(n_t, p) * theta[p] / (alpha * p - 2.0) for p in parts
+                    ) / math.prod(math.factorial(parts.count(p)) for p in set(parts))
+                    ell = len(parts)
+                    radial = (2.0**ell / theta[0] ** (ell + 1) * b**v / math.factorial(v)
+                              * radial_moment(ell + 0.5 * alpha * v, b, alpha))
+                    total += own * weight * radial
+    return total
+
+
+@pytest.mark.parametrize("n_t,n_r", [(1, 1), (1, 5), (2, 4), (2, 8), (3, 7), (4, 8), (6, 3)])
+def test_law_matches_partition_sum(n_t, n_r):
+    for alpha, sigma2 in ((4.0, 0.0), (3.1, 0.0), (4.0, 0.6), (2.5, 0.3)):
+        config = _config(n_t, n_r, alpha=alpha, sigma2=sigma2)
+        for z in (0.05, 1.0, 40.0, 1e5):
+            assert coverage_mmse(config, z) == pytest.approx(
+                _partition_sum(config, z), rel=1e-13, abs=0.0
+            ), (alpha, sigma2, z)
 
 
 def test_noise_hurts_and_density_helps():

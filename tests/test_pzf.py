@@ -15,8 +15,11 @@ Independent oracles used here:
   package used up to commit 9a3f446.
 * Small coverages are checked against adaptive scipy ``quad`` in the
   distance ratio u, with breakpoints at z^(-1/alpha) 2^k.
+* For delta <= 6 the conditional law is checked against its partition sum
+  taken term by term over every set partition of {1..k}.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +27,7 @@ import pytest
 from scipy import integrate
 
 from cellmimo import specfun
-from cellmimo.errors import ConfigError, NumericError
+from cellmimo.errors import ConfigError, NumericError, SizeGuardError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.pzf import (
     _conditional_coverage_u,
@@ -34,7 +37,7 @@ from cellmimo.pzf import (
     mean_inverse_sinr,
     optimal_m,
 )
-from cellmimo.specfun import lambda_kernel
+from cellmimo.specfun import lambda_kernel, radial_moment
 
 
 def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):
@@ -178,6 +181,56 @@ def test_conditional_coverage_monotone_in_interferer_distance():
     assert values[-1] == pytest.approx(1.0, abs=1e-6)
 
 
+def _set_partitions(items):
+    """Every set partition of the tuple ``items``, as a list of blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for size in range(len(rest) + 1):
+        for companions in itertools.combinations(rest, size):
+            remaining = tuple(i for i in rest if i not in companions)
+            for sub in _set_partitions(remaining):
+                yield [(first,) + companions] + sub
+
+
+def _partition_sum(n_t, m, delta, alpha, z, noise, u):
+    """Conditional coverage at one u, term by term over every set partition
+    of {1..k}, k <= delta, and every noise order q <= delta - k."""
+    s = 2.0 / alpha
+    x = z * u**alpha
+    l0 = lambda_kernel(0, n_t, alpha, x)
+    c = noise * (u * u / l0) ** (alpha / 2.0)
+    # |c_j| |(n_t)_j (-2/alpha)_j / (1 - 2/alpha)_j| times lambda_j x^j, per block size j.
+    block = {
+        j: abs(math.prod((n_t + i) * (i - s) / (i + 1.0 - s) for i in range(j)))
+        * lambda_kernel(j, n_t, alpha, x) * x**j
+        for j in range(1, delta + 1)
+    }
+    total = 0.0
+    for k in range(delta + 1):
+        for partition in _set_partitions(tuple(range(k))):
+            blocks = len(partition)
+            weight = math.prod(block[len(b)] for b in partition) / math.factorial(k)
+            for q in range(delta - k + 1 if noise else 1):
+                p = m - 1 + blocks + 0.5 * alpha * q
+                total += (weight / l0 ** (m + blocks) * radial_moment(p, c, alpha)
+                          * c**q / math.factorial(q) / math.gamma(m))
+    return total
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_conditional_coverage_matches_partition_sum(n_t, m):
+    u = np.array([1.0, 0.6, 0.17])
+    for delta, alpha in ((6, 3.7), (3, 2.5)):
+        for z in (0.2, 3.0, 1e4):
+            for noise in (0.0, 0.7):
+                got = _conditional_coverage_u(n_t, m, delta, alpha, z, noise, u)
+                expected = [_partition_sum(n_t, m, delta, alpha, z, noise, v) for v in u]
+                assert got == pytest.approx(expected, rel=1e-13, abs=0.0), (delta, z, noise)
+
+
 # ----------------------------------------------------------------------
 # Noisy law
 
@@ -254,6 +307,13 @@ def test_request_validation():
     for z in (-1.0, math.nan, math.inf):
         with pytest.raises(ConfigError):
             coverage_pzf(config, z, 2)
+
+
+def test_surplus_dimension_guard():
+    for n_r, m in ((22, 1), (23, 2)):  # delta = 21
+        with pytest.raises(SizeGuardError):
+            coverage_pzf(_config(1, n_r), 1.0, m)
+    coverage_pzf(_config(1, 22), 1.0, 2)  # delta = 20 stays supported
 
 
 # ----------------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_hyp2f1_matches_mpmath(n_t, order, alpha, log_z):
     got = hyp2f1_negz(float(a), b, b + 1.0, z)
     with mp.workdps(30):
         want = float(mp.hyp2f1(a, b, b + 1.0, -z))
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @settings(deadline=None, max_examples=80)
