@@ -31,7 +31,7 @@ from scipy import special as _sp
 
 from .errors import ConfigError, SizeGuardError
 from .geometry import NetworkConfig
-from .specfun import _power_table, radial_moment, theta_kernel
+from .specfun import _log_hyp2f1, _power_table, radial_moment
 
 __all__ = ["coverage_mmse"]
 
@@ -68,10 +68,13 @@ def coverage_mmse(config: NetworkConfig, z: float) -> float:
     if z == 0.0:
         return 1.0
 
-    theta = np.array([theta_kernel(p, n_t, alpha, z) for p in range(min(n_t, n_r - 1) + 1)])
-    log_theta = np.log(theta)
+    # log Theta_p = log theta_kernel(p, n_t, alpha, z), which never underflows.
+    log_theta = np.array([
+        _log_hyp2f1(float(n_t), p - 2.0 / alpha, np.array([z]))[0]
+        for p in range(min(n_t, n_r - 1) + 1)
+    ])
     log_z, log_1pz = math.log(z), math.log1p(z)
-    p = np.arange(1, theta.size)
+    p = np.arange(1, log_theta.size)
     g = np.zeros(n_r)
     g[p] = np.exp(
         np.log(2.0 * _sp.comb(n_t, p) / (alpha * p - 2.0))
@@ -82,7 +85,8 @@ def coverage_mmse(config: NetworkConfig, z: float) -> float:
     first[k] = _sp.comb(n_t - 1, k) * np.exp(k * log_z - (n_t - 1) * log_1pz)
     table = _power_table(g, first)
 
-    b = z * n_t * config.sigma2 / (math.pi * config.lam * theta[0]) ** (alpha / 2.0)
+    theta0 = math.exp(log_theta[0])
+    b = z * n_t * config.sigma2 / (math.pi * config.lam * theta0) ** (alpha / 2.0)
     # The (partition length, noise order) pairs with a term: ell + v <= n_r - 1.
     ell, v = np.nonzero(np.add.outer(np.arange(n_r), np.arange(n_r if b > 0.0 else 1)) < n_r)
     with np.errstate(divide="ignore"):  # J underflows only for negligible terms

@@ -35,7 +35,7 @@ from scipy import special as _sp
 
 from .errors import ConfigError, NumericError, SizeGuardError
 from .geometry import NetworkConfig
-from .specfun import _power_table, lambda_kernel, pochhammer, radial_moment
+from .specfun import _lambda_log_table, _power_table, pochhammer, radial_moment
 
 __all__ = [
     "coverage_pzf",
@@ -119,19 +119,21 @@ def _conditional_coverage_u(
     noise order q is S[ell, delta - q] times the radial factor
     J(p, c) c^q / q! / (Gamma(m) lambda0^m), p = m - 1 + ell + alpha q / 2,
     where S is the power table of g_j = |c_j| lambda_j x^j / (j! lambda0)
-    (:func:`cellmimo.specfun._power_table`) and J the radial moment.  Noise
-    enters only through c(u) = noise * (u^2 / lambda0)^(alpha/2), the noise
-    scale in units of the radial variable; at zero noise only q = 0 occurs
-    and J(p, 0) = Gamma(p + 1).
+    (:func:`cellmimo.specfun._power_table`) and J the radial moment.  The
+    kernels lambda_j come as logs, every order from one
+    :func:`cellmimo.specfun._lambda_log_table` call, so none underflows at
+    large x = z u^alpha.  Noise enters only through
+    c(u) = noise * (u^2 / lambda0)^(alpha/2), the noise scale in units of
+    the radial variable; at zero noise only q = 0 occurs and
+    J(p, 0) = Gamma(p + 1).
     """
     log_c, ell, q, p, pair_p, log_w = _static_terms(n_t, m, delta, alpha, noise > 0.0)
     x = z * u**alpha
-    lam = np.array([lambda_kernel(j, n_t, alpha, x) for j in range(delta + 1)])
-    log_lam = np.log(lam)
+    log_lam = _lambda_log_table(n_t, alpha, x, delta)
     g = np.exp(log_c[:, None] + log_lam + np.outer(np.arange(delta + 1), np.log(x)) - log_lam[0])
     table = _power_table(g, np.eye(delta + 1, 1))
     # Without noise the radial moments are the constants Gamma(p + 1).
-    c = noise * (u * u / lam[0]) ** (alpha / 2.0) if noise else 0.0
+    c = noise * (u * u / np.exp(log_lam[0])) ** (alpha / 2.0) if noise else 0.0
     with np.errstate(divide="ignore"):  # J underflows only for negligible terms
         log_radial = np.log(radial_moment(p[:, None], c, alpha))[pair_p]
     radial = np.exp(log_radial + _sp.xlogy(q[:, None], c) + (log_w[:, None] - m * log_lam[0]))

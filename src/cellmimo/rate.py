@@ -1,7 +1,10 @@
 """Ergodic rate and rate-distribution summaries.
 
 The per-stream ergodic rate is the integral of the SINR CCDF over
-t = log2(1 + z); rate quantiles invert the CCDF at a fixed probability.
+t = log2(1 + z), taken by a fixed Gauss-Kronrod rule on the graded panels
+[0, 1], [1, 2], [2, 4], ... and cut where the CCDF drops below 1e-8 (see
+:func:`ergodic_rate`); rate quantiles invert the CCDF at a fixed
+probability.
 Two transmission schemes are summarized:
 
 * ``sm`` (spatial multiplexing): the base station sends n_t streams, one
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from scipy import integrate as _integrate
+import numpy as np
 from scipy import optimize as _optimize
 
 from .errors import ConfigError, NumericError
@@ -48,6 +51,25 @@ _CONVENTIONS = ("calibrated", "per-stream")
 # _CCDF_FLOOR, and gives up if that takes t = log2(1 + z) beyond _T_MAX.
 _CCDF_FLOOR = 1e-8
 _T_MAX = 256.0
+# Gauss-Kronrod G7/K15 on [-1, 1] (QUADPACK's qk15): the 15 Kronrod nodes in
+# increasing order, their weights, and the weights of the 7 Gauss nodes,
+# which are every other Kronrod node.  A panel is accepted when
+# |K15 - G7| <= _PANEL_TOL and otherwise bisected, at most _PANEL_DEPTH times.
+_KRONROD_X = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+              0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+              0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+              0.207784955007898467600689403773245)
+_KRONROD_W = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+              0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+              0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+              0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_GAUSS_W = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+            0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+_NODES = np.array([-x for x in _KRONROD_X] + [0.0] + list(reversed(_KRONROD_X)))
+_WK15 = np.array(_KRONROD_W + _KRONROD_W[-2::-1])
+_WG7 = np.array(_GAUSS_W + _GAUSS_W[-2::-1])
+_PANEL_TOL = 1e-9
+_PANEL_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -93,26 +115,46 @@ def sinr_ccdf(config: NetworkConfig, receiver: str, m: int | None = None) -> Cal
 def ergodic_rate(coverage_fn: Callable[[float], float]) -> float:
     """Per-stream ergodic rate E[log2(1 + SINR)] in bits/s/Hz.
 
-    Integrates the CCDF over t = log2(1 + z) up to a cutoff T found by
-    doubling until the CCDF drops below 1e-8; the neglected tail is below
+    Integrates the CCDF over t = log2(1 + z) with the Gauss-Kronrod G7/K15
+    rule on the panels [0, 1], [1, 2], [2, 4], [4, 8], ...: a panel's K15
+    value is taken when it is within 1e-9 of its G7 value, and the panel is
+    bisected otherwise; 12 levels of bisection without that raise
+    :class:`NumericError`.  The K15 value's own error is far below that
+    difference for a smooth CCDF.  Panels stop at the first panel end T
+    where the CCDF is below 1e-8; the neglected tail is below
     1e-8 * alpha/(2 ln 2) for every law in this package.  Raises
     :class:`NumericError` if no such T exists up to T = 256.
     """
-    t_hi = 8.0
-    while coverage_fn(2.0**t_hi - 1.0) >= _CCDF_FLOOR:
-        t_hi *= 2.0
-        if t_hi > _T_MAX:
+
+    def ccdf_t(t: float) -> float:
+        return coverage_fn(2.0**t - 1.0)
+
+    total, lo, hi = 0.0, 0.0, 1.0
+    while True:
+        total += _kronrod_panel(ccdf_t, lo, hi, 0)
+        if ccdf_t(hi) < _CCDF_FLOOR:
+            return total
+        if hi >= _T_MAX:
             raise NumericError(
                 f"rate integral truncation budget exhausted (T > {_T_MAX}); "
                 "the CCDF decays too slowly"
             )
-    val, abserr = _integrate.quad(
-        lambda t: coverage_fn(2.0**t - 1.0), 0.0, t_hi,
-        epsabs=1e-9, epsrel=1e-7, limit=300,
-    )
-    if abserr > 1e-5 * max(1.0, abs(val)):
-        raise NumericError(f"rate integral did not converge (abserr={abserr:.2e})")
-    return float(val)
+        lo, hi = hi, 2.0 * hi
+
+
+def _kronrod_panel(f: Callable[[float], float], lo: float, hi: float, depth: int) -> float:
+    """Integral of f over [lo, hi] by K15, bisected until |K15 - G7| <= 1e-9."""
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    fx = np.array([f(mid + half * x) for x in _NODES])
+    k15 = half * float(fx @ _WK15)
+    if abs(k15 - half * float(fx[1::2] @ _WG7)) <= _PANEL_TOL:
+        return k15
+    if depth == _PANEL_DEPTH:
+        raise NumericError(
+            f"rate integral did not converge on t in [{lo:.6g}, {hi:.6g}] "
+            f"after {_PANEL_DEPTH} bisections; the CCDF is not smooth there"
+        )
+    return _kronrod_panel(f, lo, mid, depth + 1) + _kronrod_panel(f, mid, hi, depth + 1)
 
 
 def rate_quantile(

@@ -21,24 +21,33 @@ evaluates the family directly:
   from additions, multiplications and divisions of nonnegative numbers
   only, so rounding can never make the computed function decrease in z.
 * otherwise ``z <= 24``: Pfaff transformation ``(1+z)^(-a) F(a, 1; b+1; w)``
-  with ``w = z/(1+z) <= 0.96``.  All series terms are positive for the
-  parameter ranges used here, so there is no cancellation; terms are
-  generated in vectorized blocks.
+  with ``w = z/(1+z) <= 0.96``.  All series terms are positive for
+  a > 0 and b > -1, so there is no cancellation; terms are generated in
+  vectorized blocks.
 * beyond that: the standard connection formula in ``1/z`` whose second
   hypergeometric factor is again in-family with argument ``1/z < 1/24``,
-  so it converges in a handful of terms.  This path needs ``a - b`` to stay
-  away from integers (the formula degenerates there).
-* the rare remaining corner (``a - b`` within 0.05 of an integer beyond
-  the first two routes) falls back to mpmath at 30 significant digits.
-  The coverage kernels reach it only where 2/α is within 0.05 of an
-  integer (α < 2.11 or α > 40), at z > 1e4, or at z > 24 for the orders
-  beyond the Euler route's bounds.
+  so it converges in a handful of terms.  It is taken in logs,
+  ``log F = log g1 - b log z + log1p((g2/g1) z^(b-a) tail)``, so it never
+  underflows.  This path needs ``a - b > 0`` away from integers (the
+  formula degenerates there).
+* the rare remaining corner (``a - b`` not positive, or within 0.05 of an
+  integer, beyond the first two routes) falls back to mpmath at 30
+  significant digits, which returns the log too.  The coverage kernels
+  reach it only where 2/α is within 0.05 of an integer (α < 2.11 or
+  α > 40), at z > 1e4, or at z > 24 for the orders beyond the Euler
+  route's bounds.
 
-The achieved accuracy is verified against mpmath in the test suite at
-1e-12 relative over the full parameter box used by the coverage laws.
+The domain is a > 0 and b > -1, where F > 0.  The achieved accuracy is
+verified against mpmath in the test suite at 1e-12 relative over the full
+parameter box used by the coverage laws.
 
-Both coverage laws read their sums over partitions from one coefficient
-table of a polynomial power, :func:`_power_table`.
+Both coverage laws take the logs of their kernels (:func:`_log_hyp2f1`),
+which stay finite where a kernel itself is below the smallest float64, so
+no term of their sums is lost at large z.  The PZF law reads every order
+of its kernel at once from :func:`_lambda_log_table`, which shares the
+Euler rule's work across the orders.  Both laws read their sums over
+partitions from one coefficient table of a polynomial power,
+:func:`_power_table`.
 
 Receiver noise adds one more function, the radial moment
 ``J(p, b) = ∫_0^∞ y^p exp(-y - b y^(α/2)) dy`` (:func:`radial_moment`),
@@ -94,6 +103,8 @@ _QUAD_PANEL_RATIO = 0.125
 _QUAD_PANELS = 6
 _QUAD_PANEL_NODES = 24
 _QUAD_ORIGIN_NODES = 12
+# Panel nodes other than the origin panel's, the same for every b.
+_SHARED_NODES = _QUAD_PANELS * _QUAD_PANEL_NODES
 # Rows of z per quadrature block, to bound the (rows x nodes) work array.
 _QUAD_ROWS = 2048
 # Radial moment: trapezoid step in units of the integrand's peak width and
@@ -150,16 +161,19 @@ def _pfaff_series(a: float, b: float, z: np.ndarray) -> np.ndarray:
     return (1.0 + z) ** (-a) * acc
 
 
-def _connection_large_z(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """F(a, b; b+1; -z) for z > 24 via the 1/z connection formula.
+def _log_connection(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """log F(a, b; b+1; -z) for z > 24 via the 1/z connection formula,
+    F = g1 z^(-b) [1 + (g2/g1) z^(b-a) F(a, a-b; a-b+1; -1/z)].
 
-    Requires a - b away from integers and a > 0; the caller guarantees both.
+    Requires a - b > 0 away from integers and b > -1, so that g1 > 0 and
+    the first term dominates; the caller guarantees both.  In this form
+    the value never underflows.
     """
     d = a - b
     g1 = math.gamma(b + 1.0) * math.gamma(d) / math.gamma(a)
     g2 = math.gamma(b + 1.0) * math.gamma(-d) / (math.gamma(b) * math.gamma(b + 1.0 - a))
     tail = _pfaff_series(a, d, 1.0 / z)
-    return g1 * z ** (-b) + g2 * z ** (-a) * tail
+    return math.log(g1) - b * np.log(z) + np.log1p((g2 / g1) * z ** (-d) * tail)
 
 
 @lru_cache(maxsize=128)
@@ -196,11 +210,13 @@ def _euler_integral(a: int, b: float, z: np.ndarray) -> np.ndarray:
     """F(a, b; b+1; -z) = b int_0^1 t^(b-1) (1+zt)^(-a) dt (DLMF 15.6.1)
     for integer a >= 1 and 0 <= z <= 1e4, by the panel rule.
 
-    For b > 0 the integrand is positive and F = b sum_i c_i (1 + z t_i)^(-a),
-    capped at 1, the exact bound of F that rounding of sum_i c_i can
-    exceed by an ulp at z ~ 0.  (The form of the b < 0 case below,
-    1 - b sum_i c_i g(z t_i), would cancel catastrophically here, where F
-    is small at large z.)
+    For b > 0 the integrand is positive and F = b sum_i c_i y_i^a with
+    y_i = 1/(1 + z t_i), capped at 1, the exact bound of F that rounding of
+    sum_i c_i can exceed by an ulp at z ~ 0.  (The form of the b < 0 case
+    below, 1 - b sum_i c_i g(z t_i), would cancel catastrophically here,
+    where F is small at large z.)  The powers y^a come from repeated
+    multiplication, as in :func:`_lambda_log_table`, whose Euler sums are
+    therefore these to the last bit.
 
     For -1 < b < 0 (delta = -b) it is F = 1 + delta sum_i c_i g(z t_i)
     with g from :func:`_monotone_g`.  Every operation is then a correctly
@@ -213,13 +229,69 @@ def _euler_integral(a: int, b: float, z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     for start in range(0, z.size, _QUAD_ROWS):
         blk = slice(start, start + _QUAD_ROWS)
-        x = np.multiply.outer(z[blk], t)
         if b > 0.0:
-            x += 1.0
-            np.power(x, -a, out=x)
-            out[blk] = np.minimum(b * (x @ c), 1.0)
+            shared = _power(_reciprocal(z[blk], t[:_SHARED_NODES]), a)
+            origin = _power(_reciprocal(z[blk], t[_SHARED_NODES:]), a)
+            out[blk] = _euler_sum(b, c, shared, origin)
         else:
+            x = np.multiply.outer(z[blk], t)
             out[blk] = 1.0 - b * (_monotone_g(a, x) * c).sum(axis=-1)
+    return out
+
+
+def _reciprocal(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The (z, t) table of 1 / (1 + z t)."""
+    y = np.multiply.outer(z, t)
+    y += 1.0
+    return np.divide(1.0, y, out=y)
+
+
+def _power(y: np.ndarray, a: int) -> np.ndarray:
+    """y^a by a - 1 multiplications."""
+    p = y.copy()
+    for _ in range(a - 1):
+        p *= y
+    return p
+
+
+def _euler_sum(b: float, c: np.ndarray, shared: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """min(b sum_i c_i y_i^a, 1) from y^a on the shared and the origin nodes."""
+    return np.minimum(b * (shared @ c[:_SHARED_NODES] + origin @ c[_SHARED_NODES:]), 1.0)
+
+
+def _lambda_log_table(n_t: int, alpha: float, x: np.ndarray, delta: int) -> np.ndarray:
+    """log lambda_kernel(j, n_t, alpha, x) for every order j = 0..delta, as
+    rows of a (delta + 1, x.size) array; x is 1-d, finite and >= 0.
+
+    On the Euler route (x <= 1e4, n_t + j <= 28) the orders share their
+    work: y = 1/(1 + x t) is formed once on the panel nodes, which do not
+    depend on the order, and y^(n_t + j) from y^(n_t + j - 1) by one
+    multiplication; only the origin panel's nodes are per order.  Those
+    sums are :func:`_euler_integral`'s to the last bit, so the table
+    agrees with :func:`lambda_kernel` to rounding.  Other points and
+    orders take the per-order routes.
+    """
+    s = 2.0 / alpha
+    out = np.empty((delta + 1, x.size))
+    out[0] = _log_hyp2f1(float(n_t), -s, x)
+    shared = min(delta, _QUAD_MAX_A_POSITIVE - n_t)
+    near = (x <= _QUAD_Z_MAX) & (shared > 0)
+    rows = np.flatnonzero(near)
+    t_shared = _panel_nodes(1.0 - s)[0][:_SHARED_NODES]
+    for start in range(0, rows.size, _QUAD_ROWS):
+        blk = rows[start:start + _QUAD_ROWS]
+        y = _reciprocal(x[blk], t_shared)
+        p = _power(y, n_t)
+        for j in range(1, shared + 1):
+            p *= y
+            t, c = _panel_nodes(j - s)
+            origin = _power(_reciprocal(x[blk], t[_SHARED_NODES:]), n_t + j)
+            out[j, blk] = np.log(_euler_sum(j - s, c, p, origin))
+    # The per-order routes take the orders beyond the shared ones, and the
+    # shared orders only where some x is beyond the Euler route.
+    for j in range(1 if rows.size < x.size else shared + 1, delta + 1):
+        cols = ~near if j <= shared else slice(None)
+        out[j, cols] = _log_hyp2f1(float(n_t + j), j - s, x[cols])
     return out
 
 
@@ -242,12 +314,44 @@ def _monotone_g(a: int, x: np.ndarray) -> np.ndarray:
 
 
 def _mpmath_pointwise(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """log F(a, b; b+1; -z) by mpmath at 30 digits, one point at a time."""
     from mpmath import mp
 
     out = np.empty_like(z)
     with mp.workdps(30):
         for idx in np.ndindex(z.shape):
-            out[idx] = float(mp.hyp2f1(a, b, b + 1.0, -z[idx]))
+            out[idx] = float(mp.log(mp.hyp2f1(a, b, b + 1.0, -z[idx])))
+    return out
+
+
+def _routes(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(near, v): v = F(a, b; b+1; -z) where ``near`` (the Euler integral or
+    the Pfaff series) and v = log F elsewhere (the connection formula or
+    mpmath), for validated a > 0, b > -1 and a 1-d array z."""
+    euler = a.is_integer() and (
+        (-1.0 < b < 0.0 and a <= _QUAD_MAX_A)
+        or (0.0 < b <= _QUAD_MAX_B and a <= _QUAD_MAX_A_POSITIVE)
+    )
+    near = z <= (_QUAD_Z_MAX if euler else _SERIES_SWITCH)
+    out = np.empty_like(z)
+    if np.any(near):
+        out[near] = _euler_integral(int(a), b, z[near]) if euler else _pfaff_series(a, b, z[near])
+    if not np.all(near):
+        far = ~near
+        d = a - b
+        if d > 0.0 and abs(d - round(d)) >= _INT_SEPARATION:
+            out[far] = _log_connection(a, b, z[far])
+        else:
+            out[far] = _mpmath_pointwise(a, b, z[far])
+    return near, out
+
+
+def _log_hyp2f1(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """log F(a, b; b+1; -z) for a > 0, b > -1 and a 1-d array of finite
+    z >= 0, unvalidated.  It stays finite where F, which decays like
+    z^(-b), is below the smallest float64."""
+    near, out = _routes(a, b, z)
+    out[near] = np.log(out[near])
     return out
 
 
@@ -257,8 +361,7 @@ def hyp2f1_negz(a: float, b: float, c: float, z):
     Parameters
     ----------
     a, b : float
-        Upper parameters.  ``b`` may be negative (but ``c = b + 1`` must not
-        be zero or a negative integer).
+        Upper parameters, a > 0 and b > -1 (F is positive there).
     c : float
         Must equal ``b + 1`` up to rounding; that is the only family the
         coverage laws need, and restricting to it is what makes a fast
@@ -275,8 +378,9 @@ def hyp2f1_negz(a: float, b: float, c: float, z):
     Integer ``a`` with -1 < b < 0 or 0 < b <= 32 takes the Euler integral
     up to z = 1e4, vectorized over z; other parameters take the Pfaff
     series up to z = 24.  Beyond those the 1/z connection formula applies,
-    or mpmath where ``a - b`` is within 0.05 of an integer (see the module
-    docstring for the bounds on ``a``).
+    or mpmath where ``a - b`` is not positive or within 0.05 of an integer
+    (see the module docstring for the bounds on ``a``); both return log F,
+    whose exp is the value.
     """
     a = float(a)
     b = float(b)
@@ -288,31 +392,27 @@ def hyp2f1_negz(a: float, b: float, c: float, z):
     if c <= 0.0 and abs(c - round(c)) < 1e-9:
         raise PoleError(f"hypergeometric c parameter at a pole: c={c}")
 
-    scalar = np.isscalar(z) or getattr(z, "ndim", 0) == 0
-    zv = np.atleast_1d(np.asarray(z, dtype=float))
+    if not (a > 0.0 and b > -1.0):
+        raise ConfigError(f"hyp2f1_negz needs a > 0 and b > -1, got a={a}, b={b}")
+
+    zv = _z_vector(z)
+    near, out = _routes(a, b, zv)
+    out[~near] = np.exp(out[~near])
+    return _shaped(out, z)
+
+
+def _z_vector(z) -> np.ndarray:
+    """z as a flat float array, checked to be finite and >= 0."""
+    zv = np.asarray(z, dtype=float).ravel()
     # NaN fails both comparisons.
     if zv.size and not (zv.min() >= 0.0 and zv.max() < math.inf):
         raise ConfigError("hyp2f1_negz requires finite z >= 0")
+    return zv
 
-    euler = a.is_integer() and a >= 1.0 and (
-        (-1.0 < b < 0.0 and a <= _QUAD_MAX_A)
-        or (0.0 < b <= _QUAD_MAX_B and a <= _QUAD_MAX_A_POSITIVE)
-    )
-    near = zv <= (_QUAD_Z_MAX if euler else _SERIES_SWITCH)
-    out = np.empty_like(zv)
-    if np.any(near):
-        zn = zv[near]
-        out[near] = _euler_integral(int(a), b, zn) if euler else _pfaff_series(a, b, zn)
-    if not np.all(near):
-        far = ~near
-        d = a - b
-        if a > 0.0 and abs(d - round(d)) >= _INT_SEPARATION:
-            out[far] = _connection_large_z(a, b, zv[far])
-        else:
-            out[far] = _mpmath_pointwise(a, b, zv[far])
-    if scalar:
-        return float(out[0])
-    return out.reshape(np.shape(z))
+
+def _shaped(out: np.ndarray, z):
+    """out as a float for scalar z, else in the shape of z."""
+    return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
 def _validate_kernel_args(order: int, n_t: int, alpha: float) -> None:
@@ -332,11 +432,12 @@ def lambda_kernel(order: int, n_t: int, alpha: float, z):
     for ``n_t <= 64`` and ``z <= 1e4``); ``order >= 1`` gives the extra factor
     contributed by the order-th derivative of that exponent (values in
     (0, 1]).  Both facts are what make log-space term assembly safe in the
-    coverage sums.
+    coverage sums.  For ``order >= 1`` the value is the exp of the log
+    that the PZF law reads from :func:`_lambda_log_table`; it underflows
+    to 0 at large z, where that log stays finite.
     """
     _validate_kernel_args(order, n_t, alpha)
-    b = order - 2.0 / alpha
-    return hyp2f1_negz(n_t + order, b, b + 1.0, z)
+    return _kernel(n_t + order, order - 2.0 / alpha, z)
 
 
 def theta_kernel(order: int, n_t: int, alpha: float, z):
@@ -348,8 +449,15 @@ def theta_kernel(order: int, n_t: int, alpha: float, z):
     coincides with ``lambda_kernel(0, ...)``.
     """
     _validate_kernel_args(order, n_t, alpha)
-    b = order - 2.0 / alpha
-    return hyp2f1_negz(n_t, b, b + 1.0, z)
+    return _kernel(n_t, order - 2.0 / alpha, z)
+
+
+def _kernel(a: int, b: float, z):
+    """F(a, b; b+1; -z): order 0 (b < 0) in its monotone direct form, the
+    higher orders as the exp of the logs the coverage laws use."""
+    if b < 0.0:
+        return hyp2f1_negz(a, b, b + 1.0, z)
+    return _shaped(np.exp(_log_hyp2f1(float(a), b, _z_vector(z))), z)
 
 
 def radial_moment(p, b, alpha: float):

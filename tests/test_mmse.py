@@ -6,8 +6,11 @@ every integer partition.
 
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 
+from cellmimo import mmse
 from cellmimo.errors import ConfigError, SizeGuardError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.mmse import coverage_mmse
@@ -132,6 +135,21 @@ def test_law_matches_partition_sum(n_t, n_r):
             assert coverage_mmse(config, z) == pytest.approx(
                 _partition_sum(config, z), rel=1e-13, abs=0.0
             ), (alpha, sigma2, z)
+
+
+@pytest.mark.parametrize("z", [2.0**100, 1.3e30])
+def test_law_with_underflowing_kernels_matches_mpmath_kernels(monkeypatch, z):
+    # Theta_15(16, 3, z) is below the smallest float64 here, but its term
+    # Theta_15 z^15 is of the order of the coverage.
+    config = _config(16, 16, alpha=3.0)
+    got = coverage_mmse(config, z)
+
+    def mp_log_hyp2f1(a, b, zs):
+        with mp.workdps(40):
+            return np.array([float(mp.log(mp.hyp2f1(a, b, b + 1, -mp.mpf(x)))) for x in zs])
+
+    monkeypatch.setattr(mmse, "_log_hyp2f1", mp_log_hyp2f1)
+    assert got == pytest.approx(coverage_mmse(config, z), rel=1e-10, abs=0.0)
 
 
 def test_noise_hurts_and_density_helps():

@@ -170,6 +170,15 @@ def test_small_coverage_matches_adaptive_quadrature(n_t, n_r, m, alpha, z):
     assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
+def test_tail_slope_with_underflowing_kernels():
+    # For m = 1 the coverage at alpha = 4 falls as z^(-1/2) at large z.  The
+    # higher-order kernels are far below the smallest float64 there; in
+    # logs they keep every term of the sum.
+    config = _config(1, 11)
+    lo, hi = coverage_pzf(config, 2.0**112, 1), coverage_pzf(config, 2.0**128, 1)
+    assert math.log2(hi / lo) / 16.0 == pytest.approx(-0.5, abs=1e-4)
+
+
 # ----------------------------------------------------------------------
 # Conditional law given the distance ratio
 

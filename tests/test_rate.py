@@ -1,8 +1,13 @@
-"""Ergodic rate, rate quantiles, and the transmission-scheme conventions."""
+"""Ergodic rate, rate quantiles, and the transmission-scheme conventions.
+
+The ergodic rate's fixed Gauss-Kronrod rule is checked against adaptive
+scipy ``quad`` at 1e-11 relative, over the same truncated range.
+"""
 
 import math
 
 import pytest
+from scipy import integrate
 
 from cellmimo.errors import ConfigError, NumericError
 from cellmimo.geometry import NetworkConfig
@@ -13,6 +18,7 @@ from cellmimo.rate import (
     rate_profile,
     rate_quantile,
     sinr_ccdf,
+    stream_config,
 )
 
 
@@ -97,6 +103,59 @@ def test_ergodic_rate_exponential_oracle():
 def test_ergodic_rate_rejects_slow_decay():
     with pytest.raises(NumericError):
         ergodic_rate(lambda z: 1.0)
+
+
+def _quad_rate(ccdf):
+    """Adaptive quad over t = log2(1 + z) up to the first power of two
+    where the CCDF is below 1e-8, the cut the rule makes too."""
+    t_hi = 1.0
+    while ccdf(2.0**t_hi - 1.0) >= 1e-8:
+        t_hi *= 2.0
+    val, err = integrate.quad(
+        lambda t: ccdf(2.0**t - 1.0), 0.0, t_hi, epsabs=0.0, epsrel=1e-11, limit=500
+    )
+    assert err <= 1e-11 * val
+    return val
+
+
+@pytest.mark.parametrize("scheme,n_t,n_r,receiver,m,alpha,sigma2", [
+    ("sst", 1, 4, "pzf", 2, 3.0, 0.0),
+    ("sst", 1, 8, "pzf", 4, 3.0, 0.0),
+    ("sst", 1, 12, "pzf", 2, 3.0, 0.0),
+    ("sst", 1, 4, "mmse", None, 3.0, 0.0),
+    ("sm", 2, 4, "mmse", None, 3.0, 0.0),
+    ("sm", 4, 16, "mmse", None, 3.0, 0.0),
+    ("sm", 2, 4, "pzf", 1, 4.0, 1.0),
+    ("sm", 2, 4, "mmse", None, 4.0, 1.0),
+])
+def test_ergodic_rate_matches_adaptive_quad(scheme, n_t, n_r, receiver, m, alpha, sigma2):
+    config = stream_config(_config(n_t, n_r, alpha=alpha, sigma2=sigma2), scheme)
+    ccdf = sinr_ccdf(config, receiver, m=m)
+    assert ergodic_rate(ccdf) == pytest.approx(_quad_rate(ccdf), rel=1e-9, abs=0.0)
+
+
+def test_ergodic_rate_raises_at_the_bisection_cap():
+    # No panel that holds the jump ever meets the G7/K15 bound.
+    with pytest.raises(NumericError, match="bisections"):
+        ergodic_rate(lambda z: 1.0 if z < 10.0 else 0.0)
+
+
+def test_ergodic_rate_coverage_calls():
+    # 7 panels of 15 nodes plus a CCDF check at each panel end; adaptive
+    # quad with the t-cut doubling took 193.
+    ccdf = sinr_ccdf(_config(1, 4), "pzf", m=2)
+    calls = []
+    ergodic_rate(lambda z: calls.append(z) or ccdf(z))
+    assert len(calls) <= 120
+
+
+@pytest.mark.parametrize("n_r,m", [(10, 1), (12, 3)])
+def test_pzf_rate_with_far_tail_is_warning_free(n_r, m):
+    # The cut reaches t = 128, where higher-order kernels are far below
+    # the smallest float64; the suite turns any RuntimeWarning into an error.
+    config = _config(1, n_r, alpha=5.0)
+    rate = ergodic_rate(sinr_ccdf(config, "pzf", m=m))
+    assert 0.0 < rate < 20.0
 
 
 def test_default_split_rule():

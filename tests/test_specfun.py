@@ -109,6 +109,47 @@ def test_hyp2f1_matches_mpmath(n_t, order, alpha, log_z):
 
 @settings(deadline=None, max_examples=80)
 @given(
+    n_t=st.integers(min_value=1, max_value=16),
+    order=st.integers(min_value=0, max_value=20),
+    alpha=st.floats(min_value=2.05, max_value=6.0),
+    log_z=st.floats(min_value=-2.0, max_value=77.0),
+    theta=st.booleans(),
+)
+# Lambda_9(2^128) and Theta_15(2^100), Theta_15(1.3e30) are below the
+# smallest float64.
+@example(n_t=1, order=9, alpha=5.0, log_z=128 * math.log10(2.0), theta=False)
+@example(n_t=16, order=15, alpha=3.0, log_z=100 * math.log10(2.0), theta=True)
+@example(n_t=16, order=15, alpha=3.0, log_z=math.log10(1.3e30), theta=True)
+def test_log_kernels_match_mpmath(n_t, order, alpha, log_z, theta):
+    """The logs of the lambda (a = n_t + order) and theta (a = n_t) kernels
+    that both laws read agree with mpmath to 1e-12 relative, also where the
+    kernel itself underflows."""
+    z = 10.0**log_z
+    a = n_t if theta else n_t + order
+    b = order - 2.0 / alpha
+    got = specfun._log_hyp2f1(float(a), b, np.array([z]))[0]
+    with mp.workdps(40):
+        want = float(mp.log(mp.hyp2f1(a, b, b + 1, -mp.mpf(z))))
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 5.0])
+def test_lambda_log_table_matches_per_order_kernels(alpha):
+    """Every route is crossed: the shared Euler rule up to 1e4, the
+    per-order Euler rule where n_t + order > 28, the Pfaff series, the
+    connection formula and (alpha = 2.05) mpmath."""
+    x = 10.0 ** np.linspace(-300.0, 12.0, 105)
+    for n_t in range(1, 13):
+        table = specfun._lambda_log_table(n_t, alpha, x, 20)
+        for order in range(21):
+            want = lambda_kernel(order, n_t, alpha, x)
+            big = want > 1e-300
+            np.testing.assert_allclose(np.exp(table[order, big]), want[big], rtol=4e-15,
+                                       atol=0.0, err_msg=f"n_t={n_t}, order={order}")
+
+
+@settings(deadline=None, max_examples=80)
+@given(
     a=st.integers(min_value=1, max_value=specfun._QUAD_MAX_A_POSITIVE),
     order=st.integers(min_value=1, max_value=specfun._QUAD_MAX_A_POSITIVE),
     alpha=st.floats(min_value=2.01, max_value=2.1, exclude_max=True),
