@@ -382,13 +382,26 @@ def _add_network_flags(parser: argparse.ArgumentParser, *, with_m: bool = True) 
                         help="output file (default stdout); also writes PATH.manifest.json")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_mc_flags(parser: argparse.ArgumentParser, default_trials: int) -> None:
     parser.add_argument("--trials", type=int, default=default_trials,
                         help="Monte Carlo trials (default %(default)s)")
     parser.add_argument("--seed", type=int, default=0,
                         help="RNG seed (default %(default)s)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes (default %(default)s)")
+    parser.add_argument("--threads", type=_positive_int, default=None,
+                        help="worker processes, capped at the number of 512-trial chunks "
+                             "(default: the available cores, at most 10, where processes "
+                             "start by fork, else 1); results are bit-identical for every "
+                             "value")
 
 
 def build_parser() -> argparse.ArgumentParser:

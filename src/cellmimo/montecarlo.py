@@ -20,15 +20,22 @@ Two layers:
 
 Reproducibility contract: trials are partitioned into fixed 512-trial
 chunks; chunk ``c`` draws from ``SeedSequence([seed, c])`` and partial
-results are combined in chunk order.  Estimates are therefore bit-identical
-for a given (seed, trials, config), regardless of ``threads``.
+results are combined in chunk order.  Chunks run in ``threads`` worker
+processes.  The default is one per available core where workers start by
+``fork`` (at most ten, which bounds the memory of their slabs) and one
+process elsewhere, capped at the chunk count: a one-chunk call starts no
+process.  Estimates are bit-identical for a given (seed, trials, config)
+whatever the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import multiprocessing as mp
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -51,7 +58,9 @@ __all__ = [
 ]
 
 CHUNK_TRIALS = 512
-_SLAB_BYTES = 160_000_000  # channel-slab budget for the batched engine
+_SLAB_BYTES = 160_000_000  # per slab: its complex64 draws plus their scaled copy
+_POOL_BYTES = 1_600_000_000  # slabs of all default workers together
+_CPU_MAX = Path("/sys/fs/cgroup/cpu.max")  # cgroup v2 CPU quota: "<quota> <period>"
 _COND_LIMIT = 1e12
 _DIAG_FLOOR = 1e-12  # relative diagonal floor for noiseless covariance solves
 _NEAR_DOUBLE = 32  # nearest interferers whose covariance terms use float64
@@ -259,10 +268,35 @@ def _chunk_geometry(rng, lam, window_radius, n_trials, min_count):
     return r2
 
 
+_DRAW_SCALE = np.float32(1.0 / math.sqrt(2.0))  # a pair of N(0, 1) draws has variance 2
+
+
 def _draw_channels(rng, shape) -> np.ndarray:
     """Unit-variance complex Gaussian block in single precision."""
     raw = rng.standard_normal(shape + (2,), dtype=np.float32)
-    return raw.view(np.complex64)[..., 0] * np.float32(1.0 / math.sqrt(2.0))
+    return raw.view(np.complex64)[..., 0] * _DRAW_SCALE
+
+
+def _pzf_filters(h0: np.ndarray, near: np.ndarray | None) -> np.ndarray:
+    """Unit PZF filters for stream 0 of every trial of a chunk.
+
+    ``h0`` holds the serving channels (trials, n_r, n_t); ``near`` the
+    nulled interferers (trials, m-1, n_r, n_t), or None when m = 1.  The
+    desired channel is projected off the span of the serving cross streams
+    and every stream of ``near``, with one re-orthogonalization pass.
+    """
+    n_trials, n_r = h0.shape[:2]
+    h = h0[:, :, 0]
+    targets = [h0[:, :, 1:]]
+    if near is not None:
+        targets.append(near.transpose(0, 2, 1, 3).reshape(n_trials, n_r, -1).astype(np.complex128))
+    z_mat = np.concatenate(targets, axis=2)
+    p = h
+    if z_mat.shape[2]:
+        q, _ = np.linalg.qr(z_mat)
+        for _ in range(2):
+            p = p - np.einsum("bik,bk->bi", q, np.einsum("bik,bi->bk", q.conj(), p))
+    return p / np.linalg.norm(p, axis=1, keepdims=True)
 
 
 def _simulate_chunk(
@@ -277,22 +311,23 @@ def _simulate_chunk(
 
     The random stream is consumed in a fixed order (geometry, serving
     channels, interferer slabs) regardless of which receivers are read out,
-    so PZF and MMSE samples always refer to the same realizations.
+    so PZF and MMSE samples always refer to the same realizations.  Each
+    interferer slab is drawn once and scaled once, by sqrt(path gain) in
+    single precision, into a (trials, n_r, n_t, interferers) layout that
+    both receivers read.
     """
     n_r, n_t, alpha = config.n_r, config.n_t, config.alpha
     m = pzf_m if pzf_m is not None else 1
     r2 = _chunk_geometry(rng, config.lam, window_radius, n_trials, max(1, m))
-    serve_r2 = r2[:, 0]
-    with np.errstate(invalid="ignore"):
-        weights = r2[:, 1:] ** (-alpha / 2.0)  # interferer path gains d^-alpha
-    weights = np.nan_to_num(weights, nan=0.0, posinf=0.0).astype(np.float64)
-    serve_gain = serve_r2 ** (-alpha / 2.0)
-    n_int = weights.shape[1]
+    serve_gain = r2[:, 0] ** (-alpha / 2.0)
+    # Interferer amplitudes sqrt(d^-alpha) times the draw scale; the inf
+    # padding gives exactly 0.
+    amp = (r2[:, 1:] ** (-alpha / 4.0) * math.sqrt(0.5)).astype(np.float32)
+    n_int = amp.shape[1]
 
     h0 = _draw_channels(rng, (n_trials, n_r, n_t)).astype(np.complex128)
     h = h0[:, :, 0]
 
-    # Covariance accumulators (MMSE) and filters (PZF).
     noise = n_t * config.sigma2
     cov = None
     if want_mmse:
@@ -301,56 +336,45 @@ def _simulate_chunk(
         own = h0 @ h0.conj().transpose(0, 2, 1) - h[:, :, None] * h.conj()[:, None, :]
         cov += serve_gain[:, None, None] * own
 
-    v = None
+    v = _pzf_filters(h0, None) if pzf_m is not None and m == 1 else None
     i_pzf = np.zeros(n_trials)
     slab_cols = max(16, min(n_int, _SLAB_BYTES // max(1, 16 * n_trials * n_r * n_t)))
-    start = 0
-    while start < n_int or (start == 0 and n_int == 0):
+    for start in range(0, n_int, slab_cols):
         cols = min(slab_cols, n_int - start)
-        block = _draw_channels(rng, (n_trials, cols, n_r, n_t)) if cols else None
-
-        if start == 0 and pzf_m is not None:
-            # Nulling targets: serving cross streams + the m-1 nearest
-            # interferers (always inside the first slab).
-            targets = [np.delete(h0, 0, axis=2)]
-            if m > 1:
-                near = block[:, : m - 1].astype(np.complex128)
-                targets.append(near.transpose(0, 2, 1, 3).reshape(n_trials, n_r, -1))
-            z_mat = np.concatenate(targets, axis=2)
-            if z_mat.shape[2]:
-                q, _ = np.linalg.qr(z_mat)
-                p = h - np.einsum("bik,bk->bi", q, np.einsum("bik,bi->bk", q.conj(), h))
-                p = p - np.einsum("bik,bk->bi", q, np.einsum("bik,bi->bk", q.conj(), p))
-            else:
-                p = h
-            v = p / np.linalg.norm(p, axis=1, keepdims=True)
-
-        if cols:
-            flat = block.transpose(0, 2, 1, 3).reshape(n_trials, n_r, cols * n_t)
-            w_rep = np.repeat(weights[:, start : start + cols], n_t, axis=1)
-            if want_mmse:
-                # MMSE: accumulate sum_j d_j^-alpha H_j H_j^H.  The nearest
-                # interferers can outweigh the far field by many orders of
-                # magnitude; single-precision rounding of their terms would
-                # swamp the small eigenvalues the far field leaves and can
-                # make the covariance indefinite, so they go through double
-                # precision.  The far field stays in single precision.
-                near = n_t * min(cols, _NEAR_DOUBLE) if start == 0 else 0
-                if near:
-                    f = flat[:, :, :near].astype(np.complex128)
-                    cov += (f * w_rep[:, None, :near]) @ f.conj().transpose(0, 2, 1)
-                far = flat[:, :, near:]
-                cov += (far * w_rep[:, None, near:].astype(np.complex64)) @ far.conj().transpose(0, 2, 1)
-            if pzf_m is not None:
-                w_resid = w_rep.copy()
-                if start == 0 and m > 1:
-                    w_resid[:, : (m - 1) * n_t] = 0.0  # cancelled interferers
-                g = np.einsum("bi,bin->bn", v.conj().astype(np.complex64), flat)
-                power = g.real.astype(np.float64) ** 2 + g.imag.astype(np.float64) ** 2
-                i_pzf += (power * w_resid).sum(axis=1)
-            start += cols
-        if n_int == 0:
-            break
+        pairs = rng.standard_normal((n_trials, cols, n_r, n_t, 2), dtype=np.float32)
+        pairs = pairs.view(np.complex64)[..., 0]
+        if start == 0 and m > 1:
+            # Nulling targets: the m-1 nearest interferers (always inside
+            # the first slab), unweighted.
+            v = _pzf_filters(h0, pairs[:, : m - 1] * _DRAW_SCALE)
+        # Column c of stream t sits at slab[:, :, t, c]: with the interferer
+        # index innermost, the scaling pass runs along whole rows.
+        slab = np.empty((n_trials, n_r, n_t, cols), dtype=np.complex64)
+        np.multiply(pairs.transpose(0, 2, 3, 1), amp[:, None, None, start : start + cols], out=slab)
+        del pairs
+        if want_mmse:
+            # MMSE: accumulate sum_j d_j^-alpha H_j H_j^H.  The nearest
+            # interferers can outweigh the far field by many orders of
+            # magnitude; single-precision rounding of their terms would
+            # swamp the small eigenvalues the far field leaves and can
+            # make the covariance indefinite, so they go through double
+            # precision.  The far field stays in single precision.
+            near = min(cols, _NEAR_DOUBLE) if start == 0 else 0
+            if near:
+                f = slab[..., :near].astype(np.complex128).reshape(n_trials, n_r, n_t * near)
+                cov += f @ f.conj().transpose(0, 2, 1)
+            for t in range(n_t):
+                far = slab[:, :, t, near:]
+                cov += far @ far.conj().transpose(0, 2, 1)
+        if pzf_m is not None:
+            # Leakage of every interferer stream the filter does not null.
+            # einsum, not a batched matmul: a threaded BLAS gemv here
+            # oversubscribes the cores once chunks run in parallel.
+            g = np.einsum("bi,bin->bn", v.conj().astype(np.complex64),
+                          slab.reshape(n_trials, n_r, n_t * cols))
+            power = g.real.astype(np.float64) ** 2 + g.imag.astype(np.float64) ** 2
+            skip = m - 1 if start == 0 else 0
+            i_pzf += power.reshape(n_trials, n_t, cols)[:, :, skip:].sum(axis=(1, 2))
 
     out: dict[str, np.ndarray] = {}
     if pzf_m is not None:
@@ -376,6 +400,36 @@ def _chunk_worker(args) -> tuple[int, dict[str, np.ndarray]]:
     return index, _simulate_chunk(config, pzf_m, want_mmse, window_radius, rng, n_trials)
 
 
+def _available_cores() -> int:
+    """Cores this process may run on: its affinity mask where the OS has one,
+    lowered to a cgroup v2 CPU quota where one is set."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    try:
+        quota, period = _CPU_MAX.read_text().split()
+        cores = min(cores, max(1, math.ceil(int(quota) / int(period))))
+    except (OSError, ValueError):  # no such file, or no quota ("max")
+        pass
+    return cores
+
+
+def _default_workers() -> int:
+    """Worker processes for ``threads=None``.
+
+    The available cores, at most ``_POOL_BYTES // _SLAB_BYTES``, where
+    workers start by ``fork``.  Otherwise 1: a ``spawn`` or ``forkserver``
+    worker re-imports numpy and this package on every call (on 2 cores
+    that made a paired validate pass slower than one process), and it
+    re-runs an unguarded script's top-level code.
+    """
+    method = mp.get_start_method(allow_none=True) or mp.get_all_start_methods()[0]
+    if method != "fork":
+        return 1
+    return min(_available_cores(), _POOL_BYTES // _SLAB_BYTES)
+
+
 def _resolve_receivers(receivers) -> tuple[str, ...]:
     if isinstance(receivers, str):
         receivers = (receivers,)
@@ -396,20 +450,27 @@ def simulate_sinr(
     *,
     m: int | None = None,
     window_radius: float | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> dict[str, np.ndarray]:
     """Raw SINR samples per receiver, concatenated in chunk order.
 
     PZF and MMSE samples with the same index belong to the same network
     realization.  ``m`` is the PZF cancellation order (default:
     :func:`cellmimo.pzf.default_m`, the m minimizing the exact mean
-    inverse SINR).
+    inverse SINR).  ``threads`` is the number of worker processes, capped
+    at the chunk count; a one-chunk call runs in this process.  The default
+    is the available cores (at most ten) where workers start by ``fork``,
+    else 1.  The samples are bit-identical for every value.
     """
     receivers = _resolve_receivers(receivers)
     if not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    if threads is not None and (
+        isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1
+    ):
+        raise ConfigError(f"threads must be None or a positive integer, got {threads!r}")
     if window_radius is None:
         window_radius = default_window_radius(config.lam)
 
@@ -427,9 +488,10 @@ def simulate_sinr(
          min(CHUNK_TRIALS, int(trials) - c * CHUNK_TRIALS))
         for c in range(n_chunks)
     ]
+    workers = min(n_chunks, _default_workers() if threads is None else threads)
     results: list[dict[str, np.ndarray] | None] = [None] * n_chunks
-    if threads > 1 and n_chunks > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for index, res in pool.map(_chunk_worker, jobs, chunksize=1):
                 results[index] = res
     else:
@@ -470,7 +532,7 @@ def estimate_coverage(
     *,
     m: int | None = None,
     window_radius: float | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> McEstimate:
     """Monte Carlo coverage probability P[SINR > z] with standard error."""
     return estimate_coverage_curve(
@@ -488,7 +550,7 @@ def estimate_coverage_curve(
     *,
     m: int | None = None,
     window_radius: float | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> list[McEstimate]:
     """Coverage estimates for several thresholds from one simulation pass."""
     z_arr = np.asarray(list(z_values), dtype=float)
@@ -513,7 +575,7 @@ def estimate_rate(
     *,
     m: int | None = None,
     window_radius: float | None = None,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> McEstimate:
     """Monte Carlo per-stream ergodic rate E[log2(1 + SINR)]."""
     sinr = simulate_sinr(

@@ -209,6 +209,15 @@ def test_unknown_flag_exits_two():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "1.5"])
+def test_threads_flag_must_be_positive(value, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["validate", "--nt", "1", "--nr", "2", "--m", "1",
+                  "--trials", "128", "--threads", value])
+    assert err.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 def test_quantile_flag(capsys):
     code, out = _run(capsys, [
         "rate", "--rx", "pzf", "--nt", "1", "--nr", "4", "--m", "2",

@@ -8,6 +8,7 @@ than a statistical one.
 """
 
 import math
+import multiprocessing
 from pathlib import Path
 
 import mpmath as mp
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from cellmimo import montecarlo
 from cellmimo.errors import ConditioningError, ConfigError, NumericError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.montecarlo import (
@@ -287,22 +289,136 @@ def test_batched_mmse_survives_near_stations():
     assert sinr[t] == pytest.approx(1.52e7, rel=0.01)
 
 
+def _replay_reference(config, m, window, seeds, n_trials, slab_cols):
+    """PZF and MMSE SINR of every trial of one chunk through the float64
+    reference ops, on the chunk's draws taken slab by slab."""
+    rng = np.random.default_rng(seeds)
+    r2 = _chunk_geometry(rng, config.lam, window, n_trials, m)
+    h0 = _draw_channels(rng, (n_trials, config.n_r, config.n_t))
+    n_int = r2.shape[1] - 1
+    block = np.concatenate([
+        _draw_channels(rng, (n_trials, min(slab_cols, n_int - s), config.n_r, config.n_t))
+        for s in range(0, n_int, slab_cols)
+    ], axis=1)
+    ref = {"pzf": np.empty(n_trials), "mmse": np.empty(n_trials)}
+    for t in range(n_trials):
+        count = int(np.sum(np.isfinite(r2[t])))
+        real = NetworkRealization(
+            positions=np.column_stack((np.sqrt(r2[t, :count]), np.zeros(count))),
+            channels=np.concatenate((h0[t][None], block[t, : count - 1])).astype(np.complex128),
+            window_radius=window, lam=config.lam,
+        )
+        ref["pzf"][t] = pzf_sinr(real, config, m)
+        ref["mmse"][t] = mmse_sinr(real, config)
+    return ref
+
+
+@pytest.mark.parametrize("n_t, n_r, m, sigma2", [(2, 5, 2, 0.0), (1, 4, 3, 0.1 * math.pi**2)])
+def test_slab_loop_matches_reference_ops(monkeypatch, n_t, n_r, m, sigma2):
+    # 16-column slabs (the floor of the slab size), so the nulled columns,
+    # the double-precision nearest interferers and the single-precision far
+    # field each meet a slab boundary.
+    monkeypatch.setattr(montecarlo, "_SLAB_BYTES", 1)
+    config = _config(n_t, n_r, sigma2=sigma2)
+    window, n_trials, seeds = 6.0, 48, np.random.SeedSequence([31, 2])
+    out = _simulate_chunk(config, m, True, window, np.random.default_rng(seeds), n_trials)
+    ref = _replay_reference(config, m, window, seeds, n_trials, slab_cols=16)
+    for receiver in ("pzf", "mmse"):
+        np.testing.assert_allclose(out[receiver], ref[receiver], rtol=1e-4)
+
+
 # ----------------------------------------------------------------------
 # Reproducibility and statistical agreement
 
 def test_bit_identical_across_runs_and_threads():
     config = _config(2, 4)
     kwargs = dict(trials=3 * CHUNK_TRIALS // 2, seed=9, m=1, window_radius=8.0)
-    a = simulate_sinr(config, ("pzf", "mmse"), **kwargs)
-    b = simulate_sinr(config, ("pzf", "mmse"), **kwargs)
+    a = simulate_sinr(config, ("pzf", "mmse"), threads=1, **kwargs)
+    b = simulate_sinr(config, ("pzf", "mmse"), threads=1, **kwargs)
     c = simulate_sinr(config, ("pzf", "mmse"), threads=2, **kwargs)
+    default = simulate_sinr(config, ("pzf", "mmse"), **kwargs)  # 2 workers under fork
+    assert not multiprocessing.active_children()  # every worker was joined
     for key in ("pzf", "mmse"):
         assert a[key].shape == (kwargs["trials"],)
         np.testing.assert_array_equal(a[key], b[key])
         np.testing.assert_array_equal(a[key], c[key])
+        np.testing.assert_array_equal(a[key], default[key])
     d = simulate_sinr(config, ("pzf", "mmse"), trials=kwargs["trials"],
                       seed=10, m=1, window_radius=8.0)
     assert not np.array_equal(a["pzf"], d["pzf"])
+
+
+def test_one_chunk_call_starts_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk call started a process pool")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(montecarlo, "_available_cores", lambda: 4)
+    config = _config(1, 2)
+    for threads in (None, 4):
+        out = simulate_sinr(config, "pzf", CHUNK_TRIALS, 3, m=1, window_radius=6.0,
+                            threads=threads)
+        assert out["pzf"].shape == (CHUNK_TRIALS,)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_default_is_one_process_without_fork(monkeypatch, method):
+    # spawn/forkserver workers re-import the package and re-run an unguarded
+    # script, so the default stays in this process even on many chunks.
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the default started a process pool")
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(montecarlo, "_available_cores", lambda: 8)
+    monkeypatch.setattr(montecarlo.mp, "get_start_method", lambda allow_none=False: method)
+    assert montecarlo._default_workers() == 1
+    out = simulate_sinr(_config(1, 2), "pzf", 2 * CHUNK_TRIALS, 3, m=1, window_radius=6.0)
+    assert out["pzf"].shape == (2 * CHUNK_TRIALS,)
+    # Unset start method: the platform default (the first one listed) decides.
+    monkeypatch.setattr(montecarlo.mp, "get_start_method", lambda allow_none=False: None)
+    monkeypatch.setattr(montecarlo.mp, "get_all_start_methods", lambda: [method, "fork"])
+    assert montecarlo._default_workers() == 1
+
+
+def test_default_workers_under_fork_are_capped(monkeypatch):
+    monkeypatch.setattr(montecarlo.mp, "get_start_method", lambda allow_none=False: "fork")
+    for cores, workers in ((1, 1), (2, 2), (64, 10)):
+        monkeypatch.setattr(montecarlo, "_available_cores", lambda: cores)
+        assert montecarlo._default_workers() == workers
+    assert 10 * montecarlo._SLAB_BYTES <= montecarlo._POOL_BYTES
+
+
+@pytest.mark.skipif(not hasattr(montecarlo.os, "sched_getaffinity"),
+                    reason="no affinity mask on this platform")
+@pytest.mark.parametrize("cpu_max, cores", [
+    ("150000 100000\n", 2), ("50000 100000\n", 1), ("max 100000\n", 8), (None, 8),
+])
+def test_available_cores_honour_cgroup_quota(monkeypatch, tmp_path, cpu_max, cores):
+    path = tmp_path / "cpu.max"
+    if cpu_max is not None:
+        path.write_text(cpu_max)
+    monkeypatch.setattr(montecarlo, "_CPU_MAX", path)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert montecarlo._available_cores() == cores
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched chunk only when forked")
+def test_worker_error_propagates_and_workers_are_joined(monkeypatch):
+    def failing_chunk(*args, **kwargs):
+        raise ConditioningError("forced")
+
+    monkeypatch.setattr(montecarlo, "_simulate_chunk", failing_chunk)
+    with pytest.raises(ConditioningError, match="forced"):
+        simulate_sinr(_config(1, 2), "pzf", 4 * CHUNK_TRIALS, 0, m=1, threads=2)
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("threads", [0, -3, 1.5, True, "2"])
+def test_threads_must_be_a_positive_int(threads):
+    # Rejected before any chunk runs, so no worker process starts.
+    with pytest.raises(ConfigError):
+        simulate_sinr(_config(1, 2), "pzf", 128, 0, m=1, threads=threads)
 
 
 def test_receiver_subset_preserves_stream():
