@@ -26,7 +26,7 @@ from .errors import ConfigError, NumericError
 from .geometry import NetworkConfig
 from .montecarlo import estimate_coverage_curve, simulate_sinr
 from .pzf import argmin_mean_inverse_sinr, optimal_m
-from .rate import ergodic_rate, rate_quantile, sinr_ccdf, stream_config
+from .rate import _sum_rate, ergodic_rate, rate_quantile, sinr_ccdf, stream_config
 
 __all__ = ["RunManifest", "main"]
 
@@ -258,9 +258,7 @@ def cmd_rate(args: argparse.Namespace, argv: list[str], started: float) -> int:
         raise ConfigError("--quantiles values must lie in (0, 1)")
 
     ccdf = sinr_ccdf(stream_config(config, args.scheme), args.rx, m=m)
-    mean = ergodic_rate(ccdf)
-    if args.scheme == "sm":
-        mean *= config.n_t
+    mean = _sum_rate(args.scheme, config.n_t, ergodic_rate(ccdf))
     qvals = {
         _quantile_label(q): rate_quantile(
             args.scheme, ccdf, config.n_t, q, convention=args.convention

@@ -24,8 +24,8 @@ class SizeGuardError(ConfigError):
     checked for.
 
     For coverage laws this means an antenna count above the analytic-law
-    guards (n_r > 16 for MMSE, delta > 20 for PZF); the Monte Carlo
-    estimator has no such limit.
+    guards (n_r > 16 or n_t > 40 for MMSE; delta > 20 or n_t + delta > 40
+    for PZF); the Monte Carlo estimator has no such limit.
     """
 
 

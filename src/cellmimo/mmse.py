@@ -18,8 +18,8 @@ A term depends on its integer partition (parts at most n_t) only through a
 product over the parts and the partition length, so each sum over
 partitions is one coefficient of a polynomial power, read from the table of
 :func:`cellmimo.specfun._power_table`; its recurrence adds positive numbers
-only.  The law is checked up to n_r = 16, hence the guard; beyond that, use
-the Monte Carlo estimator, which has no such limit.
+only.  The law is checked up to n_r = 16 and n_t = 40, hence the guards;
+beyond them, use the Monte Carlo estimator, which has no such limit.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from scipy import special as _sp
 
 from .errors import ConfigError, SizeGuardError
 from .geometry import NetworkConfig
-from .specfun import _log_hyp2f1, _power_table, radial_moment
+from .specfun import _MAX_A, _log_hyp2f1, _power_table, radial_moment
 
 __all__ = ["coverage_mmse"]
 
@@ -53,15 +53,15 @@ def coverage_mmse(config: NetworkConfig, z: float) -> float:
     the radial moment J (:func:`cellmimo.specfun.radial_moment`) and
     b = z n_t sigma2 / (pi lam Theta_0)^(alpha/2).  Without noise only
     v = 0 occurs and J(ell, 0) = ell!, which is why the zero-noise law is
-    intensity-free.  z must be finite and >= 0; n_r above 16 raises
-    SizeGuardError.
+    intensity-free.  z must be finite and >= 0; n_r above 16 or n_t (the
+    kernels' first parameter) above 40 raises SizeGuardError.
     """
     if not (z >= 0.0 and math.isfinite(z)):
         raise ConfigError(f"threshold must be finite and >= 0, got {z!r}")
     n_t, n_r, alpha = config.n_t, config.n_r, config.alpha
-    if n_r > _MAX_NR:
+    if n_r > _MAX_NR or n_t > _MAX_A:
         raise SizeGuardError(
-            f"n_r={n_r} exceeds the analytic-law guard ({_MAX_NR}); "
+            f"n_r={n_r} or n_t={n_t} exceeds the analytic-law guard ({_MAX_NR} or {_MAX_A}); "
             "use the Monte Carlo estimator for larger arrays"
         )
     z = float(z)
@@ -70,7 +70,7 @@ def coverage_mmse(config: NetworkConfig, z: float) -> float:
 
     # log Theta_p = log theta_kernel(p, n_t, alpha, z), which never underflows.
     log_theta = np.array([
-        _log_hyp2f1(float(n_t), p - 2.0 / alpha, np.array([z]))[0]
+        _log_hyp2f1(n_t, p - 2.0 / alpha, np.array([z]))[0]
         for p in range(min(n_t, n_r - 1) + 1)
     ])
     log_z, log_1pz = math.log(z), math.log1p(z)

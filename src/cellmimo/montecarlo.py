@@ -554,8 +554,9 @@ def estimate_coverage_curve(
 ) -> list[McEstimate]:
     """Coverage estimates for several thresholds from one simulation pass."""
     z_arr = np.asarray(list(z_values), dtype=float)
-    if z_arr.size and np.any(z_arr < 0.0):
-        raise ConfigError("thresholds must be >= 0")
+    # NaN fails both comparisons.
+    if not np.all((z_arr >= 0.0) & (z_arr < math.inf)):
+        raise ConfigError("thresholds must be finite and >= 0")
     if z_arr.size == 0:
         return []
     sinr = simulate_sinr(

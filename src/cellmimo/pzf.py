@@ -35,7 +35,7 @@ from scipy import special as _sp
 
 from .errors import ConfigError, NumericError, SizeGuardError
 from .geometry import NetworkConfig
-from .specfun import _lambda_log_table, _power_table, pochhammer, radial_moment
+from .specfun import _MAX_A, _lambda_log_table, _power_table, pochhammer, radial_moment
 
 __all__ = [
     "coverage_pzf",
@@ -153,14 +153,15 @@ def coverage_pzf(config: NetworkConfig, z: float, m: int) -> float:
     through the combination z n_t sigma2 / (pi lam)^(alpha/2); with
     sigma2 = 0 the law is scale-free and the base-station intensity drops
     out entirely.  ``m`` is the cancellation order (the m - 1 nearest
-    interferers are nulled); z must be finite and >= 0.  delta above 20
-    raises SizeGuardError.
+    interferers are nulled); z must be finite and >= 0.  delta above 20 or
+    n_t + delta (the kernels' largest first parameter) above 40 raises
+    SizeGuardError.
     """
     delta = _split_delta(config.n_t, config.n_r, m)
-    if delta > _MAX_DELTA:
+    if delta > _MAX_DELTA or config.n_t + delta > _MAX_A:
         raise SizeGuardError(
-            f"delta={delta} exceeds the analytic-law guard ({_MAX_DELTA}); "
-            "use the Monte Carlo estimator for larger arrays"
+            f"delta={delta} or n_t + delta={config.n_t + delta} exceeds the analytic-law guard "
+            f"({_MAX_DELTA} or {_MAX_A}); use the Monte Carlo estimator for larger arrays"
         )
     if not (z >= 0.0 and math.isfinite(z)):
         raise ConfigError(f"threshold must be finite and >= 0, got {z!r}")

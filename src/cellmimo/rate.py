@@ -215,8 +215,14 @@ def mean_sum_rate(
     ``sst``: one stream shared by time division, sum rate C(1, n_r).
     """
     config = NetworkConfig(lam=lam, alpha=alpha, sigma2=sigma2, n_t=n_t, n_r=n_r)
-    rate = ergodic_rate(sinr_ccdf(stream_config(config, scheme), receiver, m=m))
-    return n_t * rate if scheme == "sm" else rate
+    ccdf = sinr_ccdf(stream_config(config, scheme), receiver, m=m)
+    return _sum_rate(scheme, n_t, ergodic_rate(ccdf))
+
+
+def _sum_rate(scheme: str, n_t: int, per_stream: float) -> float:
+    """Cell sum rate from the per-stream ergodic rate: n_t streams for
+    ``sm``, one for ``sst``."""
+    return n_t * per_stream if scheme == "sm" else per_stream
 
 
 def rate_profile(
@@ -234,11 +240,8 @@ def rate_profile(
     """Mean sum rate plus the 5% (cell-edge) and 80% rate quantiles."""
     config = NetworkConfig(lam=lam, alpha=alpha, sigma2=sigma2, n_t=n_t, n_r=n_r)
     ccdf = sinr_ccdf(stream_config(config, scheme), receiver, m=m)
-    mean = ergodic_rate(ccdf)
-    if scheme == "sm":
-        mean = n_t * mean
     return RateProfile(
-        mean_rate=mean,
+        mean_rate=_sum_rate(scheme, n_t, ergodic_rate(ccdf)),
         q05=rate_quantile(scheme, ccdf, n_t, 0.05, convention=convention),
         q80=rate_quantile(scheme, ccdf, n_t, 0.80, convention=convention),
         scheme=scheme,

@@ -6,48 +6,47 @@ family
 
     F(a, b; b + 1; -z),    z >= 0,
 
-together with the gamma function and Pochhammer symbols.  The stock
-``scipy.special.hyp2f1`` loses up to six digits in parts of this family
-(cancellation for large z when a and b are close), which is not good enough
-for the tolerance-stacked quadratures built on top of it, so ``hyp2f1_negz``
-evaluates the family directly:
+with integer 1 <= a <= 40, -1 < b <= 32 and b != 0 (the Λ_j and Θ_p
+kernels of both laws, which all have b < a), together with the gamma
+function and Pochhammer symbols.  The stock ``scipy.special.hyp2f1`` loses
+up to six digits in parts of this family (cancellation for large z when a
+and b are close), which is not good enough for the tolerance-stacked
+quadratures built on top of it, so ``hyp2f1_negz`` evaluates the family by
+one quadrature rule plus one exact identity:
 
-* integer a with either -1 < b < 0 (a <= 64; the order-0 coverage
-  kernels) or 0 < b <= 32 (a <= 28; the higher orders), for ``z <= 1e4``:
-  the Euler integral ``F = b ∫_0^1 t^(b-1) (1+zt)^(-a) dt`` (DLMF 15.6.1)
-  by one fixed-node panel rule.  For b > 0 the integrand is positive and
-  is summed as it stands.  For b < 0 it is summed in the form
+* the Euler integral ``F = b ∫_0^1 t^(b-1) (1+zt)^(-a) dt`` (DLMF 15.6.1)
+  by one fixed-node panel rule, for z <= 1e4 when b < 0 or a <= 28, and
+  for z <= 4 otherwise.  For b > 0 the integrand is positive and is summed
+  as it stands.  For b < 0 it is summed in the form
   ``1 + δ ∫_0^1 t^(-δ-1) [1 - (1+zt)^(-a)] dt`` with ``δ = -b``, built
   from additions, multiplications and divisions of nonnegative numbers
   only, so rounding can never make the computed function decrease in z.
-* otherwise ``z <= 24``: Pfaff transformation ``(1+z)^(-a) F(a, 1; b+1; w)``
-  with ``w = z/(1+z) <= 0.96``.  All series terms are positive for
-  a > 0 and b > -1, so there is no cancellation; terms are generated in
-  vectorized blocks.
-* beyond that: the standard connection formula in ``1/z`` whose second
-  hypergeometric factor is again in-family with argument ``1/z < 1/24``,
-  so it converges in a handful of terms.  It is taken in logs,
-  ``log F = log g1 - b log z + log1p((g2/g1) z^(b-a) tail)``, so it never
-  underflows.  This path needs ``a - b > 0`` away from integers (the
-  formula degenerates there).
-* the rare remaining corner (``a - b`` not positive, or within 0.05 of an
-  integer, beyond the first two routes) falls back to mpmath at 30
-  significant digits, which returns the log too.  The coverage kernels
-  reach it only where 2/α is within 0.05 of an integer (α < 2.11 or
-  α > 40), at z > 1e4, or at z > 24 for the orders beyond the Euler
-  route's bounds.
+* beyond that, the same integral split at infinity.  With c = a - b > 0,
 
-The domain is a > 0 and b > -1, where F > 0.  The achieved accuracy is
-verified against mpmath in the test suite at 1e-12 relative over the full
-parameter box used by the coverage laws.
+      F(a, b; b+1; -z) = z^(-b) [G - (b/c) z^(-c) F(a, c; c+1; -1/z)],
+      G = Γ(b+1) Γ(c) / Γ(a),
+
+  exactly (this is the 1/z connection formula, whose second gamma ratio
+  Γ(b+1)Γ(b-a)/(Γ(b)Γ(b+1-a)) is -b/c in this family, so it has no pole).
+  The second F is the panel rule again, at argument 1/z <= 1/4.  It is
+  taken in logs, ``log F = -b log z + log(G - ...)``, so it never
+  underflows; for b < 0 both terms in the bracket are positive.
+
+Against mpmath at 40 digits (random kernels of both laws, α from 2.0001
+to 1e4, z up to 1e77) log F is within 4e-13 on the panel rule's side and
+5e-13 on the reflected side, the rounding of b log z at |log F| in the
+thousands.  Relative to log F (2.01 <= α <= 1000) the reflected side is
+within 3e-14 and the panel rule's within 9e-13, at worst near α = 2 and
+z = 0.01, where log F is near 0.  The tests check both kernel
+families' logs at 1e-12 up to z = 1e77.
 
 Both coverage laws take the logs of their kernels (:func:`_log_hyp2f1`),
 which stay finite where a kernel itself is below the smallest float64, so
 no term of their sums is lost at large z.  The PZF law reads every order
 of its kernel at once from :func:`_lambda_log_table`, which shares the
-Euler rule's work across the orders.  Both laws read their sums over
-partitions from one coefficient table of a polynomial power,
-:func:`_power_table`.
+panel rule's work across the orders on both sides of the switch.  Both
+laws read their sums over partitions from one coefficient table of a
+polynomial power, :func:`_power_table`.
 
 Receiver noise adds one more function, the radial moment
 ``J(p, b) = ∫_0^∞ y^p exp(-y - b y^(α/2)) dy`` (:func:`radial_moment`),
@@ -73,39 +72,29 @@ __all__ = [
     "radial_moment",
 ]
 
-# Switch point between the direct Pfaff series and the 1/z connection
-# formula.  At z = 24 the Pfaff argument is w = 0.96, where the series
-# still converges comfortably (worst case ~2000 terms), while 1/z = 0.042
-# already makes the connection series very short.
-_SERIES_SWITCH = 24.0
-# Minimum distance of a - b from the nearest integer for the connection
-# formula; closer than this the gamma prefactors start cancelling and we
-# delegate to mpmath.
-_INT_SEPARATION = 0.05
-# Series terms per block, doubling from _FIRST_BLOCK: the connection
-# formula's series (w < 1/25) needs only a few terms.
-_FIRST_BLOCK = 8
-_BLOCK = 64
-_MAX_TERMS = 8192
-_TERM_STOP = 1e-17
+# The kernel family: integer 1 <= a <= _MAX_A, -1 < b <= _MAX_B, b != 0.
+# The panel rule's error grows with the pole order a and with b beyond
+# these bounds: 3.9e-11 in log F at a = 41-64 and z <= 4, 1e-11 at b = 100.
+_MAX_A = 40
+_MAX_B = 32.0
 # Euler-integral quadrature: Gauss-Legendre panels [8^-(k+1), 8^-k], k < 6,
 # plus a Gauss-Jacobi panel [0, 8^-6] that absorbs the t^(b-1) endpoint
-# power.  Up to z = 1e4 the integrand's pole at t = -1/z stays more than 25
-# origin-panel lengths from that panel.  Against mpmath the rule is within
-# 1e-14 for a <= 64 and -1 < b < 0, and within 4e-13 for a <= 28 and
-# 0 < b <= 32; its error grows with the pole order a (9.4e-13 at a = 32,
-# 4e-12 at a = 40) and with b beyond 32 (1e-11 at b = 100).
+# power.  It takes z <= _QUAD_Z_MAX for b < 0 and for a up to
+# _QUAD_MAX_A_POSITIVE, where the integrand's pole at t = -1/z stays more
+# than 25 origin-panel lengths from that panel, and z <= _QUAD_Z_SHORT for
+# larger a; the reflected form takes every larger z.
 _QUAD_Z_MAX = 1.0e4
-_QUAD_MAX_A = 64
 _QUAD_MAX_A_POSITIVE = 28
-_QUAD_MAX_B = 32.0
+_QUAD_Z_SHORT = 4.0
 _QUAD_PANEL_RATIO = 0.125
 _QUAD_PANELS = 6
 _QUAD_PANEL_NODES = 24
 _QUAD_ORIGIN_NODES = 12
 # Panel nodes other than the origin panel's, the same for every b.
 _SHARED_NODES = _QUAD_PANELS * _QUAD_PANEL_NODES
-# Rows of z per quadrature block, to bound the (rows x nodes) work array.
+# Rows of z per quadrature block: a larger (rows x nodes) matrix-vector
+# product can take OpenBLAS's threaded gemv, which on a 2-vCPU Xeon took
+# 8.0 ms for 2984 x 156 against 0.19 ms on one thread (2048 rows: 0.11 ms).
 _QUAD_ROWS = 2048
 # Radial moment: trapezoid step in units of the integrand's peak width and
 # in units of 1/s (s = alpha/2), the tail cut (log of the peak-to-cut
@@ -134,46 +123,6 @@ def pochhammer(x: float, n: int) -> float:
     for i in range(int(n)):
         out *= x + i
     return out
-
-
-def _pfaff_series(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """F(a, b; b+1; -z) for 0 <= z <= 24 via the Pfaff-transformed series."""
-    w = z / (1.0 + z)
-    acc = np.ones_like(w)
-    term = np.ones_like(w)
-    n0, block = 1, _FIRST_BLOCK
-    while n0 < _MAX_TERMS:
-        n = np.arange(n0, n0 + block, dtype=float)
-        # ratio t_n / t_{n-1} = w * (a + n - 1) / (b + n)
-        ratios = ((a + n - 1.0) / (b + n)).reshape((block,) + (1,) * w.ndim) * w
-        terms = term * np.cumprod(ratios, axis=0)
-        acc = acc + terms.sum(axis=0)
-        term = terms[-1]
-        n0 += block
-        block = min(2 * block, _BLOCK)
-        if np.all(np.abs(term) <= _TERM_STOP * np.abs(acc)):
-            break
-    else:
-        raise NumericError(
-            f"hypergeometric series did not converge within {_MAX_TERMS} terms "
-            f"(a={a}, b={b}, max z={z.max() if z.size else 'n/a'})"
-        )
-    return (1.0 + z) ** (-a) * acc
-
-
-def _log_connection(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """log F(a, b; b+1; -z) for z > 24 via the 1/z connection formula,
-    F = g1 z^(-b) [1 + (g2/g1) z^(b-a) F(a, a-b; a-b+1; -1/z)].
-
-    Requires a - b > 0 away from integers and b > -1, so that g1 > 0 and
-    the first term dominates; the caller guarantees both.  In this form
-    the value never underflows.
-    """
-    d = a - b
-    g1 = math.gamma(b + 1.0) * math.gamma(d) / math.gamma(a)
-    g2 = math.gamma(b + 1.0) * math.gamma(-d) / (math.gamma(b) * math.gamma(b + 1.0 - a))
-    tail = _pfaff_series(a, d, 1.0 / z)
-    return math.log(g1) - b * np.log(z) + np.log1p((g2 / g1) * z ** (-d) * tail)
 
 
 @lru_cache(maxsize=128)
@@ -208,22 +157,24 @@ def _panel_nodes(b: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _euler_integral(a: int, b: float, z: np.ndarray) -> np.ndarray:
     """F(a, b; b+1; -z) = b int_0^1 t^(b-1) (1+zt)^(-a) dt (DLMF 15.6.1)
-    for integer a >= 1 and 0 <= z <= 1e4, by the panel rule.
+    for integer a >= 1 and 0 <= z <= :func:`_direct_limit`, by the panel
+    rule; for b < 0 it returns F - 1.
 
     For b > 0 the integrand is positive and F = b sum_i c_i y_i^a with
     y_i = 1/(1 + z t_i), capped at 1, the exact bound of F that rounding of
     sum_i c_i can exceed by an ulp at z ~ 0.  (The form of the b < 0 case
     below, 1 - b sum_i c_i g(z t_i), would cancel catastrophically here,
     where F is small at large z.)  The powers y^a come from repeated
-    multiplication, as in :func:`_lambda_log_table`, whose Euler sums are
-    therefore these to the last bit.
+    multiplication, as in :func:`_lambda_log_table`, whose sums are
+    therefore these to the last bit on its direct side.
 
-    For -1 < b < 0 (delta = -b) it is F = 1 + delta sum_i c_i g(z t_i)
+    For -1 < b < 0 (delta = -b) it is F - 1 = delta sum_i c_i g(z t_i)
     with g from :func:`_monotone_g`.  Every operation is then a correctly
     rounded +, * or / of nonnegative operands, each monotone in its
     z-dependent operand, and the sum runs in the same order for every z,
-    so z1 <= z2 gives F(z1) <= F(z2) exactly; the form is also free of
-    cancellation.
+    so z1 <= z2 gives F(z1) <= F(z2) exactly for F = 1 + (F - 1); the form
+    is also free of cancellation, and log1p of it keeps log F accurate
+    relative to itself where F is close to 1 (small z or |b|).
     """
     t, c = _panel_nodes(b)
     out = np.empty_like(z)
@@ -235,7 +186,7 @@ def _euler_integral(a: int, b: float, z: np.ndarray) -> np.ndarray:
             out[blk] = _euler_sum(b, c, shared, origin)
         else:
             x = np.multiply.outer(z[blk], t)
-            out[blk] = 1.0 - b * (_monotone_g(a, x) * c).sum(axis=-1)
+            out[blk] = -b * (_monotone_g(a, x) * c).sum(axis=-1)
     return out
 
 
@@ -259,39 +210,91 @@ def _euler_sum(b: float, c: np.ndarray, shared: np.ndarray, origin: np.ndarray) 
     return np.minimum(b * (shared @ c[:_SHARED_NODES] + origin @ c[_SHARED_NODES:]), 1.0)
 
 
+def _direct_limit(a: int, b: float) -> float:
+    """Largest z at which the panel rule takes F(a, b; b+1; -z)."""
+    return _QUAD_Z_MAX if b < 0.0 or a <= _QUAD_MAX_A_POSITIVE else _QUAD_Z_SHORT
+
+
+def _log_reflected(a: int, bs: list[float], c: float, z: np.ndarray) -> np.ndarray:
+    """log F(a + k, b_k; b_k + 1; -z) for the k-th entry b_k of ``bs``, as
+    rows of a (len(bs), z.size) array, for z beyond :func:`_direct_limit`,
+    by the exact 1/z identity of the module docstring.  Every row must have
+    the same c = a + k - b_k > 0, so the tails F(a + k, c; c+1; -1/z) share
+    one node set: y = 1/(1 + t/z) is formed once and y^(a + k) by repeated
+    multiplication.
+
+    The identity follows from F = b z^(-b) ∫_0^z s^(b-1) (1+s)^(-a) ds:
+    the integral to infinity is the beta function B(b, c) = G / b, and the
+    one from z to infinity becomes, in s = 1/u, z^(-c) F(a, c; c+1; -1/z)
+    / c.  With n = floor(b) and f = b - n (exact), Γ(a-b) in G is taken as
+    Γ(1-f) (1-f)(2-f)...(m-f), m = a - 1 - n.  Γ of the rounded c = a - b
+    would lose the low bits of a small b: 1.4e-14 of G at a = 40, where
+    log F is itself close to 0.
+    """
+    g = []
+    for k, b in enumerate(bs):
+        n = math.floor(b)
+        f = b - n
+        m = a + k - 1 - n
+        ratio = math.factorial(m) / math.factorial(a + k - 1)  # m! / Γ(a + k), correctly rounded
+        ratio *= math.prod((i - f) / i for i in range(1, m + 1))
+        g.append(math.gamma(1.0 + b) * math.gamma(1.0 - f) * ratio)
+    t, w = _panel_nodes(c)
+    out = np.empty((len(bs), z.size))
+    for start in range(0, z.size, _QUAD_ROWS):
+        blk = slice(start, start + _QUAD_ROWS)
+        log_z, z_c = np.log(z[blk]), z[blk] ** -c
+        shared = _reciprocal(1.0 / z[blk], t[:_SHARED_NODES])
+        origin = _reciprocal(1.0 / z[blk], t[_SHARED_NODES:])
+        p_shared, p_origin = _power(shared, a), _power(origin, a)
+        for k, b in enumerate(bs):
+            if k:
+                p_shared *= shared
+                p_origin *= origin
+            tail = _euler_sum(c, w, p_shared, p_origin)
+            out[k, blk] = np.log(g[k] - (b / c) * z_c * tail) - b * log_z
+    return out
+
+
 def _lambda_log_table(n_t: int, alpha: float, x: np.ndarray, delta: int) -> np.ndarray:
     """log lambda_kernel(j, n_t, alpha, x) for every order j = 0..delta, as
-    rows of a (delta + 1, x.size) array; x is 1-d, finite and >= 0.
+    rows of a (delta + 1, x.size) array; x is 1-d, finite and >= 0, and
+    n_t + delta <= 40.
 
-    On the Euler route (x <= 1e4, n_t + j <= 28) the orders share their
-    work: y = 1/(1 + x t) is formed once on the panel nodes, which do not
-    depend on the order, and y^(n_t + j) from y^(n_t + j - 1) by one
+    The orders j >= 1 share their work on both sides of the switch.  On the
+    direct side y = 1/(1 + x t) is formed once on the panel nodes, which do
+    not depend on the order, and y^(n_t + j) from y^(n_t + j - 1) by one
     multiplication; only the origin panel's nodes are per order.  Those
-    sums are :func:`_euler_integral`'s to the last bit, so the table
-    agrees with :func:`lambda_kernel` to rounding.  Other points and
-    orders take the per-order routes.
+    sums are :func:`_euler_integral`'s to the last bit.  On the reflected
+    side c = a - b = n_t + 2/α is the same for every order, so
+    :func:`_log_reflected` serves them all from one node set.  The table
+    agrees with :func:`lambda_kernel` to rounding.
     """
     s = 2.0 / alpha
     out = np.empty((delta + 1, x.size))
-    out[0] = _log_hyp2f1(float(n_t), -s, x)
-    shared = min(delta, _QUAD_MAX_A_POSITIVE - n_t)
-    near = (x <= _QUAD_Z_MAX) & (shared > 0)
-    rows = np.flatnonzero(near)
+    out[0] = _log_hyp2f1(n_t, -s, x)
+    if delta == 0:
+        return out
+    # Each order's switch point; it falls from 1e4 to 4 once n_t + j > 28.
+    limits = np.array([_direct_limit(n_t + j, j - s) for j in range(1, delta + 1)])
+    # Reflected side first: its work arrays never coexist with the loop's.
+    far = np.flatnonzero(x > limits[-1])
+    if far.size:
+        logs = _log_reflected(n_t + 1, [j - s for j in range(1, delta + 1)], n_t + s, x[far])
+    rows = np.flatnonzero(x <= limits[0])
     t_shared = _panel_nodes(1.0 - s)[0][:_SHARED_NODES]
     for start in range(0, rows.size, _QUAD_ROWS):
         blk = rows[start:start + _QUAD_ROWS]
         y = _reciprocal(x[blk], t_shared)
         p = _power(y, n_t)
-        for j in range(1, shared + 1):
+        for j in range(1, delta + 1):
             p *= y
             t, c = _panel_nodes(j - s)
             origin = _power(_reciprocal(x[blk], t[_SHARED_NODES:]), n_t + j)
             out[j, blk] = np.log(_euler_sum(j - s, c, p, origin))
-    # The per-order routes take the orders beyond the shared ones, and the
-    # shared orders only where some x is beyond the Euler route.
-    for j in range(1 if rows.size < x.size else shared + 1, delta + 1):
-        cols = ~near if j <= shared else slice(None)
-        out[j, cols] = _log_hyp2f1(float(n_t + j), j - s, x[cols])
+    # The reflected side takes each order beyond its own switch point.
+    if far.size:
+        out[1:, far] = np.where(x[far] > limits[:, None], logs, out[1:, far])
     return out
 
 
@@ -313,55 +316,40 @@ def _monotone_g(a: int, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def _mpmath_pointwise(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """log F(a, b; b+1; -z) by mpmath at 30 digits, one point at a time."""
-    from mpmath import mp
-
-    out = np.empty_like(z)
-    with mp.workdps(30):
-        for idx in np.ndindex(z.shape):
-            out[idx] = float(mp.log(mp.hyp2f1(a, b, b + 1.0, -z[idx])))
-    return out
-
-
-def _routes(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(near, v): v = F(a, b; b+1; -z) where ``near`` (the Euler integral or
-    the Pfaff series) and v = log F elsewhere (the connection formula or
-    mpmath), for validated a > 0, b > -1 and a 1-d array z."""
-    euler = a.is_integer() and (
-        (-1.0 < b < 0.0 and a <= _QUAD_MAX_A)
-        or (0.0 < b <= _QUAD_MAX_B and a <= _QUAD_MAX_A_POSITIVE)
-    )
-    near = z <= (_QUAD_Z_MAX if euler else _SERIES_SWITCH)
+def _routes(a: int, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(near, v): v = F(a, b; b+1; -z) (F - 1 for b < 0) where ``near``
+    (the panel rule) and v = log F elsewhere (the reflected form), for
+    (a, b) in the family and a 1-d array z."""
+    a = int(a)
+    near = z <= _direct_limit(a, b)
     out = np.empty_like(z)
     if np.any(near):
-        out[near] = _euler_integral(int(a), b, z[near]) if euler else _pfaff_series(a, b, z[near])
+        out[near] = _euler_integral(a, b, z[near])
     if not np.all(near):
-        far = ~near
-        d = a - b
-        if d > 0.0 and abs(d - round(d)) >= _INT_SEPARATION:
-            out[far] = _log_connection(a, b, z[far])
-        else:
-            out[far] = _mpmath_pointwise(a, b, z[far])
+        out[~near] = _log_reflected(a, [b], a - b, z[~near])[0]
     return near, out
 
 
-def _log_hyp2f1(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """log F(a, b; b+1; -z) for a > 0, b > -1 and a 1-d array of finite
-    z >= 0, unvalidated.  It stays finite where F, which decays like
+def _log_hyp2f1(a: int, b: float, z: np.ndarray) -> np.ndarray:
+    """log F(a, b; b+1; -z) for (a, b) in the family and a 1-d array of
+    finite z >= 0, unvalidated.  It stays finite where F, which decays like
     z^(-b), is below the smallest float64."""
     near, out = _routes(a, b, z)
-    out[near] = np.log(out[near])
+    out[near] = np.log1p(out[near]) if b < 0.0 else np.log(out[near])
     return out
 
 
 def hyp2f1_negz(a: float, b: float, c: float, z):
-    """Gauss hypergeometric F(a, b; c; -z) for the family c = b + 1, z >= 0.
+    """Gauss hypergeometric F(a, b; c; -z) for the kernel family c = b + 1,
+    z >= 0.
 
     Parameters
     ----------
-    a, b : float
-        Upper parameters, a > 0 and b > -1 (F is positive there).
+    a : int or float
+        Integer first parameter, 1 <= a <= 40.
+    b : float
+        -1 < b <= 32 and b != 0 (F is positive there), and b < a where z
+        is beyond the panel rule's range.
     c : float
         Must equal ``b + 1`` up to rounding; that is the only family the
         coverage laws need, and restricting to it is what makes a fast
@@ -375,38 +363,43 @@ def hyp2f1_negz(a: float, b: float, c: float, z):
 
     Notes
     -----
-    Integer ``a`` with -1 < b < 0 or 0 < b <= 32 takes the Euler integral
-    up to z = 1e4, vectorized over z; other parameters take the Pfaff
-    series up to z = 24.  Beyond those the 1/z connection formula applies,
-    or mpmath where ``a - b`` is not positive or within 0.05 of an integer
-    (see the module docstring for the bounds on ``a``); both return log F,
-    whose exp is the value.
+    The panel rule for the Euler integral takes z up to 1e4 (b < 0 or
+    a <= 28) or up to 4 (larger a), vectorized over z; the exact 1/z
+    identity of the module docstring takes larger z and returns log F,
+    whose exp is the value.  Parameters outside the family raise
+    :class:`ConfigError`.
     """
     a = float(a)
     b = float(b)
     c = float(c)
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise ConfigError("hypergeometric parameters must be finite")
-    if abs(c - (b + 1.0)) > 1e-9 * max(1.0, abs(b)):
+    # NaN fails the comparison; non-finite a fails the family check.
+    if not abs(c - (b + 1.0)) <= 1e-9 * max(1.0, abs(b)):
         raise ConfigError(f"unsupported parameter family: expected c = b + 1, got a={a}, b={b}, c={c}")
     if c <= 0.0 and abs(c - round(c)) < 1e-9:
         raise PoleError(f"hypergeometric c parameter at a pole: c={c}")
-
-    if not (a > 0.0 and b > -1.0):
-        raise ConfigError(f"hyp2f1_negz needs a > 0 and b > -1, got a={a}, b={b}")
-
-    zv = _z_vector(z)
-    near, out = _routes(a, b, zv)
+    zv = _family_z(a, b, z)
+    near, out = _routes(int(a), b, zv)
+    if b < 0.0:
+        out[near] += 1.0
     out[~near] = np.exp(out[~near])
     return _shaped(out, z)
 
 
-def _z_vector(z) -> np.ndarray:
-    """z as a flat float array, checked to be finite and >= 0."""
+def _family_z(a: float, b: float, z) -> np.ndarray:
+    """z as a flat float array, with (a, b, z) checked against the kernel
+    family: integer 1 <= a <= 40, -1 < b <= 32, b != 0, finite z >= 0, and
+    b < a wherever z is beyond the panel rule's range (the reflected form
+    needs c = a - b > 0)."""
     zv = np.asarray(z, dtype=float).ravel()
     # NaN fails both comparisons.
     if zv.size and not (zv.min() >= 0.0 and zv.max() < math.inf):
         raise ConfigError("hyp2f1_negz requires finite z >= 0")
+    if not (float(a).is_integer() and 1.0 <= a <= _MAX_A and -1.0 < b <= _MAX_B and b != 0.0) or (
+            b >= a and zv.size and zv.max() > _direct_limit(int(a), b)):
+        raise ConfigError(
+            f"F(a, b; b+1; -z) needs integer 1 <= a <= {_MAX_A}, -1 < b <= {_MAX_B:g}, b != 0, "
+            f"and b < a beyond z = 1e4 (4 for a > 28); got a={a}, b={b}"
+        )
     return zv
 
 
@@ -429,12 +422,13 @@ def lambda_kernel(order: int, n_t: int, alpha: float, z):
 
     ``order = 0`` gives the exponent of the interference Laplace functional
     (values >= 1, increasing in z, and nondecreasing in floating point too
-    for ``n_t <= 64`` and ``z <= 1e4``); ``order >= 1`` gives the extra factor
-    contributed by the order-th derivative of that exponent (values in
-    (0, 1]).  Both facts are what make log-space term assembly safe in the
-    coverage sums.  For ``order >= 1`` the value is the exp of the log
-    that the PZF law reads from :func:`_lambda_log_table`; it underflows
-    to 0 at large z, where that log stays finite.
+    for ``z <= 1e4``); ``order >= 1`` gives the extra factor contributed by
+    the order-th derivative of that exponent (values in (0, 1]).  Both
+    facts are what make log-space term assembly safe in the coverage sums.
+    For ``order >= 1`` the value is the exp of the log that the PZF law
+    reads from :func:`_lambda_log_table`; it underflows to 0 at large z,
+    where that log stays finite.  ``n_t + order`` above 40 raises
+    :class:`ConfigError` (see :func:`hyp2f1_negz`).
     """
     _validate_kernel_args(order, n_t, alpha)
     return _kernel(n_t + order, order - 2.0 / alpha, z)
@@ -446,7 +440,9 @@ def theta_kernel(order: int, n_t: int, alpha: float, z):
     Same family as :func:`lambda_kernel` but with the first parameter fixed
     at ``n_t``; this is the form that appears when averaging products of
     per-interferer gain powers over the Poisson field.  ``order = 0``
-    coincides with ``lambda_kernel(0, ...)``.
+    coincides with ``lambda_kernel(0, ...)``.  The MMSE law reads orders up
+    to ``n_t``; a higher order is accepted only where the panel rule takes
+    z (see :func:`hyp2f1_negz`).
     """
     _validate_kernel_args(order, n_t, alpha)
     return _kernel(n_t, order - 2.0 / alpha, z)
@@ -457,7 +453,7 @@ def _kernel(a: int, b: float, z):
     higher orders as the exp of the logs the coverage laws use."""
     if b < 0.0:
         return hyp2f1_negz(a, b, b + 1.0, z)
-    return _shaped(np.exp(_log_hyp2f1(float(a), b, _z_vector(z))), z)
+    return _shaped(np.exp(_log_hyp2f1(a, b, _family_z(a, b, z))), z)
 
 
 def radial_moment(p, b, alpha: float):

@@ -178,3 +178,6 @@ def test_antenna_count_guard():
     with pytest.raises(SizeGuardError):
         coverage_mmse(_config(1, 17), 1.0)
     coverage_mmse(_config(1, 16), 1.0)  # boundary stays supported
+    with pytest.raises(SizeGuardError):  # first kernel parameter n_t = 41
+        coverage_mmse(_config(41, 8), 1.0)
+    assert 0.0 < coverage_mmse(_config(40, 8), 1.0) < 1.0  # n_t = 40 stays supported

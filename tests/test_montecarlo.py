@@ -485,5 +485,8 @@ def test_estimate_fields_and_validation():
         simulate_sinr(_config(1, 2), "pzf", 128, -1)
     with pytest.raises(ConfigError):
         simulate_sinr(_config(1, 2), "mmse", 128, 0, m=1)
-    with pytest.raises(ConfigError):
-        estimate_coverage_curve(_config(1, 2), "pzf", [-1.0], 128, 0, m=1)
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            estimate_coverage_curve(_config(1, 2), "pzf", [bad], 128, 0, m=1)
+        with pytest.raises(ConfigError):
+            estimate_coverage(_config(1, 2), "pzf", bad, 128, 0, m=1)

@@ -323,6 +323,9 @@ def test_surplus_dimension_guard():
         with pytest.raises(SizeGuardError):
             coverage_pzf(_config(1, n_r), 1.0, m)
     coverage_pzf(_config(1, 22), 1.0, 2)  # delta = 20 stays supported
+    with pytest.raises(SizeGuardError):  # n_t + delta = 41
+        coverage_pzf(_config(21, 41), 1.0, 1)
+    assert 0.0 < coverage_pzf(_config(20, 40), 1.0, 1) < 1.0  # n_t + delta = 40
 
 
 # ----------------------------------------------------------------------

@@ -8,20 +8,21 @@ large z.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import cellmimo
 from cellmimo import specfun
 from cellmimo.errors import ConfigError, NumericError, PoleError
-from cellmimo.geometry import NetworkConfig
-from cellmimo.mmse import coverage_mmse
-from cellmimo.pzf import coverage_pzf
 from cellmimo.specfun import (
     hyp2f1_negz,
     lambda_kernel,
@@ -31,15 +32,16 @@ from cellmimo.specfun import (
 )
 
 # (a, b, z) -> 2F1(a, b; b+1; -z), 22 significant digits.  The cases span
-# all three evaluation paths: the transformed series (z <= 24), the
-# large-z connection formula, and the near-degenerate fallback.
+# both evaluation paths: the Euler-integral panel rule (z <= 1e4, or z <= 4
+# for a > 28 and b > 0) and the 1/z identity beyond it.
 _HYP_ORACLES = {
     (2.0, -0.5, 4.0): 4.721446153382271509051,
-    (3.5, 0.25, 0.5): 0.7834315665760718291929,
     (5.0, 1.5, 24.0): 0.001565566660514945217576,
-    (2.5, 0.5, 1.0e6): 0.0006666666666664166670833,
-    (4.25, 1.75, 300.0): 1.193326781842561429259e-5,
-    (3.0000001, 1.0, 100.0): 0.004999509602226026005299,
+    (3.0, 0.5, 1.0e6): 0.0005890486225480860322122,
+    (30.0, 2.5, 100.0): 7.84021169594643110767e-9,
+    (1.0, -0.5, 1.0e30): 1570796326794896.634849,
+    (8.0, 6.5, 1.0e8): 3.290388789971367106492e-53,
+    (40.0, -0.75, 1.0e5): 323526.8513530546887396,
 }
 
 _KERNEL_ORACLES = [
@@ -64,7 +66,8 @@ def test_kernel_frozen_oracles():
 
 
 def test_hyp2f1_at_zero_is_one():
-    assert hyp2f1_negz(3.7, 0.25, 1.25, 0.0) == 1.0
+    assert hyp2f1_negz(4.0, 0.25, 1.25, 0.0) == 1.0
+    assert hyp2f1_negz(4.0, -0.25, 0.75, 0.0) == 1.0
 
 
 def test_gamma_oracles():
@@ -87,17 +90,36 @@ def test_hyp2f1_domain_errors():
         hyp2f1_negz(2.0, 0.5, 1.5, -0.5)  # negative z
     with pytest.raises(ConfigError):
         hyp2f1_negz(2.0, -1.0, 0.0, 1.0)  # c at a pole
+    for a, b, z in [
+        (3.5, 0.25, 0.5),  # non-integer a
+        (41.0, 0.5, 1.0),  # a above 40
+        (0.0, 0.5, 1.0),  # a below 1
+        (2.0, 0.0, 1.0),  # b = 0
+        (2.0, 32.5, 1.0),  # b above 32
+        (2.0, 2.5, 1.0e5),  # b >= a beyond the panel rule
+        (2.0, 2.0, 1.0e5),
+    ]:
+        with pytest.raises(ConfigError):
+            hyp2f1_negz(a, b, b + 1.0, z)
+    with pytest.raises(ConfigError):
+        lambda_kernel(21, 20, 4.0, 1.0)  # first parameter 41
+    # b >= a stays in the domain where the panel rule takes z.
+    assert 0.0 < hyp2f1_negz(2.0, 2.5, 3.5, 1.0e4) < 1.0
 
 
 @settings(deadline=None, max_examples=80)
 @given(
-    n_t=st.integers(min_value=1, max_value=8),
-    order=st.integers(min_value=0, max_value=6),
+    n_t=st.integers(min_value=1, max_value=40),
+    order=st.integers(min_value=0, max_value=20),
     alpha=st.floats(min_value=2.1, max_value=6.0),
     log_z=st.floats(min_value=-3.0, max_value=8.0),
 )
+# a = 40 at z = 100: the panel rule itself is 4e-12 off here, so a > 28
+# must switch to the 1/z identity above z = 4.
+@example(n_t=20, order=20, alpha=4.0, log_z=2.0)
 def test_hyp2f1_matches_mpmath(n_t, order, alpha, log_z):
     """1e-12 relative agreement with mpmath over the kernel parameter range."""
+    assume(n_t + order <= specfun._MAX_A)
     z = 10.0**log_z
     b = order - 2.0 / alpha
     a = n_t + order
@@ -107,11 +129,18 @@ def test_hyp2f1_matches_mpmath(n_t, order, alpha, log_z):
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def _in_family(a, b, z):
+    """a <= 40, b <= 32, and b >= a only where the panel rule takes z (the
+    laws themselves read b < a only)."""
+    return (a <= specfun._MAX_A and b <= specfun._MAX_B
+            and (b < a or z <= specfun._direct_limit(a, b)))
+
+
 @settings(deadline=None, max_examples=80)
 @given(
-    n_t=st.integers(min_value=1, max_value=16),
+    n_t=st.integers(min_value=1, max_value=40),
     order=st.integers(min_value=0, max_value=20),
-    alpha=st.floats(min_value=2.05, max_value=6.0),
+    alpha=st.floats(min_value=2.05, max_value=1000.0),
     log_z=st.floats(min_value=-2.0, max_value=77.0),
     theta=st.booleans(),
 )
@@ -127,6 +156,7 @@ def test_log_kernels_match_mpmath(n_t, order, alpha, log_z, theta):
     z = 10.0**log_z
     a = n_t if theta else n_t + order
     b = order - 2.0 / alpha
+    assume(_in_family(a, b, z))
     got = specfun._log_hyp2f1(float(a), b, np.array([z]))[0]
     with mp.workdps(40):
         want = float(mp.log(mp.hyp2f1(a, b, b + 1, -mp.mpf(z))))
@@ -135,9 +165,9 @@ def test_log_kernels_match_mpmath(n_t, order, alpha, log_z, theta):
 
 @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 5.0])
 def test_lambda_log_table_matches_per_order_kernels(alpha):
-    """Every route is crossed: the shared Euler rule up to 1e4, the
-    per-order Euler rule where n_t + order > 28, the Pfaff series, the
-    connection formula and (alpha = 2.05) mpmath."""
+    """Both routes are crossed on both sides of each order's switch point:
+    the panel rule up to 1e4 (up to 4 where n_t + order > 28) and the 1/z
+    identity beyond."""
     x = 10.0 ** np.linspace(-300.0, 12.0, 105)
     for n_t in range(1, 13):
         table = specfun._lambda_log_table(n_t, alpha, x, 20)
@@ -150,21 +180,28 @@ def test_lambda_log_table_matches_per_order_kernels(alpha):
 
 @settings(deadline=None, max_examples=80)
 @given(
-    a=st.integers(min_value=1, max_value=specfun._QUAD_MAX_A_POSITIVE),
-    order=st.integers(min_value=1, max_value=specfun._QUAD_MAX_A_POSITIVE),
+    a=st.integers(min_value=1, max_value=specfun._MAX_A),
+    order=st.integers(min_value=1, max_value=specfun._MAX_A),
     alpha=st.floats(min_value=2.01, max_value=2.1, exclude_max=True),
-    log_z=st.floats(min_value=-3.0, max_value=4.0),
+    log_z=st.floats(min_value=-3.0, max_value=77.0),
 )
 def test_hyp2f1_near_alpha_two_matches_mpmath(a, order, alpha, log_z):
-    """1e-12 relative agreement with mpmath where 2/alpha is within 0.05 of
-    1, over the orders and first parameters of the Euler-integral route
+    """Agreement of log F with mpmath where 2/alpha is within 0.05 of 1,
+    over the orders and first parameters of both laws' kernels
     (lambda kernels have a = n_t + order, theta kernels a = n_t)."""
     z = 10.0**log_z
     b = order - 2.0 / alpha
-    got = hyp2f1_negz(float(a), b, b + 1.0, z)
-    with mp.workdps(30):
-        want = float(mp.hyp2f1(a, b, b + 1.0, -z))
-    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assume(_in_family(a, b, z))
+    got = specfun._log_hyp2f1(a, b, np.array([z]))[0]
+    with mp.workdps(40):
+        want = float(mp.log(mp.hyp2f1(a, b, b + 1, -mp.mpf(z))))
+    if z <= 1e4:
+        # F to 1e-12 relative, which is log F to 1e-12 absolute.
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+    else:
+        # |log F| reaches thousands here, where its own rounding exceeds
+        # 1e-12 absolute, so log F is checked relative to itself.
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @settings(deadline=None, max_examples=40)
@@ -229,21 +266,28 @@ def test_higher_kernels_in_unit_interval_near_zero(alpha):
                     assert 0.0 < value <= 1.0, (kernel.__name__, order, n_t, z)
 
 
-def test_kernels_skip_mpmath_below_the_euler_bound(monkeypatch):
-    """Near alpha = 2 (2/alpha within 0.05 of 1) every kernel the zero-noise
-    laws need up to z = 1e4 comes from the Euler integral, not mpmath."""
-
-    def refuse(a, b, z):
-        raise AssertionError(f"mpmath reached: a={a}, b={b}")
-
-    monkeypatch.setattr(specfun, "_mpmath_pointwise", refuse)
-    zs = [10.0 ** (db / 10.0) for db in range(-5, 21)]
-    pzf_config = NetworkConfig(lam=1.0, alpha=2.05, sigma2=0.0, n_t=1, n_r=4)
-    mmse_config = NetworkConfig(lam=1.0, alpha=2.05, sigma2=0.0, n_t=4, n_r=16)
-    pzf_curve = [coverage_pzf(pzf_config, z, 2) for z in zs]
-    mmse_curve = [coverage_mmse(mmse_config, z) for z in zs]
-    for curve in (pzf_curve, mmse_curve):
-        assert all(1.0 >= v > w > 0.0 for v, w in zip(curve, curve[1:]))
+def test_laws_run_without_mpmath():
+    """No module of the package needs mpmath at run time: both laws near
+    alpha = 2, a kernel far beyond the panel rule and the MMSE law at a
+    large alpha and threshold run with the import blocked."""
+    code = """
+import sys
+sys.modules["mpmath"] = None
+from cellmimo import NetworkConfig, coverage_mmse, coverage_pzf, lambda_kernel
+zs = [10.0 ** (db / 10.0) for db in range(-5, 21)]
+pzf_config = NetworkConfig(lam=1.0, alpha=2.05, sigma2=0.0, n_t=1, n_r=4)
+mmse_config = NetworkConfig(lam=1.0, alpha=2.05, sigma2=0.0, n_t=4, n_r=16)
+for curve in ([coverage_pzf(pzf_config, z, 2) for z in zs],
+              [coverage_mmse(mmse_config, z) for z in zs]):
+    assert all(1.0 >= v > w > 0.0 for v, w in zip(curve, curve[1:])), curve
+assert 0.0 < lambda_kernel(1, 1, 2.02, 1e30) < 1.0
+steep = NetworkConfig(lam=1.0, alpha=100.0, sigma2=0.0, n_t=2, n_r=4)
+assert 0.0 < coverage_mmse(steep, 1e6) < 1.0
+"""
+    src = os.path.dirname(os.path.dirname(cellmimo.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
 
 
 @settings(deadline=None, max_examples=40)
