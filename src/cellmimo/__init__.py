@@ -21,7 +21,6 @@ from .errors import (
     ConditioningError,
     ConfigError,
     NumericError,
-    PoleError,
     SizeGuardError,
 )
 from .geometry import NetworkConfig
@@ -58,7 +57,6 @@ __all__ = [
     "McEstimate",
     "NetworkConfig",
     "NumericError",
-    "PoleError",
     "RateProfile",
     "SizeGuardError",
     "__version__",

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 from . import __version__
 from .errors import ConfigError, NumericError
 from .geometry import NetworkConfig
-from .montecarlo import estimate_coverage_curve, simulate_sinr
+from .montecarlo import _reduce, estimate_coverage_curve, simulate_sinr
 from .pzf import argmin_mean_inverse_sinr, optimal_m
 from .rate import _sum_rate, ergodic_rate, rate_quantile, sinr_ccdf, stream_config
 
@@ -326,6 +326,8 @@ def cmd_validate(args: argparse.Namespace, argv: list[str], started: float) -> i
     grid_db = _parse_zdb_range(args.zdb)
     if not grid_db:
         raise ConfigError("validation needs a nonempty z-range")
+    if args.trials < 2:
+        raise ConfigError("validation needs at least 2 trials: one has no standard error")
 
     sinr = simulate_sinr(
         config, receivers, args.trials, args.seed, m=m, threads=args.threads,
@@ -339,9 +341,8 @@ def cmd_validate(args: argparse.Namespace, argv: list[str], started: float) -> i
         for z_db in grid_db:
             z = _db_to_linear(z_db)
             exact = ccdf(z)
-            hits = (samples > z).astype(float)
-            mc = float(hits.mean())
-            se = float(hits.std(ddof=1)) / math.sqrt(hits.size)
+            est = _reduce((samples > z).astype(float), args.trials, args.seed)
+            mc, se = est.mean, est.std_error
             if se > 0.0:
                 score = (mc - exact) / se
             else:

@@ -15,10 +15,6 @@ class ConfigError(CellMimoError, ValueError):
     """A parameter is outside the supported domain."""
 
 
-class PoleError(ConfigError):
-    """A special function was evaluated at a pole."""
-
-
 class SizeGuardError(ConfigError):
     """A size guard tripped: the input lies beyond the range a law is
     checked for.

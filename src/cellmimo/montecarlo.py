@@ -8,15 +8,18 @@ interference around the 1e-4 relative level).
 
 Two layers:
 
-* Reference ops (:func:`sample_network`, :func:`pzf_filter`,
-  :func:`pzf_sinr`, :func:`mmse_sinr`) - one realization at a time, plain
-  float64, written for auditability.  The property tests (filter
-  orthogonality, gain distributions, MMSE-vs-PZF dominance) run on these.
-
 * A batched engine (:func:`simulate_sinr` and the estimators built on it) -
   vectorized over trials in fixed chunks of 512, single-precision channel
-  draws, used for production estimates.  The two layers are checked against
-  each other on identical draws in the test suite.
+  draws, used for production estimates.  It is the only network sampler.
+
+* Reference receivers (:func:`pzf_filter`, :func:`pzf_sinr`,
+  :func:`mmse_sinr`) - one :class:`NetworkRealization` at a time, plain
+  float64, written for auditability.  A realization is a list of station
+  distances and channel matrices: either prescribed, or one trial of the
+  engine's own chunk draws replayed, which is how the test suite checks
+  the two layers against each other on identical draws.  The property
+  tests (filter orthogonality, gain distributions, MMSE-vs-PZF dominance)
+  run on these.
 
 Reproducibility contract: trials are partitioned into fixed 512-trial
 chunks; chunk ``c`` draws from ``SeedSequence([seed, c])`` and partial
@@ -47,7 +50,6 @@ __all__ = [
     "NetworkRealization",
     "McEstimate",
     "default_window_radius",
-    "sample_network",
     "pzf_filter",
     "pzf_sinr",
     "mmse_sinr",
@@ -84,64 +86,12 @@ def default_window_radius(lam: float) -> float:
 class NetworkRealization:
     """One draw of the network as seen from the typical user at the origin.
 
-    positions : (J, 2) station coordinates sorted by distance (serving first)
+    distances : (J,) station distances, sorted (serving first)
     channels  : (J, n_r, n_t) complex channel matrices, same order
-    window_radius, lam : the sampling window and intensity that produced it
     """
 
-    positions: np.ndarray
+    distances: np.ndarray
     channels: np.ndarray
-    window_radius: float
-    lam: float
-
-    @property
-    def distances(self) -> np.ndarray:
-        return np.hypot(self.positions[:, 0], self.positions[:, 1])
-
-    @property
-    def serving_distance(self) -> float:
-        return float(np.hypot(self.positions[0, 0], self.positions[0, 1]))
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def sample_network(
-    lam: float,
-    window_radius: float | None,
-    seed,
-    *,
-    n_r: int,
-    n_t: int,
-) -> NetworkRealization:
-    """Draw one Poisson network and its channel matrices.
-
-    The station count is Poisson with mean ``lam * pi * window_radius**2``
-    (redrawn in the zero-count corner so a serving station always exists),
-    positions are uniform on the disk, and entries of each channel matrix
-    are i.i.d. circularly-symmetric unit-variance complex Gaussians.
-    """
-    if window_radius is None:
-        window_radius = default_window_radius(lam)
-    if not (lam > 0.0 and window_radius > 0.0):
-        raise ConfigError("need lam > 0 and window_radius > 0")
-    rng = _as_rng(seed)
-    mean_count = lam * math.pi * window_radius**2
-    count = 0
-    while count == 0:
-        count = int(rng.poisson(mean_count))
-    radii = window_radius * np.sqrt(np.sort(rng.random(count)))
-    angles = rng.uniform(0.0, 2.0 * math.pi, count)
-    positions = np.column_stack((radii * np.cos(angles), radii * np.sin(angles)))
-    raw = rng.standard_normal((count, n_r, n_t, 2))
-    channels = (raw[..., 0] + 1j * raw[..., 1]) / math.sqrt(2.0)
-    return NetworkRealization(
-        positions=positions, channels=channels,
-        window_radius=float(window_radius), lam=float(lam),
-    )
 
 
 def _pzf_targets(realization: NetworkRealization, m: int, stream: int) -> np.ndarray:

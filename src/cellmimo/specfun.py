@@ -6,13 +6,13 @@ family
 
     F(a, b; b + 1; -z),    z >= 0,
 
-with integer 1 <= a <= 40, -1 < b <= 32 and b != 0 (the Λ_j and Θ_p
-kernels of both laws, which all have b < a), together with the gamma
-function and Pochhammer symbols.  The stock ``scipy.special.hyp2f1`` loses
-up to six digits in parts of this family (cancellation for large z when a
-and b are close), which is not good enough for the tolerance-stacked
-quadratures built on top of it, so ``hyp2f1_negz`` evaluates the family by
-one quadrature rule plus one exact identity:
+with integer 1 <= a <= 40, -1 < b <= 32, b != 0 and b < a (the Λ_j and
+Θ_p kernels of both laws), together with the gamma function and Pochhammer
+symbols.  The stock ``scipy.special.hyp2f1`` loses up to six digits in
+parts of this family (cancellation for large z when a and b are close),
+which is not good enough for the tolerance-stacked quadratures built on
+top of it, so ``hyp2f1_negz`` evaluates the family by one quadrature rule
+plus one exact identity:
 
 * the Euler integral ``F = b ∫_0^1 t^(b-1) (1+zt)^(-a) dt`` (DLMF 15.6.1)
   by one fixed-node panel rule, for z <= 1e4 when b < 0 or a <= 28, and
@@ -62,7 +62,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sp
 
-from .errors import ConfigError, NumericError, PoleError
+from .errors import ConfigError, NumericError
 
 __all__ = [
     "pochhammer",
@@ -72,7 +72,7 @@ __all__ = [
     "radial_moment",
 ]
 
-# The kernel family: integer 1 <= a <= _MAX_A, -1 < b <= _MAX_B, b != 0.
+# The kernel family: integer 1 <= a <= _MAX_A, -1 < b <= _MAX_B, b != 0, b < a.
 # The panel rule's error grows with the pole order a and with b beyond
 # these bounds: 3.9e-11 in log F at a = 41-64 and z <= 4, 1e-11 at b = 100.
 _MAX_A = 40
@@ -339,21 +339,20 @@ def _log_hyp2f1(a: int, b: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def hyp2f1_negz(a: float, b: float, c: float, z):
-    """Gauss hypergeometric F(a, b; c; -z) for the kernel family c = b + 1,
-    z >= 0.
+def hyp2f1_negz(a: float, b: float, z):
+    """Gauss hypergeometric F(a, b; b + 1; -z) for z >= 0.
+
+    The third parameter is always ``b + 1``: that is the only family the
+    coverage laws need, and restricting to it is what makes a fast
+    accurate evaluation possible.
 
     Parameters
     ----------
     a : int or float
         Integer first parameter, 1 <= a <= 40.
     b : float
-        -1 < b <= 32 and b != 0 (F is positive there), and b < a where z
-        is beyond the panel rule's range.
-    c : float
-        Must equal ``b + 1`` up to rounding; that is the only family the
-        coverage laws need, and restricting to it is what makes a fast
-        accurate evaluation possible.
+        -1 < b <= 32, b != 0 and b < a (F is positive there, and the 1/z
+        identity needs a - b > 0).
     z : float or ndarray
         Nonnegative; the function is evaluated at argument ``-z``.
 
@@ -371,12 +370,6 @@ def hyp2f1_negz(a: float, b: float, c: float, z):
     """
     a = float(a)
     b = float(b)
-    c = float(c)
-    # NaN fails the comparison; non-finite a fails the family check.
-    if not abs(c - (b + 1.0)) <= 1e-9 * max(1.0, abs(b)):
-        raise ConfigError(f"unsupported parameter family: expected c = b + 1, got a={a}, b={b}, c={c}")
-    if c <= 0.0 and abs(c - round(c)) < 1e-9:
-        raise PoleError(f"hypergeometric c parameter at a pole: c={c}")
     zv = _family_z(a, b, z)
     near, out = _routes(int(a), b, zv)
     if b < 0.0:
@@ -387,18 +380,17 @@ def hyp2f1_negz(a: float, b: float, c: float, z):
 
 def _family_z(a: float, b: float, z) -> np.ndarray:
     """z as a flat float array, with (a, b, z) checked against the kernel
-    family: integer 1 <= a <= 40, -1 < b <= 32, b != 0, finite z >= 0, and
-    b < a wherever z is beyond the panel rule's range (the reflected form
-    needs c = a - b > 0)."""
+    family: integer 1 <= a <= 40, -1 < b <= 32, b != 0, b < a and finite
+    z >= 0."""
     zv = np.asarray(z, dtype=float).ravel()
     # NaN fails both comparisons.
     if zv.size and not (zv.min() >= 0.0 and zv.max() < math.inf):
         raise ConfigError("hyp2f1_negz requires finite z >= 0")
-    if not (float(a).is_integer() and 1.0 <= a <= _MAX_A and -1.0 < b <= _MAX_B and b != 0.0) or (
-            b >= a and zv.size and zv.max() > _direct_limit(int(a), b)):
+    if not (float(a).is_integer() and 1.0 <= a <= _MAX_A and -1.0 < b <= _MAX_B
+            and b != 0.0 and b < a):
         raise ConfigError(
-            f"F(a, b; b+1; -z) needs integer 1 <= a <= {_MAX_A}, -1 < b <= {_MAX_B:g}, b != 0, "
-            f"and b < a beyond z = 1e4 (4 for a > 28); got a={a}, b={b}"
+            f"F(a, b; b+1; -z) needs integer 1 <= a <= {_MAX_A}, -1 < b <= {_MAX_B:g}, "
+            f"b != 0 and b < a; got a={a}, b={b}"
         )
     return zv
 
@@ -440,11 +432,12 @@ def theta_kernel(order: int, n_t: int, alpha: float, z):
     Same family as :func:`lambda_kernel` but with the first parameter fixed
     at ``n_t``; this is the form that appears when averaging products of
     per-interferer gain powers over the Poisson field.  ``order = 0``
-    coincides with ``lambda_kernel(0, ...)``.  The MMSE law reads orders up
-    to ``n_t``; a higher order is accepted only where the panel rule takes
-    z (see :func:`hyp2f1_negz`).
+    coincides with ``lambda_kernel(0, ...)``.  The MMSE law reads the
+    orders 0..n_t; a higher order raises :class:`ConfigError`.
     """
     _validate_kernel_args(order, n_t, alpha)
+    if order > n_t:
+        raise ConfigError(f"theta kernel order must be at most n_t={n_t}, got {order}")
     return _kernel(n_t, order - 2.0 / alpha, z)
 
 
@@ -452,7 +445,7 @@ def _kernel(a: int, b: float, z):
     """F(a, b; b+1; -z): order 0 (b < 0) in its monotone direct form, the
     higher orders as the exp of the logs the coverage laws use."""
     if b < 0.0:
-        return hyp2f1_negz(a, b, b + 1.0, z)
+        return hyp2f1_negz(a, b, z)
     return _shaped(np.exp(_log_hyp2f1(a, b, _family_z(a, b, z))), z)
 
 

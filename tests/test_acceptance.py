@@ -16,12 +16,7 @@ from scipy import stats
 
 from cellmimo.geometry import NetworkConfig
 from cellmimo.mmse import coverage_mmse
-from cellmimo.montecarlo import (
-    NetworkRealization,
-    estimate_coverage,
-    pzf_filter,
-    simulate_sinr,
-)
+from cellmimo.montecarlo import estimate_coverage, pzf_filter, simulate_sinr
 from cellmimo.pzf import (
     argmin_mean_inverse_sinr,
     coverage_pzf,
@@ -29,6 +24,7 @@ from cellmimo.pzf import (
     optimal_m,
 )
 from cellmimo.rate import mean_sum_rate, rate_quantile, sinr_ccdf
+from test_montecarlo import _manual_realization
 
 
 def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):
@@ -319,17 +315,6 @@ def test_criterion_08_monte_carlo_matches_analytic():
 
 # ----------------------------------------------------------------------
 # Criterion 9: distributional and invariance properties.
-
-def _manual_realization(rng, radii, n_r, n_t, window_radius=50.0):
-    radii = np.asarray(radii, dtype=float)
-    raw = rng.standard_normal((radii.size, n_r, n_t, 2))
-    channels = (raw[..., 0] + 1j * raw[..., 1]) / math.sqrt(2.0)
-    positions = np.column_stack((radii, np.zeros_like(radii)))
-    return NetworkRealization(
-        positions=positions, channels=channels,
-        window_radius=window_radius, lam=1.0,
-    )
-
 
 def test_criterion_09_distribution_and_invariance_properties():
     # Post-filter signal gain is Gamma(delta + 1, 1) (chi-square with

@@ -190,6 +190,9 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     code, out = _run(capsys, ["coverage", "--rx", "pzf", "--nt", "1", "--nr", "4",
                               "--zdb", "0:0"])
     assert code == 2
+    code, out = _run(capsys, ["validate", "--nt", "1", "--nr", "2", "--m", "1",
+                              "--zdb", "0:0:1", "--trials", "1"])
+    assert code == 2 and "standard error" in out.err
     # 3: numeric failure.
     monkeypatch.setattr(cli, "ergodic_rate", lambda *a, **k: (_ for _ in ()).throw(
         NumericError("forced")))

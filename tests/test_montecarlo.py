@@ -1,12 +1,13 @@
 """Simulator checks: reference ops, the batched engine, and reproducibility.
 
 The load-bearing test is the identical-draws equivalence: the batched
-engine's chunk internals are replayed through the single-realization
-reference ops, so any disagreement between the two code paths (indexing,
-weighting, cancellation bookkeeping) shows up as a numeric mismatch rather
-than a statistical one.
+engine's chunk draws are replayed (:func:`_replay_reference`) through the
+single-realization reference ops, so any disagreement between the two code
+paths (indexing, weighting, cancellation bookkeeping) shows up as a numeric
+mismatch rather than a statistical one.
 """
 
+import itertools
 import math
 import multiprocessing
 from pathlib import Path
@@ -33,7 +34,6 @@ from cellmimo.montecarlo import (
     mmse_sinr,
     pzf_filter,
     pzf_sinr,
-    sample_network,
     simulate_sinr,
 )
 from cellmimo.mmse import coverage_mmse
@@ -45,16 +45,31 @@ def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):
     return NetworkConfig(lam=lam, alpha=alpha, sigma2=sigma2, n_t=n_t, n_r=n_r)
 
 
-def _manual_realization(rng, radii, n_r, n_t, window_radius=50.0):
+def _manual_realization(rng, radii, n_r, n_t):
     """Realization with prescribed station distances and fresh channels."""
-    radii = np.asarray(radii, dtype=float)
-    raw = rng.standard_normal((radii.size, n_r, n_t, 2))
+    raw = rng.standard_normal((len(radii), n_r, n_t, 2))
     channels = (raw[..., 0] + 1j * raw[..., 1]) / math.sqrt(2.0)
-    positions = np.column_stack((radii, np.zeros_like(radii)))
-    return NetworkRealization(
-        positions=positions, channels=channels,
-        window_radius=window_radius, lam=1.0,
-    )
+    return NetworkRealization(distances=np.asarray(radii, dtype=float), channels=channels)
+
+
+def _replay_reference(config, window, seeds, n_trials, min_count=1, slab_cols=None):
+    """The realizations of every trial of one engine chunk, in trial order:
+    the chunk's own draws from ``seeds`` (geometry, serving channels, then
+    interferer slabs of ``slab_cols`` columns, one slab by default) replayed
+    in float64 for the reference ops."""
+    rng = np.random.default_rng(seeds)
+    r2 = _chunk_geometry(rng, config.lam, window, n_trials, min_count)
+    shape = (n_trials, config.n_r, config.n_t)
+    slabs = [_draw_channels(rng, shape)[:, None]]
+    n_int = r2.shape[1] - 1
+    step = slab_cols or max(1, n_int)
+    slabs += [_draw_channels(rng, (n_trials, min(step, n_int - s)) + shape[1:])
+              for s in range(0, n_int, step)]
+    stations = np.concatenate(slabs, axis=1)
+    for t in range(n_trials):
+        count = int(np.sum(np.isfinite(r2[t])))
+        yield NetworkRealization(distances=np.sqrt(r2[t, :count]),
+                                 channels=stations[t, :count].astype(np.complex128))
 
 
 # ----------------------------------------------------------------------
@@ -124,23 +139,14 @@ def test_default_window_bias_matches_readme(alpha):
         assert larger / bias == pytest.approx(2.0 ** (2.0 - alpha), rel=0.1), (alpha, z_db)
 
 
-def test_sample_network_layout():
-    real = sample_network(2.0, 6.0, seed=42, n_r=3, n_t=2)
-    d = real.distances
-    assert np.all(np.diff(d) >= 0.0)  # serving station first
-    assert real.serving_distance == d[0]
-    assert real.channels.shape == (len(d), 3, 2)
-    assert np.all(d <= 6.0)
-    # Unit-variance complex entries.
-    power = np.mean(np.abs(real.channels) ** 2)
-    assert power == pytest.approx(1.0, abs=0.05)
-
-
-def test_sample_network_count_distribution():
-    rng = np.random.default_rng(7)
-    counts = [len(sample_network(1.0, 3.0, rng, n_r=1, n_t=1).distances) for _ in range(300)]
-    mean_count = math.pi * 9.0
-    assert np.mean(counts) == pytest.approx(mean_count, rel=0.05)
+def test_engine_station_count_matches_intensity():
+    # The chunk geometry holds a Poisson number of stations with mean
+    # lam pi R^2, sorted and inside the window, inf-padded to a common width.
+    r2 = _chunk_geometry(np.random.default_rng(7), 1.0, 3.0, 300, 1)
+    counts = np.sum(np.isfinite(r2), axis=1)
+    assert np.mean(counts) == pytest.approx(math.pi * 9.0, rel=0.05)
+    assert np.all(r2[:, 1:] >= r2[:, :-1])
+    assert np.max(r2[np.isfinite(r2)]) <= 9.0
 
 
 def test_pzf_filter_nulls_targets():
@@ -191,10 +197,8 @@ def test_interference_gain_is_exponential():
 
 
 def test_mmse_dominates_pzf_per_realization():
-    rng = np.random.default_rng(13)
     config = _config(2, 4)
-    for _ in range(500):
-        real = sample_network(1.0, 8.0, rng, n_r=4, n_t=2)
+    for real in _replay_reference(config, 8.0, np.random.SeedSequence([13, 0]), 500):
         assert mmse_sinr(real, config) >= pzf_sinr(real, config, 1) - 1e-9
 
 
@@ -227,37 +231,12 @@ def test_stream_index_validation():
 
 def test_batched_engine_matches_reference_ops():
     config = _config(2, 4)
-    window, seed, n_trials, m = 5.0, 123, 64, 2
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    out = _simulate_chunk(config, m, True, window, rng, n_trials)
-
-    # Replay the identical random stream through the reference path.
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    r2 = _chunk_geometry(rng, config.lam, window, n_trials, m)
-    h0 = _draw_channels(rng, (n_trials, config.n_r, config.n_t))
-    n_int = r2.shape[1] - 1
-    block = _draw_channels(rng, (n_trials, n_int, config.n_r, config.n_t))
-
-    ref_pzf = np.empty(n_trials)
-    ref_mmse = np.empty(n_trials)
-    for t in range(n_trials):
-        count = int(np.sum(np.isfinite(r2[t])))
-        radii = np.sqrt(r2[t, :count])
-        channels = np.concatenate(
-            (h0[t][None].astype(np.complex128),
-             block[t, : count - 1].astype(np.complex128)),
-            axis=0,
-        )
-        real = NetworkRealization(
-            positions=np.column_stack((radii, np.zeros(count))),
-            channels=channels, window_radius=window, lam=config.lam,
-        )
-        ref_pzf[t] = pzf_sinr(real, config, m)
-        ref_mmse[t] = mmse_sinr(real, config)
-
+    window, seeds, n_trials, m = 5.0, np.random.SeedSequence([123, 0]), 64, 2
+    out = _simulate_chunk(config, m, True, window, np.random.default_rng(seeds), n_trials)
+    reals = list(_replay_reference(config, window, seeds, n_trials, m))
     # Agreement up to the engine's single-precision interferer arithmetic.
-    np.testing.assert_allclose(out["pzf"], ref_pzf, rtol=1e-4)
-    np.testing.assert_allclose(out["mmse"], ref_mmse, rtol=1e-4)
+    np.testing.assert_allclose(out["pzf"], [pzf_sinr(r, config, m) for r in reals], rtol=1e-4)
+    np.testing.assert_allclose(out["mmse"], [mmse_sinr(r, config) for r in reals], rtol=1e-4)
 
 
 def test_batched_mmse_survives_near_stations():
@@ -274,43 +253,11 @@ def test_batched_mmse_survives_near_stations():
     assert np.all(np.isfinite(sinr)) and np.all(sinr > 0.0)
 
     # Replay trial 198 through the float64 reference op.
-    rng = np.random.default_rng(seeds)
-    r2 = _chunk_geometry(rng, config.lam, window, CHUNK_TRIALS, 1)
-    h0 = _draw_channels(rng, (CHUNK_TRIALS, config.n_r, config.n_t))
-    block = _draw_channels(rng, (CHUNK_TRIALS, r2.shape[1] - 1, config.n_r, config.n_t))
-    count = int(np.sum(np.isfinite(r2[t])))
-    assert r2[t, 0] < 1e-5 and r2[t, 1] < 1e-4
-    real = NetworkRealization(
-        positions=np.column_stack((np.sqrt(r2[t, :count]), np.zeros(count))),
-        channels=np.concatenate((h0[t][None], block[t, : count - 1])).astype(np.complex128),
-        window_radius=window, lam=config.lam,
-    )
+    trials = _replay_reference(config, window, seeds, CHUNK_TRIALS)
+    real = next(itertools.islice(trials, t, None))
+    assert real.distances[0] ** 2 < 1e-5 and real.distances[1] ** 2 < 1e-4
     assert sinr[t] == pytest.approx(mmse_sinr(real, config), rel=1e-4)
     assert sinr[t] == pytest.approx(1.52e7, rel=0.01)
-
-
-def _replay_reference(config, m, window, seeds, n_trials, slab_cols):
-    """PZF and MMSE SINR of every trial of one chunk through the float64
-    reference ops, on the chunk's draws taken slab by slab."""
-    rng = np.random.default_rng(seeds)
-    r2 = _chunk_geometry(rng, config.lam, window, n_trials, m)
-    h0 = _draw_channels(rng, (n_trials, config.n_r, config.n_t))
-    n_int = r2.shape[1] - 1
-    block = np.concatenate([
-        _draw_channels(rng, (n_trials, min(slab_cols, n_int - s), config.n_r, config.n_t))
-        for s in range(0, n_int, slab_cols)
-    ], axis=1)
-    ref = {"pzf": np.empty(n_trials), "mmse": np.empty(n_trials)}
-    for t in range(n_trials):
-        count = int(np.sum(np.isfinite(r2[t])))
-        real = NetworkRealization(
-            positions=np.column_stack((np.sqrt(r2[t, :count]), np.zeros(count))),
-            channels=np.concatenate((h0[t][None], block[t, : count - 1])).astype(np.complex128),
-            window_radius=window, lam=config.lam,
-        )
-        ref["pzf"][t] = pzf_sinr(real, config, m)
-        ref["mmse"][t] = mmse_sinr(real, config)
-    return ref
 
 
 @pytest.mark.parametrize("n_t, n_r, m, sigma2", [(2, 5, 2, 0.0), (1, 4, 3, 0.1 * math.pi**2)])
@@ -322,9 +269,9 @@ def test_slab_loop_matches_reference_ops(monkeypatch, n_t, n_r, m, sigma2):
     config = _config(n_t, n_r, sigma2=sigma2)
     window, n_trials, seeds = 6.0, 48, np.random.SeedSequence([31, 2])
     out = _simulate_chunk(config, m, True, window, np.random.default_rng(seeds), n_trials)
-    ref = _replay_reference(config, m, window, seeds, n_trials, slab_cols=16)
-    for receiver in ("pzf", "mmse"):
-        np.testing.assert_allclose(out[receiver], ref[receiver], rtol=1e-4)
+    reals = list(_replay_reference(config, window, seeds, n_trials, m, slab_cols=16))
+    np.testing.assert_allclose(out["pzf"], [pzf_sinr(r, config, m) for r in reals], rtol=1e-4)
+    np.testing.assert_allclose(out["mmse"], [mmse_sinr(r, config) for r in reals], rtol=1e-4)
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from scipy import special
 
 import cellmimo
 from cellmimo import specfun
-from cellmimo.errors import ConfigError, NumericError, PoleError
+from cellmimo.errors import ConfigError, NumericError
 from cellmimo.specfun import (
     hyp2f1_negz,
     lambda_kernel,
@@ -56,7 +56,7 @@ _KERNEL_ORACLES = [
 
 def test_hyp2f1_frozen_oracles():
     for (a, b, z), expected in _HYP_ORACLES.items():
-        got = hyp2f1_negz(a, b, b + 1.0, z)
+        got = hyp2f1_negz(a, b, z)
         assert got == pytest.approx(expected, rel=1e-13), (a, b, z)
 
 
@@ -66,8 +66,8 @@ def test_kernel_frozen_oracles():
 
 
 def test_hyp2f1_at_zero_is_one():
-    assert hyp2f1_negz(4.0, 0.25, 1.25, 0.0) == 1.0
-    assert hyp2f1_negz(4.0, -0.25, 0.75, 0.0) == 1.0
+    assert hyp2f1_negz(4.0, 0.25, 0.0) == 1.0
+    assert hyp2f1_negz(4.0, -0.25, 0.0) == 1.0
 
 
 def test_gamma_oracles():
@@ -84,27 +84,23 @@ def test_pochhammer_values():
 
 
 def test_hyp2f1_domain_errors():
-    with pytest.raises(ConfigError):
-        hyp2f1_negz(2.0, 0.5, 2.0, 1.0)  # c != b + 1
-    with pytest.raises(ConfigError):
-        hyp2f1_negz(2.0, 0.5, 1.5, -0.5)  # negative z
-    with pytest.raises(ConfigError):
-        hyp2f1_negz(2.0, -1.0, 0.0, 1.0)  # c at a pole
     for a, b, z in [
+        (2.0, 0.5, -0.5),  # negative z
+        (2.0, -1.0, 1.0),  # b = -1, where c = b + 1 is a pole
         (3.5, 0.25, 0.5),  # non-integer a
         (41.0, 0.5, 1.0),  # a above 40
         (0.0, 0.5, 1.0),  # a below 1
         (2.0, 0.0, 1.0),  # b = 0
         (2.0, 32.5, 1.0),  # b above 32
-        (2.0, 2.5, 1.0e5),  # b >= a beyond the panel rule
+        (2.0, 2.5, 1.0e4),  # b >= a, also where the panel rule takes z
         (2.0, 2.0, 1.0e5),
     ]:
         with pytest.raises(ConfigError):
-            hyp2f1_negz(a, b, b + 1.0, z)
+            hyp2f1_negz(a, b, z)
     with pytest.raises(ConfigError):
         lambda_kernel(21, 20, 4.0, 1.0)  # first parameter 41
-    # b >= a stays in the domain where the panel rule takes z.
-    assert 0.0 < hyp2f1_negz(2.0, 2.5, 3.5, 1.0e4) < 1.0
+    with pytest.raises(ConfigError):
+        theta_kernel(3, 2, 4.0, 1.0)  # order above n_t
 
 
 @settings(deadline=None, max_examples=80)
@@ -123,17 +119,10 @@ def test_hyp2f1_matches_mpmath(n_t, order, alpha, log_z):
     z = 10.0**log_z
     b = order - 2.0 / alpha
     a = n_t + order
-    got = hyp2f1_negz(float(a), b, b + 1.0, z)
+    got = hyp2f1_negz(float(a), b, z)
     with mp.workdps(30):
         want = float(mp.hyp2f1(a, b, b + 1.0, -z))
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-
-
-def _in_family(a, b, z):
-    """a <= 40, b <= 32, and b >= a only where the panel rule takes z (the
-    laws themselves read b < a only)."""
-    return (a <= specfun._MAX_A and b <= specfun._MAX_B
-            and (b < a or z <= specfun._direct_limit(a, b)))
 
 
 @settings(deadline=None, max_examples=80)
@@ -156,7 +145,7 @@ def test_log_kernels_match_mpmath(n_t, order, alpha, log_z, theta):
     z = 10.0**log_z
     a = n_t if theta else n_t + order
     b = order - 2.0 / alpha
-    assume(_in_family(a, b, z))
+    assume(a <= specfun._MAX_A and b <= specfun._MAX_B and b < a)
     got = specfun._log_hyp2f1(float(a), b, np.array([z]))[0]
     with mp.workdps(40):
         want = float(mp.log(mp.hyp2f1(a, b, b + 1, -mp.mpf(z))))
@@ -191,7 +180,7 @@ def test_hyp2f1_near_alpha_two_matches_mpmath(a, order, alpha, log_z):
     (lambda kernels have a = n_t + order, theta kernels a = n_t)."""
     z = 10.0**log_z
     b = order - 2.0 / alpha
-    assume(_in_family(a, b, z))
+    assume(a <= specfun._MAX_A and b <= specfun._MAX_B and b < a)
     got = specfun._log_hyp2f1(a, b, np.array([z]))[0]
     with mp.workdps(40):
         want = float(mp.log(mp.hyp2f1(a, b, b + 1, -mp.mpf(z))))
@@ -250,9 +239,9 @@ def test_lambda0_monotone_between_neighbouring_floats(n_t, alpha):
     z=st.floats(min_value=0.0, max_value=1e4),
 )
 def test_higher_kernels_in_unit_interval(n_t, order, alpha, z):
-    for kernel in (lambda_kernel, theta_kernel):
-        value = kernel(order, n_t, alpha, z)
-        assert 0.0 < value <= 1.0
+    assert 0.0 < lambda_kernel(order, n_t, alpha, z) <= 1.0
+    # Theta orders stop at n_t, the last one the MMSE law reads.
+    assert 0.0 < theta_kernel(min(order, n_t), n_t, alpha, z) <= 1.0
 
 
 @pytest.mark.parametrize("alpha", [2.01, 2.05, 2.5, 3.0, 4.0, 6.0])
@@ -261,7 +250,8 @@ def test_higher_kernels_in_unit_interval_near_zero(alpha):
     for z in (0.0, 1e-300, 1e-12):
         for order in range(1, 17):
             for n_t in range(1, 13):
-                for kernel in (lambda_kernel, theta_kernel):
+                kernels = (lambda_kernel, theta_kernel) if order <= n_t else (lambda_kernel,)
+                for kernel in kernels:
                     value = kernel(order, n_t, alpha, z)
                     assert 0.0 < value <= 1.0, (kernel.__name__, order, n_t, z)
 
