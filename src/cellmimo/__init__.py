@@ -46,7 +46,6 @@ from .rate import (
     rate_quantile,
     sinr_ccdf,
 )
-from .specfun import hyp2f1_negz, lambda_kernel, theta_kernel
 
 __version__ = "0.1.0"
 
@@ -67,8 +66,6 @@ __all__ = [
     "estimate_coverage",
     "estimate_coverage_curve",
     "estimate_rate",
-    "hyp2f1_negz",
-    "lambda_kernel",
     "mean_inverse_sinr",
     "mean_sum_rate",
     "optimal_m",
@@ -76,5 +73,4 @@ __all__ = [
     "rate_quantile",
     "simulate_sinr",
     "sinr_ccdf",
-    "theta_kernel",
 ]

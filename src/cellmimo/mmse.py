@@ -31,7 +31,7 @@ from scipy import special as _sp
 
 from .errors import ConfigError, SizeGuardError
 from .geometry import NetworkConfig
-from .specfun import _MAX_A, _log_hyp2f1, _power_table, radial_moment
+from .specfun import _MAX_A, _log_kernel_table, _power_table, radial_moment
 
 __all__ = ["coverage_mmse"]
 
@@ -68,11 +68,8 @@ def coverage_mmse(config: NetworkConfig, z: float) -> float:
     if z == 0.0:
         return 1.0
 
-    # log Theta_p = log theta_kernel(p, n_t, alpha, z), which never underflows.
-    log_theta = np.array([
-        _log_hyp2f1(n_t, p - 2.0 / alpha, np.array([z]))[0]
-        for p in range(min(n_t, n_r - 1) + 1)
-    ])
+    # log Theta_p = log F(n_t, p - 2/alpha; p - 2/alpha + 1; -z), which never underflows.
+    log_theta = _log_kernel_table(n_t, alpha, np.array([z]), min(n_t, n_r - 1), 0)[:, 0]
     log_z, log_1pz = math.log(z), math.log1p(z)
     p = np.arange(1, log_theta.size)
     g = np.zeros(n_r)

@@ -35,7 +35,7 @@ from scipy import special as _sp
 
 from .errors import ConfigError, NumericError, SizeGuardError
 from .geometry import NetworkConfig
-from .specfun import _MAX_A, _lambda_log_table, _power_table, pochhammer, radial_moment
+from .specfun import _MAX_A, _log_kernel_table, _power_table, pochhammer, radial_moment
 
 __all__ = [
     "coverage_pzf",
@@ -121,7 +121,7 @@ def _conditional_coverage_u(
     where S is the power table of g_j = |c_j| lambda_j x^j / (j! lambda0)
     (:func:`cellmimo.specfun._power_table`) and J the radial moment.  The
     kernels lambda_j come as logs, every order from one
-    :func:`cellmimo.specfun._lambda_log_table` call, so none underflows at
+    :func:`cellmimo.specfun._log_kernel_table` call, so none underflows at
     large x = z u^alpha.  Noise enters only through
     c(u) = noise * (u^2 / lambda0)^(alpha/2), the noise scale in units of
     the radial variable; at zero noise only q = 0 occurs and
@@ -129,7 +129,7 @@ def _conditional_coverage_u(
     """
     log_c, ell, q, p, pair_p, log_w = _static_terms(n_t, m, delta, alpha, noise > 0.0)
     x = z * u**alpha
-    log_lam = _lambda_log_table(n_t, alpha, x, delta)
+    log_lam = _log_kernel_table(n_t, alpha, x, delta, 1)
     g = np.exp(log_c[:, None] + log_lam + np.outer(np.arange(delta + 1), np.log(x)) - log_lam[0])
     table = _power_table(g, np.eye(delta + 1, 1))
     # Without noise the radial moments are the constants Gamma(p + 1).

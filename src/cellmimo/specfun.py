@@ -6,18 +6,24 @@ family
 
     F(a, b; b + 1; -z),    z >= 0,
 
-with integer 1 <= a <= 40, -1 < b <= 32, b != 0 and b < a (the Λ_j and
-Θ_p kernels of both laws), together with the gamma function and Pochhammer
-symbols.  The stock ``scipy.special.hyp2f1`` loses up to six digits in
-parts of this family (cancellation for large z when a and b are close),
-which is not good enough for the tolerance-stacked quadratures built on
-top of it, so ``hyp2f1_negz`` evaluates the family by one quadrature rule
-plus one exact identity:
+with b = j - 2/α for the kernel order j and integer first parameter
+a = n_t + j (the PZF law's Λ_j) or a = n_t (the MMSE law's Θ_j), together
+with the gamma function and Pochhammer symbols.  Both laws read every order
+of their kernel, in logs, from one table, :func:`_log_kernel_table`, which
+shares the work across the orders.  The logs stay finite where a kernel
+itself is below the smallest float64, so no term of the laws' sums is lost
+at large z.  The laws' guards bound its domain: a <= 40, and j <= 20 (PZF)
+or j <= min(n_t, 15) (MMSE).
+
+The stock ``scipy.special.hyp2f1`` loses up to six digits in parts of this
+family (cancellation for large z when a and b are close), which is not good
+enough for the tolerance-stacked quadratures built on top of it, so the
+table evaluates the family by one quadrature rule plus one exact identity:
 
 * the Euler integral ``F = b ∫_0^1 t^(b-1) (1+zt)^(-a) dt`` (DLMF 15.6.1)
   by one fixed-node panel rule, for z <= 1e4 when b < 0 or a <= 28, and
   for z <= 4 otherwise.  For b > 0 the integrand is positive and is summed
-  as it stands.  For b < 0 it is summed in the form
+  as it stands.  For b < 0 (order 0) it is summed in the form
   ``1 + δ ∫_0^1 t^(-δ-1) [1 - (1+zt)^(-a)] dt`` with ``δ = -b``, built
   from additions, multiplications and divisions of nonnegative numbers
   only, so rounding can never make the computed function decrease in z.
@@ -40,12 +46,7 @@ within 3e-14 and the panel rule's within 9e-13, at worst near α = 2 and
 z = 0.01, where log F is near 0.  The tests check both kernel
 families' logs at 1e-12 up to z = 1e77.
 
-Both coverage laws take the logs of their kernels (:func:`_log_hyp2f1`),
-which stay finite where a kernel itself is below the smallest float64, so
-no term of their sums is lost at large z.  The PZF law reads every order
-of its kernel at once from :func:`_lambda_log_table`, which shares the
-panel rule's work across the orders on both sides of the switch.  Both
-laws read their sums over partitions from one coefficient table of a
+Both laws read their sums over partitions from one coefficient table of a
 polynomial power, :func:`_power_table`.
 
 Receiver noise adds one more function, the radial moment
@@ -66,17 +67,13 @@ from .errors import ConfigError, NumericError
 
 __all__ = [
     "pochhammer",
-    "hyp2f1_negz",
-    "lambda_kernel",
-    "theta_kernel",
     "radial_moment",
 ]
 
-# The kernel family: integer 1 <= a <= _MAX_A, -1 < b <= _MAX_B, b != 0, b < a.
-# The panel rule's error grows with the pole order a and with b beyond
-# these bounds: 3.9e-11 in log F at a = 41-64 and z <= 4, 1e-11 at b = 100.
+# The kernels' largest first parameter, which bounds both laws.  The panel
+# rule's error grows with the pole order a and with b beyond the laws'
+# bounds: 3.9e-11 in log F at a = 41-64 and z <= 4, 1e-11 at b = 100.
 _MAX_A = 40
-_MAX_B = 32.0
 # Euler-integral quadrature: Gauss-Legendre panels [8^-(k+1), 8^-k], k < 6,
 # plus a Gauss-Jacobi panel [0, 8^-6] that absorbs the t^(b-1) endpoint
 # power.  It takes z <= _QUAD_Z_MAX for b < 0 and for a up to
@@ -156,37 +153,24 @@ def _panel_nodes(b: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _euler_integral(a: int, b: float, z: np.ndarray) -> np.ndarray:
-    """F(a, b; b+1; -z) = b int_0^1 t^(b-1) (1+zt)^(-a) dt (DLMF 15.6.1)
-    for integer a >= 1 and 0 <= z <= :func:`_direct_limit`, by the panel
-    rule; for b < 0 it returns F - 1.
+    """F(a, b; b+1; -z) - 1 for integer a >= 1, -1 < b < 0 and
+    0 <= z <= 1e4, by the panel rule for F = b int_0^1 t^(b-1) (1+zt)^(-a) dt
+    (DLMF 15.6.1).
 
-    For b > 0 the integrand is positive and F = b sum_i c_i y_i^a with
-    y_i = 1/(1 + z t_i), capped at 1, the exact bound of F that rounding of
-    sum_i c_i can exceed by an ulp at z ~ 0.  (The form of the b < 0 case
-    below, 1 - b sum_i c_i g(z t_i), would cancel catastrophically here,
-    where F is small at large z.)  The powers y^a come from repeated
-    multiplication, as in :func:`_lambda_log_table`, whose sums are
-    therefore these to the last bit on its direct side.
-
-    For -1 < b < 0 (delta = -b) it is F - 1 = delta sum_i c_i g(z t_i)
-    with g from :func:`_monotone_g`.  Every operation is then a correctly
-    rounded +, * or / of nonnegative operands, each monotone in its
-    z-dependent operand, and the sum runs in the same order for every z,
-    so z1 <= z2 gives F(z1) <= F(z2) exactly for F = 1 + (F - 1); the form
-    is also free of cancellation, and log1p of it keeps log F accurate
-    relative to itself where F is close to 1 (small z or |b|).
+    With delta = -b it is F - 1 = delta sum_i c_i g(z t_i), g from
+    :func:`_monotone_g`.  Every operation is then a correctly rounded +, *
+    or / of nonnegative operands, each monotone in its z-dependent operand,
+    and the sum runs in the same order for every z, so z1 <= z2 gives
+    F(z1) <= F(z2) exactly for F = 1 + (F - 1); the form is also free of
+    cancellation, and log1p of it keeps log F accurate relative to itself
+    where F is close to 1 (small z or |b|).
     """
     t, c = _panel_nodes(b)
     out = np.empty_like(z)
     for start in range(0, z.size, _QUAD_ROWS):
         blk = slice(start, start + _QUAD_ROWS)
-        if b > 0.0:
-            shared = _power(_reciprocal(z[blk], t[:_SHARED_NODES]), a)
-            origin = _power(_reciprocal(z[blk], t[_SHARED_NODES:]), a)
-            out[blk] = _euler_sum(b, c, shared, origin)
-        else:
-            x = np.multiply.outer(z[blk], t)
-            out[blk] = -b * (_monotone_g(a, x) * c).sum(axis=-1)
+        x = np.multiply.outer(z[blk], t)
+        out[blk] = -b * (_monotone_g(a, x) * c).sum(axis=-1)
     return out
 
 
@@ -210,9 +194,9 @@ def _euler_sum(b: float, c: np.ndarray, shared: np.ndarray, origin: np.ndarray) 
     return np.minimum(b * (shared @ c[:_SHARED_NODES] + origin @ c[_SHARED_NODES:]), 1.0)
 
 
-def _direct_limit(a: int, b: float) -> float:
-    """Largest z at which the panel rule takes F(a, b; b+1; -z)."""
-    return _QUAD_Z_MAX if b < 0.0 or a <= _QUAD_MAX_A_POSITIVE else _QUAD_Z_SHORT
+def _direct_limit(a: int) -> float:
+    """Largest z at which the panel rule takes F(a, b; b+1; -z), b > 0."""
+    return _QUAD_Z_MAX if a <= _QUAD_MAX_A_POSITIVE else _QUAD_Z_SHORT
 
 
 def _log_reflected(a: int, bs: list[float], c: float, z: np.ndarray) -> np.ndarray:
@@ -256,42 +240,54 @@ def _log_reflected(a: int, bs: list[float], c: float, z: np.ndarray) -> np.ndarr
     return out
 
 
-def _lambda_log_table(n_t: int, alpha: float, x: np.ndarray, delta: int) -> np.ndarray:
-    """log lambda_kernel(j, n_t, alpha, x) for every order j = 0..delta, as
-    rows of a (delta + 1, x.size) array; x is 1-d, finite and >= 0, and
-    n_t + delta <= 40.
+def _log_kernel_table(n_t: int, alpha: float, x: np.ndarray, orders: int, step: int) -> np.ndarray:
+    """log F(a_j, b_j; b_j + 1; -x), a_j = n_t + step j and b_j = j - 2/α,
+    for every order j = 0..orders, as rows of an (orders + 1, x.size)
+    array: the kernels of the PZF law (step 1) and of the MMSE law (step
+    0).  x is 1-d, finite and >= 0, every a_j <= 40, and j <= n_t for
+    step 0, so that b_j < a_j.
 
-    The orders j >= 1 share their work on both sides of the switch.  On the
-    direct side y = 1/(1 + x t) is formed once on the panel nodes, which do
-    not depend on the order, and y^(n_t + j) from y^(n_t + j - 1) by one
-    multiplication; only the origin panel's nodes are per order.  Those
-    sums are :func:`_euler_integral`'s to the last bit.  On the reflected
-    side c = a - b = n_t + 2/α is the same for every order, so
-    :func:`_log_reflected` serves them all from one node set.  The table
-    agrees with :func:`lambda_kernel` to rounding.
+    Order 0 (b < 0) takes the monotone form of :func:`_euler_integral` up
+    to x = 1e4.  The orders j >= 1 (b > 0) share their work on both sides
+    of the switch.  On the direct side the integrand is positive and
+    F = b sum_i c_i y_i^a with y_i = 1/(1 + x t_i), capped at 1, the exact
+    bound of F that rounding of sum_i c_i can exceed by an ulp at x ~ 0.
+    (Order 0's form, 1 - b sum_i c_i g(x t_i), would cancel catastrophically
+    here, where F is small at large x.)  y is formed once on the panel
+    nodes, which do not depend on the order, and y^(a_j) by repeated
+    multiplication; only the origin panel's nodes are per order.  On the
+    reflected side the PZF orders share c = a_j - b_j = n_t + 2/α, so
+    :func:`_log_reflected` serves them all from one node set; each MMSE
+    order has a c of its own and a call of its own.
     """
     s = 2.0 / alpha
-    out = np.empty((delta + 1, x.size))
-    out[0] = _log_hyp2f1(n_t, -s, x)
-    if delta == 0:
+    out = np.empty((orders + 1, x.size))
+    near = x <= _QUAD_Z_MAX
+    out[0, near] = np.log1p(_euler_integral(n_t, -s, x[near]))
+    if not near.all():
+        out[0, ~near] = _log_reflected(n_t, [-s], n_t + s, x[~near])[0]
+    if orders == 0:
         return out
-    # Each order's switch point; it falls from 1e4 to 4 once n_t + j > 28.
-    limits = np.array([_direct_limit(n_t + j, j - s) for j in range(1, delta + 1)])
+    bs = [j - s for j in range(1, orders + 1)]
+    # Each order's switch point; it falls from 1e4 to 4 once a_j > 28.
+    limits = np.array([_direct_limit(n_t + step * j) for j in range(1, orders + 1)])
     # Reflected side first: its work arrays never coexist with the loop's.
     far = np.flatnonzero(x > limits[-1])
     if far.size:
-        logs = _log_reflected(n_t + 1, [j - s for j in range(1, delta + 1)], n_t + s, x[far])
+        logs = (_log_reflected(n_t + 1, bs, n_t + s, x[far]) if step else
+                np.concatenate([_log_reflected(n_t, [b], n_t - b, x[far]) for b in bs]))
     rows = np.flatnonzero(x <= limits[0])
     t_shared = _panel_nodes(1.0 - s)[0][:_SHARED_NODES]
     for start in range(0, rows.size, _QUAD_ROWS):
         blk = rows[start:start + _QUAD_ROWS]
         y = _reciprocal(x[blk], t_shared)
         p = _power(y, n_t)
-        for j in range(1, delta + 1):
-            p *= y
-            t, c = _panel_nodes(j - s)
-            origin = _power(_reciprocal(x[blk], t[_SHARED_NODES:]), n_t + j)
-            out[j, blk] = np.log(_euler_sum(j - s, c, p, origin))
+        for j, b in enumerate(bs, 1):
+            if step:
+                p *= y
+            t, c = _panel_nodes(b)
+            origin = _power(_reciprocal(x[blk], t[_SHARED_NODES:]), n_t + step * j)
+            out[j, blk] = np.log(_euler_sum(b, c, p, origin))
     # The reflected side takes each order beyond its own switch point.
     if far.size:
         out[1:, far] = np.where(x[far] > limits[:, None], logs, out[1:, far])
@@ -314,139 +310,6 @@ def _monotone_g(a: int, x: np.ndarray) -> np.ndarray:
     p += 1.0
     np.divide(1.0, p, out=p)
     return p
-
-
-def _routes(a: int, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(near, v): v = F(a, b; b+1; -z) (F - 1 for b < 0) where ``near``
-    (the panel rule) and v = log F elsewhere (the reflected form), for
-    (a, b) in the family and a 1-d array z."""
-    a = int(a)
-    near = z <= _direct_limit(a, b)
-    out = np.empty_like(z)
-    if np.any(near):
-        out[near] = _euler_integral(a, b, z[near])
-    if not np.all(near):
-        out[~near] = _log_reflected(a, [b], a - b, z[~near])[0]
-    return near, out
-
-
-def _log_hyp2f1(a: int, b: float, z: np.ndarray) -> np.ndarray:
-    """log F(a, b; b+1; -z) for (a, b) in the family and a 1-d array of
-    finite z >= 0, unvalidated.  It stays finite where F, which decays like
-    z^(-b), is below the smallest float64."""
-    near, out = _routes(a, b, z)
-    out[near] = np.log1p(out[near]) if b < 0.0 else np.log(out[near])
-    return out
-
-
-def hyp2f1_negz(a: float, b: float, z):
-    """Gauss hypergeometric F(a, b; b + 1; -z) for z >= 0.
-
-    The third parameter is always ``b + 1``: that is the only family the
-    coverage laws need, and restricting to it is what makes a fast
-    accurate evaluation possible.
-
-    Parameters
-    ----------
-    a : int or float
-        Integer first parameter, 1 <= a <= 40.
-    b : float
-        -1 < b <= 32, b != 0 and b < a (F is positive there, and the 1/z
-        identity needs a - b > 0).
-    z : float or ndarray
-        Nonnegative; the function is evaluated at argument ``-z``.
-
-    Returns
-    -------
-    float or ndarray matching the shape of ``z``.
-
-    Notes
-    -----
-    The panel rule for the Euler integral takes z up to 1e4 (b < 0 or
-    a <= 28) or up to 4 (larger a), vectorized over z; the exact 1/z
-    identity of the module docstring takes larger z and returns log F,
-    whose exp is the value.  Parameters outside the family raise
-    :class:`ConfigError`.
-    """
-    a = float(a)
-    b = float(b)
-    zv = _family_z(a, b, z)
-    near, out = _routes(int(a), b, zv)
-    if b < 0.0:
-        out[near] += 1.0
-    out[~near] = np.exp(out[~near])
-    return _shaped(out, z)
-
-
-def _family_z(a: float, b: float, z) -> np.ndarray:
-    """z as a flat float array, with (a, b, z) checked against the kernel
-    family: integer 1 <= a <= 40, -1 < b <= 32, b != 0, b < a and finite
-    z >= 0."""
-    zv = np.asarray(z, dtype=float).ravel()
-    # NaN fails both comparisons.
-    if zv.size and not (zv.min() >= 0.0 and zv.max() < math.inf):
-        raise ConfigError("hyp2f1_negz requires finite z >= 0")
-    if not (float(a).is_integer() and 1.0 <= a <= _MAX_A and -1.0 < b <= _MAX_B
-            and b != 0.0 and b < a):
-        raise ConfigError(
-            f"F(a, b; b+1; -z) needs integer 1 <= a <= {_MAX_A}, -1 < b <= {_MAX_B:g}, "
-            f"b != 0 and b < a; got a={a}, b={b}"
-        )
-    return zv
-
-
-def _shaped(out: np.ndarray, z):
-    """out as a float for scalar z, else in the shape of z."""
-    return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
-
-
-def _validate_kernel_args(order: int, n_t: int, alpha: float) -> None:
-    if not isinstance(order, (int, np.integer)) or order < 0:
-        raise ConfigError(f"kernel order must be a nonnegative integer, got {order!r}")
-    if not isinstance(n_t, (int, np.integer)) or n_t < 1:
-        raise ConfigError(f"transmit antenna count must be a positive integer, got {n_t!r}")
-    if not (alpha > 2.0):
-        raise ConfigError(f"path-loss exponent must exceed 2, got {alpha!r}")
-
-
-def lambda_kernel(order: int, n_t: int, alpha: float, z):
-    """Interference kernel F(n_t + order, order - 2/α; order - 2/α + 1; -z).
-
-    ``order = 0`` gives the exponent of the interference Laplace functional
-    (values >= 1, increasing in z, and nondecreasing in floating point too
-    for ``z <= 1e4``); ``order >= 1`` gives the extra factor contributed by
-    the order-th derivative of that exponent (values in (0, 1]).  Both
-    facts are what make log-space term assembly safe in the coverage sums.
-    For ``order >= 1`` the value is the exp of the log that the PZF law
-    reads from :func:`_lambda_log_table`; it underflows to 0 at large z,
-    where that log stays finite.  ``n_t + order`` above 40 raises
-    :class:`ConfigError` (see :func:`hyp2f1_negz`).
-    """
-    _validate_kernel_args(order, n_t, alpha)
-    return _kernel(n_t + order, order - 2.0 / alpha, z)
-
-
-def theta_kernel(order: int, n_t: int, alpha: float, z):
-    """Moment kernel F(n_t, order - 2/α; order - 2/α + 1; -z).
-
-    Same family as :func:`lambda_kernel` but with the first parameter fixed
-    at ``n_t``; this is the form that appears when averaging products of
-    per-interferer gain powers over the Poisson field.  ``order = 0``
-    coincides with ``lambda_kernel(0, ...)``.  The MMSE law reads the
-    orders 0..n_t; a higher order raises :class:`ConfigError`.
-    """
-    _validate_kernel_args(order, n_t, alpha)
-    if order > n_t:
-        raise ConfigError(f"theta kernel order must be at most n_t={n_t}, got {order}")
-    return _kernel(n_t, order - 2.0 / alpha, z)
-
-
-def _kernel(a: int, b: float, z):
-    """F(a, b; b+1; -z): order 0 (b < 0) in its monotone direct form, the
-    higher orders as the exp of the logs the coverage laws use."""
-    if b < 0.0:
-        return hyp2f1_negz(a, b, z)
-    return _shaped(np.exp(_log_hyp2f1(a, b, _family_z(a, b, z))), z)
 
 
 def radial_moment(p, b, alpha: float):

@@ -1,9 +1,11 @@
 """The documented examples: the package docstring runs as a doctest, the
-README quick start reproduces the values its comments print, and the README
-module map names exactly the package's modules."""
+README quick start reproduces the values its comments print, the README
+module map names exactly the package's modules, and every exported name
+exists."""
 
 import ast
 import doctest
+import importlib
 import re
 from pathlib import Path
 
@@ -60,3 +62,15 @@ def test_module_map_matches_package():
     named = re.findall(r"^- `(\w+)`:", section, flags=re.MULTILINE)
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
     assert sorted(named) == sorted(modules)
+
+
+def test_exports_resolve():
+    """Every name in the package's and each module's ``__all__`` is defined,
+    so a deletion cannot leave a stale export behind."""
+    modules = [cellmimo] + [
+        importlib.import_module(f"cellmimo.{path.stem}")
+        for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)

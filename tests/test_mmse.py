@@ -15,7 +15,7 @@ from cellmimo.errors import ConfigError, SizeGuardError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.mmse import coverage_mmse
 from cellmimo.pzf import coverage_pzf
-from cellmimo.specfun import radial_moment, theta_kernel
+from cellmimo.specfun import _log_kernel_table, radial_moment
 
 
 def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):
@@ -109,7 +109,7 @@ def _partition_sum(config, z):
     """MMSE coverage term by term: coefficient order m, noise order v, own-cell
     split k and every partition of m - k into parts <= n_t."""
     n_t, n_r, alpha = config.n_t, config.n_r, config.alpha
-    theta = [theta_kernel(p, n_t, alpha, z) for p in range(n_t + 1)]
+    theta = np.exp(_log_kernel_table(n_t, alpha, np.array([z]), n_t, 0)[:, 0])
     b = z * n_t * config.sigma2 / (math.pi * config.lam * theta[0]) ** (alpha / 2.0)
     total = 0.0
     for m in range(n_r):
@@ -144,11 +144,16 @@ def test_law_with_underflowing_kernels_matches_mpmath_kernels(monkeypatch, z):
     config = _config(16, 16, alpha=3.0)
     got = coverage_mmse(config, z)
 
-    def mp_log_hyp2f1(a, b, zs):
+    def mp_log_kernel_table(n_t, alpha, x, orders, step):
         with mp.workdps(40):
-            return np.array([float(mp.log(mp.hyp2f1(a, b, b + 1, -mp.mpf(x)))) for x in zs])
+            rows = []
+            for j in range(orders + 1):
+                b = j - 2.0 / alpha
+                rows.append([float(mp.log(mp.hyp2f1(n_t + step * j, b, b + 1, -mp.mpf(v))))
+                             for v in x])
+            return np.array(rows)
 
-    monkeypatch.setattr(mmse, "_log_hyp2f1", mp_log_hyp2f1)
+    monkeypatch.setattr(mmse, "_log_kernel_table", mp_log_kernel_table)
     assert got == pytest.approx(coverage_mmse(config, z), rel=1e-10, abs=0.0)
 
 

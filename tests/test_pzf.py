@@ -37,7 +37,7 @@ from cellmimo.pzf import (
     mean_inverse_sinr,
     optimal_m,
 )
-from cellmimo.specfun import lambda_kernel, radial_moment
+from cellmimo.specfun import _log_kernel_table, radial_moment
 
 
 def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):
@@ -101,8 +101,8 @@ def laplace_interference(s, R: float, lam: float, n_t: int, alpha: float):
     R: a Poisson field of intensity lam, each station sending n_t unit-power
     streams through independent Rayleigh channels with path-loss exponent
     alpha.  The oracle of the finite-difference check below."""
-    grown = lambda_kernel(0, n_t, alpha, R ** (-alpha) * s)
-    return math.exp(-lam * math.pi * R**2 * (grown - 1.0))
+    log_grown = _log_kernel_table(n_t, alpha, np.array([R ** (-alpha) * s]), 0, 1)[0, 0]
+    return math.exp(-lam * math.pi * R**2 * math.expm1(log_grown))
 
 
 def test_laplace_interference_anchor():
@@ -208,12 +208,13 @@ def _partition_sum(n_t, m, delta, alpha, z, noise, u):
     of {1..k}, k <= delta, and every noise order q <= delta - k."""
     s = 2.0 / alpha
     x = z * u**alpha
-    l0 = lambda_kernel(0, n_t, alpha, x)
+    kernels = np.exp(_log_kernel_table(n_t, alpha, np.array([x]), delta, 1)[:, 0])
+    l0 = kernels[0]
     c = noise * (u * u / l0) ** (alpha / 2.0)
     # |c_j| |(n_t)_j (-2/alpha)_j / (1 - 2/alpha)_j| times lambda_j x^j, per block size j.
     block = {
         j: abs(math.prod((n_t + i) * (i - s) / (i + 1.0 - s) for i in range(j)))
-        * lambda_kernel(j, n_t, alpha, x) * x**j
+        * kernels[j] * x**j
         for j in range(1, delta + 1)
     }
     total = 0.0

@@ -1,10 +1,10 @@
-"""Special-function layer: Gauss 2F1 at negative argument and the coverage
-kernels built on it.
+"""Special-function layer: the log-kernel table of both coverage laws,
+F(a, b; b+1; -z) at b = j - 2/alpha with a = n_t + j (PZF) or a = n_t
+(MMSE), and the radial moment.
 
 The frozen oracle values below were computed with mpmath at 40 decimal
-digits; the evaluator contract is 1e-12 relative accuracy over the library's
-parameter domain (c = b + 1, z >= 0), which scipy's hyp2f1 does not meet at
-large z.
+digits; the evaluator contract is 1e-12 relative accuracy over the laws'
+domain (c = b + 1, z >= 0), which scipy's hyp2f1 does not meet at large z.
 """
 
 import math
@@ -21,53 +21,77 @@ from hypothesis import strategies as st
 from scipy import special
 
 import cellmimo
-from cellmimo import specfun
+from cellmimo import mmse, pzf, specfun
 from cellmimo.errors import ConfigError, NumericError
-from cellmimo.specfun import (
-    hyp2f1_negz,
-    lambda_kernel,
-    pochhammer,
-    radial_moment,
-    theta_kernel,
-)
+from cellmimo.specfun import pochhammer, radial_moment
 
-# (a, b, z) -> 2F1(a, b; b+1; -z), 22 significant digits.  The cases span
-# both evaluation paths: the Euler-integral panel rule (z <= 1e4, or z <= 4
-# for a > 28 and b > 0) and the 1/z identity beyond it.
+# (n_t, alpha, order, step, z) -> F(n_t + step order, order - 2/alpha;
+# order - 2/alpha + 1; -z), 22 significant digits.  The cases span both
+# evaluation paths: the Euler-integral panel rule (z <= 1e4, or z <= 4 for
+# a > 28 and b > 0) and the 1/z identity beyond it.
 _HYP_ORACLES = {
-    (2.0, -0.5, 4.0): 4.721446153382271509051,
-    (5.0, 1.5, 24.0): 0.001565566660514945217576,
-    (3.0, 0.5, 1.0e6): 0.0005890486225480860322122,
-    (30.0, 2.5, 100.0): 7.84021169594643110767e-9,
-    (1.0, -0.5, 1.0e30): 1570796326794896.634849,
-    (8.0, 6.5, 1.0e8): 3.290388789971367106492e-53,
-    (40.0, -0.75, 1.0e5): 323526.8513530546887396,
+    (2, 4.0, 0, 0, 4.0): 4.721446153382271509051,  # (a, b) = (2, -0.5)
+    (3, 4.0, 2, 1, 24.0): 0.001565566660514945217576,  # (5, 1.5)
+    (3, 4.0, 1, 0, 1.0e6): 0.0005890486225480860322122,  # (3, 0.5)
+    (27, 4.0, 3, 1, 100.0): 7.84021169594643110767e-9,  # (30, 2.5)
+    (1, 4.0, 0, 1, 1.0e30): 1570796326794896.634849,  # (1, -0.5)
+    (8, 4.0, 7, 0, 1.0e8): 3.290388789971367106492e-53,  # (8, 6.5)
+    (40, 8.0 / 3.0, 0, 1, 1.0e5): 323526.8513530546887396,  # (40, -0.75)
 }
 
 _KERNEL_ORACLES = [
-    # (kernel, order, n_t, alpha, z, value)
-    (lambda_kernel, 0, 2, 4.0, 3.0, 4.095699046351326775891),
-    (lambda_kernel, 1, 2, 4.0, 2.0, 0.4060943498487927639092),
-    (lambda_kernel, 2, 3, 3.0, 10.0, 0.009236358449036510442202),
-    (theta_kernel, 2, 3, 4.0, 5.0, 0.04691429340762426600475),
-    (theta_kernel, 1, 4, 3.5, 0.3, 0.7509892386210761826407),
+    # (n_t, alpha, order, step, z, value): Lambda_order (step 1), Theta_order (step 0)
+    (2, 4.0, 0, 1, 3.0, 4.095699046351326775891),
+    (2, 4.0, 1, 1, 2.0, 0.4060943498487927639092),
+    (3, 3.0, 2, 1, 10.0, 0.009236358449036510442202),
+    (3, 4.0, 2, 0, 5.0, 0.04691429340762426600475),
+    (4, 3.5, 1, 0, 0.3, 0.7509892386210761826407),
 ]
 
 
+def _log_kernel(n_t, alpha, order, step, z):
+    """Row ``order`` of the kernel table at (n_t, alpha, step): log F at z,
+    a float for scalar z, else an array."""
+    row = specfun._log_kernel_table(n_t, alpha, np.atleast_1d(np.asarray(z, dtype=float)),
+                                    order, step)[order]
+    return float(row[0]) if np.ndim(z) == 0 else row
+
+
+def _in_law_domain(n_t, order, step):
+    """Whether a law reads this cell: PZF (step 1) has order = j <= delta
+    <= 20 and n_t + delta <= 40, MMSE (step 0) order <= min(n_t, n_r - 1)
+    with n_r <= 16 and n_t <= 40."""
+    if step:
+        return order <= pzf._MAX_DELTA and n_t + order <= specfun._MAX_A
+    return order <= min(n_t, mmse._MAX_NR - 1) and n_t <= specfun._MAX_A
+
+
+def _log_cells(a, order, alpha, z):
+    """log F(a, order - 2/alpha; order - 2/alpha + 1; -z) from each table
+    shape whose law reads it: the PZF table at n_t = a - order and the
+    MMSE table at n_t = a."""
+    return [_log_kernel(n_t, alpha, order, step, z)
+            for n_t, step in ((a - order, 1), (a, 0))
+            if n_t >= 1 and _in_law_domain(n_t, order, step)]
+
+
 def test_hyp2f1_frozen_oracles():
-    for (a, b, z), expected in _HYP_ORACLES.items():
-        got = hyp2f1_negz(a, b, z)
-        assert got == pytest.approx(expected, rel=1e-13), (a, b, z)
+    for (n_t, alpha, order, step, z), expected in _HYP_ORACLES.items():
+        got = math.exp(_log_kernel(n_t, alpha, order, step, z))
+        assert got == pytest.approx(expected, rel=1e-13), (n_t, alpha, order, step, z)
 
 
 def test_kernel_frozen_oracles():
-    for kernel, order, n_t, alpha, z, expected in _KERNEL_ORACLES:
-        assert kernel(order, n_t, alpha, z) == pytest.approx(expected, rel=1e-13)
+    for n_t, alpha, order, step, z, expected in _KERNEL_ORACLES:
+        got = math.exp(_log_kernel(n_t, alpha, order, step, z))
+        assert got == pytest.approx(expected, rel=1e-13), (n_t, alpha, order, step, z)
 
 
 def test_hyp2f1_at_zero_is_one():
-    assert hyp2f1_negz(4.0, 0.25, 0.0) == 1.0
-    assert hyp2f1_negz(4.0, -0.25, 0.0) == 1.0
+    # (a, b) = (4, 0.25) in both shapes and (4, -0.25).  Higher orders
+    # can sit an ulp below 0, as test_higher_kernels_in_unit_interval_near_zero allows.
+    assert _log_kernel(3, 8.0 / 3.0, 1, 1, 0.0) == _log_kernel(4, 8.0 / 3.0, 1, 0, 0.0) == 0.0
+    assert _log_kernel(4, 8.0, 0, 1, 0.0) == 0.0
 
 
 def test_gamma_oracles():
@@ -83,26 +107,6 @@ def test_pochhammer_values():
     assert pochhammer(3.3, 0) == 1.0
 
 
-def test_hyp2f1_domain_errors():
-    for a, b, z in [
-        (2.0, 0.5, -0.5),  # negative z
-        (2.0, -1.0, 1.0),  # b = -1, where c = b + 1 is a pole
-        (3.5, 0.25, 0.5),  # non-integer a
-        (41.0, 0.5, 1.0),  # a above 40
-        (0.0, 0.5, 1.0),  # a below 1
-        (2.0, 0.0, 1.0),  # b = 0
-        (2.0, 32.5, 1.0),  # b above 32
-        (2.0, 2.5, 1.0e4),  # b >= a, also where the panel rule takes z
-        (2.0, 2.0, 1.0e5),
-    ]:
-        with pytest.raises(ConfigError):
-            hyp2f1_negz(a, b, z)
-    with pytest.raises(ConfigError):
-        lambda_kernel(21, 20, 4.0, 1.0)  # first parameter 41
-    with pytest.raises(ConfigError):
-        theta_kernel(3, 2, 4.0, 1.0)  # order above n_t
-
-
 @settings(deadline=None, max_examples=80)
 @given(
     n_t=st.integers(min_value=1, max_value=40),
@@ -115,62 +119,63 @@ def test_hyp2f1_domain_errors():
 @example(n_t=20, order=20, alpha=4.0, log_z=2.0)
 def test_hyp2f1_matches_mpmath(n_t, order, alpha, log_z):
     """1e-12 relative agreement with mpmath over the kernel parameter range."""
-    assume(n_t + order <= specfun._MAX_A)
     z = 10.0**log_z
     b = order - 2.0 / alpha
     a = n_t + order
-    got = hyp2f1_negz(float(a), b, z)
+    got = _log_cells(a, order, alpha, z)
+    assume(got)
     with mp.workdps(30):
         want = float(mp.hyp2f1(a, b, b + 1.0, -z))
-    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    for log_f in got:
+        assert math.exp(log_f) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @settings(deadline=None, max_examples=80)
 @given(
-    n_t=st.integers(min_value=1, max_value=40),
+    a=st.integers(min_value=1, max_value=40),
     order=st.integers(min_value=0, max_value=20),
     alpha=st.floats(min_value=2.05, max_value=1000.0),
     log_z=st.floats(min_value=-2.0, max_value=77.0),
-    theta=st.booleans(),
 )
 # Lambda_9(2^128) and Theta_15(2^100), Theta_15(1.3e30) are below the
 # smallest float64.
-@example(n_t=1, order=9, alpha=5.0, log_z=128 * math.log10(2.0), theta=False)
-@example(n_t=16, order=15, alpha=3.0, log_z=100 * math.log10(2.0), theta=True)
-@example(n_t=16, order=15, alpha=3.0, log_z=math.log10(1.3e30), theta=True)
-def test_log_kernels_match_mpmath(n_t, order, alpha, log_z, theta):
+@example(a=10, order=9, alpha=5.0, log_z=128 * math.log10(2.0))
+@example(a=16, order=15, alpha=3.0, log_z=100 * math.log10(2.0))
+@example(a=16, order=15, alpha=3.0, log_z=math.log10(1.3e30))
+def test_log_kernels_match_mpmath(a, order, alpha, log_z):
     """The logs of the lambda (a = n_t + order) and theta (a = n_t) kernels
     that both laws read agree with mpmath to 1e-12 relative, also where the
     kernel itself underflows."""
     z = 10.0**log_z
-    a = n_t if theta else n_t + order
     b = order - 2.0 / alpha
-    assume(a <= specfun._MAX_A and b <= specfun._MAX_B and b < a)
-    got = specfun._log_hyp2f1(float(a), b, np.array([z]))[0]
+    got = _log_cells(a, order, alpha, z)
+    assume(got)
     with mp.workdps(40):
         want = float(mp.log(mp.hyp2f1(a, b, b + 1, -mp.mpf(z))))
-    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    for log_f in got:
+        assert log_f == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 5.0])
-def test_lambda_log_table_matches_per_order_kernels(alpha):
-    """Both routes are crossed on both sides of each order's switch point:
-    the panel rule up to 1e4 (up to 4 where n_t + order > 28) and the 1/z
+def test_kernel_table_shapes_agree(alpha):
+    """Row j of the PZF table at n_t and row j of the MMSE table at n_t + j
+    hold the same kernel.  Their direct sides are the same sums; on the
+    reflected side c = a - b rounds differently in the two shapes.  Both
+    routes are crossed on both sides of each order's switch point: the
+    panel rule up to 1e4 (up to 4 where n_t + order > 28) and the 1/z
     identity beyond."""
     x = 10.0 ** np.linspace(-300.0, 12.0, 105)
     for n_t in range(1, 13):
-        table = specfun._lambda_log_table(n_t, alpha, x, 20)
+        table = specfun._log_kernel_table(n_t, alpha, x, 20, 1)
         for order in range(21):
-            want = lambda_kernel(order, n_t, alpha, x)
-            big = want > 1e-300
-            np.testing.assert_allclose(np.exp(table[order, big]), want[big], rtol=4e-15,
-                                       atol=0.0, err_msg=f"n_t={n_t}, order={order}")
+            np.testing.assert_allclose(table[order], _log_kernel(n_t + order, alpha, order, 0, x),
+                                       rtol=1e-15, atol=0.0, err_msg=f"n_t={n_t}, order={order}")
 
 
 @settings(deadline=None, max_examples=80)
 @given(
     a=st.integers(min_value=1, max_value=specfun._MAX_A),
-    order=st.integers(min_value=1, max_value=specfun._MAX_A),
+    order=st.integers(min_value=1, max_value=pzf._MAX_DELTA),
     alpha=st.floats(min_value=2.01, max_value=2.1, exclude_max=True),
     log_z=st.floats(min_value=-3.0, max_value=77.0),
 )
@@ -180,17 +185,18 @@ def test_hyp2f1_near_alpha_two_matches_mpmath(a, order, alpha, log_z):
     (lambda kernels have a = n_t + order, theta kernels a = n_t)."""
     z = 10.0**log_z
     b = order - 2.0 / alpha
-    assume(a <= specfun._MAX_A and b <= specfun._MAX_B and b < a)
-    got = specfun._log_hyp2f1(a, b, np.array([z]))[0]
+    got = _log_cells(a, order, alpha, z)
+    assume(got)
     with mp.workdps(40):
         want = float(mp.log(mp.hyp2f1(a, b, b + 1, -mp.mpf(z))))
-    if z <= 1e4:
-        # F to 1e-12 relative, which is log F to 1e-12 absolute.
-        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
-    else:
-        # |log F| reaches thousands here, where its own rounding exceeds
-        # 1e-12 absolute, so log F is checked relative to itself.
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    for log_f in got:
+        if z <= 1e4:
+            # F to 1e-12 relative, which is log F to 1e-12 absolute.
+            assert log_f == pytest.approx(want, rel=0.0, abs=1e-12)
+        else:
+            # |log F| reaches thousands here, where its own rounding exceeds
+            # 1e-12 absolute, so log F is checked relative to itself.
+            assert log_f == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 @settings(deadline=None, max_examples=40)
@@ -204,8 +210,8 @@ def test_hyp2f1_near_alpha_two_matches_mpmath(a, order, alpha, log_z):
 @example(n_t=1, alpha=3.0, z1=2.1000000000000005, z2=2.1)
 def test_lambda0_monotone_and_bounded(n_t, alpha, z1, z2):
     lo, hi = sorted((z1, z2))
-    v_lo, v_hi = lambda_kernel(0, n_t, alpha, lo), lambda_kernel(0, n_t, alpha, hi)
-    assert v_lo >= 1.0 and v_hi >= v_lo
+    v_lo, v_hi = _log_kernel(n_t, alpha, 0, 1, lo), _log_kernel(n_t, alpha, 0, 1, hi)
+    assert v_lo >= 0.0 and v_hi >= v_lo
 
 
 def test_lambda0_subnormal_argument_is_silent():
@@ -213,7 +219,7 @@ def test_lambda0_subnormal_argument_is_silent():
     # quadrature still gets g = 1/(1 + inf) = 0 right and must not warn.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert lambda_kernel(0, 1, 3.0, 1e-305) == 1.0
+        assert math.exp(_log_kernel(1, 3.0, 0, 1, 1e-305)) == 1.0
 
 
 @pytest.mark.parametrize("n_t", [1, 3, 8])
@@ -223,12 +229,12 @@ def test_lambda0_monotone_between_neighbouring_floats(n_t, alpha):
     alone or in an array."""
     rng = np.random.default_rng(7)
     z = np.concatenate([10.0 ** rng.uniform(-6.0, 4.0, 2000), rng.uniform(0.0, 30.0, 2000)])
-    v = lambda_kernel(0, n_t, alpha, z)
-    assert np.all(lambda_kernel(0, n_t, alpha, np.nextafter(z, np.inf)) >= v)
+    v = _log_kernel(n_t, alpha, 0, 1, z)
+    assert np.all(_log_kernel(n_t, alpha, 0, 1, np.nextafter(z, np.inf)) >= v)
     order = np.argsort(z)
     assert np.all(np.diff(v[order]) >= 0.0)
     for i in range(0, z.size, 401):
-        assert lambda_kernel(0, n_t, alpha, float(z[i])) == v[i]
+        assert _log_kernel(n_t, alpha, 0, 1, float(z[i])) == v[i]
 
 
 @settings(deadline=None, max_examples=40)
@@ -239,21 +245,20 @@ def test_lambda0_monotone_between_neighbouring_floats(n_t, alpha):
     z=st.floats(min_value=0.0, max_value=1e4),
 )
 def test_higher_kernels_in_unit_interval(n_t, order, alpha, z):
-    assert 0.0 < lambda_kernel(order, n_t, alpha, z) <= 1.0
+    # log F in (-inf, 0] is F in (0, 1].
+    assert -math.inf < _log_kernel(n_t, alpha, order, 1, z) <= 0.0
     # Theta orders stop at n_t, the last one the MMSE law reads.
-    assert 0.0 < theta_kernel(min(order, n_t), n_t, alpha, z) <= 1.0
+    assert -math.inf < _log_kernel(n_t, alpha, min(order, n_t), 0, z) <= 0.0
 
 
 @pytest.mark.parametrize("alpha", [2.01, 2.05, 2.5, 3.0, 4.0, 6.0])
 def test_higher_kernels_in_unit_interval_near_zero(alpha):
     # The positive Euler sum b sum_i c_i is 1 only up to rounding.
-    for z in (0.0, 1e-300, 1e-12):
-        for order in range(1, 17):
-            for n_t in range(1, 13):
-                kernels = (lambda_kernel, theta_kernel) if order <= n_t else (lambda_kernel,)
-                for kernel in kernels:
-                    value = kernel(order, n_t, alpha, z)
-                    assert 0.0 < value <= 1.0, (kernel.__name__, order, n_t, z)
+    z = np.array([0.0, 1e-300, 1e-12])
+    for n_t in range(1, 13):
+        for step, orders in ((1, 16), (0, min(n_t, 16))):
+            logs = specfun._log_kernel_table(n_t, alpha, z, orders, step)[1:]
+            assert np.all((logs > -math.inf) & (logs <= 0.0)), (step, n_t)
 
 
 def test_laws_run_without_mpmath():
@@ -261,16 +266,19 @@ def test_laws_run_without_mpmath():
     alpha = 2, a kernel far beyond the panel rule and the MMSE law at a
     large alpha and threshold run with the import blocked."""
     code = """
+import math
 import sys
 sys.modules["mpmath"] = None
-from cellmimo import NetworkConfig, coverage_mmse, coverage_pzf, lambda_kernel
+import numpy as np
+from cellmimo import NetworkConfig, coverage_mmse, coverage_pzf
+from cellmimo.specfun import _log_kernel_table
 zs = [10.0 ** (db / 10.0) for db in range(-5, 21)]
 pzf_config = NetworkConfig(lam=1.0, alpha=2.05, sigma2=0.0, n_t=1, n_r=4)
 mmse_config = NetworkConfig(lam=1.0, alpha=2.05, sigma2=0.0, n_t=4, n_r=16)
 for curve in ([coverage_pzf(pzf_config, z, 2) for z in zs],
               [coverage_mmse(mmse_config, z) for z in zs]):
     assert all(1.0 >= v > w > 0.0 for v, w in zip(curve, curve[1:])), curve
-assert 0.0 < lambda_kernel(1, 1, 2.02, 1e30) < 1.0
+assert -math.inf < _log_kernel_table(1, 2.02, np.array([1e30]), 1, 1)[1, 0] < 0.0
 steep = NetworkConfig(lam=1.0, alpha=100.0, sigma2=0.0, n_t=2, n_r=4)
 assert 0.0 < coverage_mmse(steep, 1e6) < 1.0
 """
@@ -292,10 +300,9 @@ def test_pochhammer_recurrence(x, n):
 
 
 def test_theta_equals_lambda_at_order_zero():
-    for z in (0.1, 1.0, 50.0):
-        assert theta_kernel(0, 3, 4.0, z) == pytest.approx(
-            lambda_kernel(0, 3, 4.0, z), rel=1e-15
-        )
+    # Order 0 has a = n_t in both shapes, and the same sums to the last bit.
+    x = np.array([0.1, 1.0, 50.0, 1e5])
+    assert np.array_equal(_log_kernel(3, 4.0, 0, 0, x), _log_kernel(3, 4.0, 0, 1, x))
 
 
 # ----------------------------------------------------------------------
