@@ -41,9 +41,7 @@ from .pzf import (
 from .rate import (
     RateProfile,
     ergodic_rate,
-    mean_sum_rate,
     rate_profile,
-    rate_quantile,
     sinr_ccdf,
 )
 
@@ -67,10 +65,8 @@ __all__ = [
     "estimate_coverage_curve",
     "estimate_rate",
     "mean_inverse_sinr",
-    "mean_sum_rate",
     "optimal_m",
     "rate_profile",
-    "rate_quantile",
     "simulate_sinr",
     "sinr_ccdf",
 ]

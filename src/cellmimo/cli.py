@@ -26,7 +26,7 @@ from .errors import ConfigError, NumericError
 from .geometry import NetworkConfig
 from .montecarlo import _reduce, estimate_coverage_curve, simulate_sinr
 from .pzf import argmin_mean_inverse_sinr, optimal_m
-from .rate import _sum_rate, ergodic_rate, rate_quantile, sinr_ccdf, stream_config
+from .rate import rate_profile, sinr_ccdf
 
 __all__ = ["RunManifest", "main"]
 
@@ -154,12 +154,6 @@ def _resolve_network(args: argparse.Namespace) -> tuple[NetworkConfig, int | Non
     return config, (int(m) if m is not None else None)
 
 
-def _check_m_receiver(receiver: str, m: int | None) -> int | None:
-    if receiver == "mmse" and m is not None:
-        raise ConfigError("--m applies to the PZF receiver only")
-    return m
-
-
 def _parse_zdb_range(spec: str) -> list[float]:
     """Inclusive dB grid START:STOP:STEP; START > STOP yields an empty grid."""
     parts = spec.split(":")
@@ -220,12 +214,13 @@ def _db_to_linear(z_db: float) -> float:
 
 def cmd_coverage(args: argparse.Namespace, argv: list[str], started: float) -> int:
     config, m = _resolve_network(args)
-    m = _check_m_receiver(args.rx, m)
+    # Built for both methods, so an order the receiver cannot take fails
+    # even on an empty grid.
+    ccdf = sinr_ccdf(config, args.rx, m=m)
     grid_db = _parse_zdb_range(args.zdb)
     header = ["z_db", "z_linear", "coverage", "method", "ci_halfwidth"]
     rows: list[list[str]] = []
     if args.method == "analytic":
-        ccdf = sinr_ccdf(config, args.rx, m=m)
         for z_db in grid_db:
             z = _db_to_linear(z_db)
             rows.append([_fmt(z_db), _fmt(z), _fmt(ccdf(z)), "analytic", ""])
@@ -246,41 +241,37 @@ def cmd_coverage(args: argparse.Namespace, argv: list[str], started: float) -> i
 
 
 def _quantile_label(q: float) -> str:
-    pct = 100.0 * q
-    return f"q{pct:02.0f}" if float(pct).is_integer() else f"q{pct:g}"
+    """Column name of a quantile level: its percentage to six significant
+    digits, the integer part padded to two (q05, q07, q12.5, q80)."""
+    whole, dot, frac = f"{100.0 * q:g}".partition(".")
+    return f"q{whole:0>2}{dot}{frac}"
 
 
 def cmd_rate(args: argparse.Namespace, argv: list[str], started: float) -> int:
     config, m = _resolve_network(args)
-    m = _check_m_receiver(args.rx, m)
     quantiles = _parse_float_list(args.quantiles, "--quantiles")
-    if any(not 0.0 < q < 1.0 for q in quantiles):
-        raise ConfigError("--quantiles values must lie in (0, 1)")
-
-    ccdf = sinr_ccdf(stream_config(config, args.scheme), args.rx, m=m)
-    mean = _sum_rate(args.scheme, config.n_t, ergodic_rate(ccdf))
-    qvals = {
-        _quantile_label(q): rate_quantile(
-            args.scheme, ccdf, config.n_t, q, convention=args.convention
-        )
-        for q in quantiles
-    }
+    labels = [_quantile_label(q) for q in quantiles]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"--quantiles {args.quantiles!r} gives two levels one column name")
+    profile = rate_profile(config, args.rx, args.scheme, m=m, quantiles=quantiles,
+                           convention=args.convention)
+    qvals = {label: profile.quantiles[q] for label, q in zip(labels, quantiles)}
 
     if args.format == "json":
-        payload: dict = {"mean_rate": mean}
+        payload: dict = {"mean_rate": profile.mean_rate}
         payload.update(qvals)
         payload.update({
             "scheme": args.scheme,
             "receiver": args.rx,
             "n_t": config.n_t,
             "n_r": config.n_r,
-            "m": m,
+            "m": profile.m,
         })
         text = json.dumps(payload, indent=2) + "\n"
     else:
         header = ["scheme", "receiver", "n_t", "n_r", "m", "mean_rate", *qvals]
         row = [args.scheme, args.rx, str(config.n_t), str(config.n_r),
-               "" if m is None else str(m), _fmt(mean),
+               "" if profile.m is None else str(profile.m), _fmt(profile.mean_rate),
                *(_fmt(v) for v in qvals.values())]
         text = _csv_text(header, [row])
     _write_output(text, args.out, argv=argv, args=args, seed=None, started=started)
@@ -321,8 +312,6 @@ def cmd_optimal_m(args: argparse.Namespace, argv: list[str], started: float) -> 
 def cmd_validate(args: argparse.Namespace, argv: list[str], started: float) -> int:
     config, m = _resolve_network(args)
     receivers = ("pzf", "mmse") if args.rx == "both" else (args.rx,)
-    if "pzf" not in receivers:
-        m = _check_m_receiver("mmse", m)
     grid_db = _parse_zdb_range(args.zdb)
     if not grid_db:
         raise ConfigError("validation needs a nonempty z-range")

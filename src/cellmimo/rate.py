@@ -4,8 +4,8 @@ The per-stream ergodic rate is the integral of the SINR CCDF over
 t = log2(1 + z), taken by a fixed Gauss-Kronrod rule on the graded panels
 [0, 1], [1, 2], [2, 4], ... and cut where the CCDF drops below 1e-8 (see
 :func:`ergodic_rate`); rate quantiles invert the CCDF at a fixed
-probability.
-Two transmission schemes are summarized:
+probability.  :func:`rate_profile` summarizes both for one of two
+transmission schemes, and is the one place that reads a scheme:
 
 * ``sm`` (spatial multiplexing): the base station sends n_t streams, one
   per user; each user decodes its own stream, so the cell sum rate is
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import optimize as _optimize
@@ -36,11 +36,8 @@ from .pzf import _split_delta, coverage_pzf, default_m
 
 __all__ = [
     "RateProfile",
-    "stream_config",
     "sinr_ccdf",
     "ergodic_rate",
-    "rate_quantile",
-    "mean_sum_rate",
     "rate_profile",
 ]
 
@@ -74,24 +71,17 @@ _PANEL_DEPTH = 12
 
 @dataclass(frozen=True)
 class RateProfile:
-    """Summary of the user rate distribution for one scheme/receiver pair."""
+    """Summary of the user rate distribution for one scheme/receiver pair.
+
+    ``quantiles`` maps each requested level to its rate; ``m`` is the PZF
+    cancellation order the law ran at, and None for MMSE.
+    """
 
     mean_rate: float
-    q05: float
-    q80: float
+    quantiles: dict[float, float]
     scheme: str
     receiver: str
-
-
-def stream_config(config: NetworkConfig, scheme: str) -> NetworkConfig:
-    """Configuration whose SINR law a scheme's streams see.
-
-    ``sm`` keeps all n_t streams; ``sst`` serves one stream at a time, so
-    its SINR law is the n_t = 1 one.
-    """
-    if scheme not in _SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {_SCHEMES}")
-    return config if scheme == "sm" else replace(config, n_t=1)
+    m: int | None
 
 
 def sinr_ccdf(config: NetworkConfig, receiver: str, m: int | None = None) -> Callable[[float], float]:
@@ -157,29 +147,9 @@ def _kronrod_panel(f: Callable[[float], float], lo: float, hi: float, depth: int
     return _kronrod_panel(f, lo, mid, depth + 1) + _kronrod_panel(f, mid, hi, depth + 1)
 
 
-def rate_quantile(
-    scheme: str,
-    coverage_fn: Callable[[float], float],
-    n_t: int,
-    q: float,
-    *,
-    convention: str = "calibrated",
-) -> float:
-    """q-quantile of the user rate distribution, in bits/s/Hz.
-
-    Solves P[SINR <= z_q] = q on the SINR axis, then maps through the
-    scheme's rate function.  q = 0.05 is the usual cell-edge number, q = 0.8
-    a near-peak one.
-    """
-    if scheme not in _SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {_SCHEMES}")
-    if convention not in _CONVENTIONS:
-        raise ConfigError(f"unknown convention {convention!r}; expected one of {_CONVENTIONS}")
-    if not (0.0 < q < 1.0):
-        raise ConfigError(f"quantile level must be in (0, 1), got {q!r}")
-    if not isinstance(n_t, int) or n_t < 1:
-        raise ConfigError(f"n_t must be a positive integer, got {n_t!r}")
-
+def _sinr_quantile(coverage_fn: Callable[[float], float], q: float) -> float:
+    """SINR threshold z_q with P[SINR <= z_q] = q: the bracket [0, 4^k] is
+    widened until the CCDF falls to 1 - q, then brentq solves."""
     target = 1.0 - q  # CCDF value at the quantile threshold
 
     def shifted(z: float) -> float:
@@ -190,60 +160,44 @@ def rate_quantile(
         hi *= 4.0
         if hi > 2.0**256:
             raise NumericError("quantile bracket search ran away; CCDF decays too slowly")
-    z_q = _optimize.brentq(shifted, 0.0, hi, xtol=1e-14, rtol=1e-12)
-
-    per_stream = math.log2(1.0 + z_q)
-    if scheme == "sm":
-        return n_t * per_stream if convention == "calibrated" else per_stream
-    return per_stream if convention == "calibrated" else per_stream / n_t
-
-
-def mean_sum_rate(
-    scheme: str,
-    n_t: int,
-    n_r: int,
-    receiver: str,
-    *,
-    alpha: float = 4.0,
-    sigma2: float = 0.0,
-    lam: float = 1.0,
-    m: int | None = None,
-) -> float:
-    """Mean downlink sum rate of a cell, in bits/s/Hz.
-
-    ``sm``: n_t streams to n_t users, sum rate n_t * C(n_t, n_r).
-    ``sst``: one stream shared by time division, sum rate C(1, n_r).
-    """
-    config = NetworkConfig(lam=lam, alpha=alpha, sigma2=sigma2, n_t=n_t, n_r=n_r)
-    ccdf = sinr_ccdf(stream_config(config, scheme), receiver, m=m)
-    return _sum_rate(scheme, n_t, ergodic_rate(ccdf))
-
-
-def _sum_rate(scheme: str, n_t: int, per_stream: float) -> float:
-    """Cell sum rate from the per-stream ergodic rate: n_t streams for
-    ``sm``, one for ``sst``."""
-    return n_t * per_stream if scheme == "sm" else per_stream
+    return _optimize.brentq(shifted, 0.0, hi, xtol=1e-14, rtol=1e-12)
 
 
 def rate_profile(
-    scheme: str,
-    n_t: int,
-    n_r: int,
+    config: NetworkConfig,
     receiver: str,
+    scheme: str,
     *,
-    alpha: float = 4.0,
-    sigma2: float = 0.0,
-    lam: float = 1.0,
     m: int | None = None,
+    quantiles: Sequence[float] = (0.05, 0.8),
     convention: str = "calibrated",
 ) -> RateProfile:
-    """Mean sum rate plus the 5% (cell-edge) and 80% rate quantiles."""
-    config = NetworkConfig(lam=lam, alpha=alpha, sigma2=sigma2, n_t=n_t, n_r=n_r)
-    ccdf = sinr_ccdf(stream_config(config, scheme), receiver, m=m)
-    return RateProfile(
-        mean_rate=_sum_rate(scheme, n_t, ergodic_rate(ccdf)),
-        q05=rate_quantile(scheme, ccdf, n_t, 0.05, convention=convention),
-        q80=rate_quantile(scheme, ccdf, n_t, 0.80, convention=convention),
-        scheme=scheme,
-        receiver=receiver,
-    )
+    """Mean sum rate and rate quantiles of a cell, in bits/s/Hz.
+
+    ``scheme`` sets the SINR law the streams see, the sum-rate factor and,
+    with ``convention``, the quantile factor, as the module docstring
+    states.  Each level q in ``quantiles`` (0.05 is the usual cell-edge
+    number, 0.8 a near-peak one) solves P[SINR <= z_q] = q on that law.
+    For ``pzf``, ``m`` defaults to :func:`cellmimo.pzf.default_m` of the
+    law the streams see.
+    """
+    if scheme not in _SCHEMES:
+        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {_SCHEMES}")
+    if convention not in _CONVENTIONS:
+        raise ConfigError(f"unknown convention {convention!r}; expected one of {_CONVENTIONS}")
+    if any(not 0.0 < q < 1.0 for q in quantiles):
+        raise ConfigError(f"quantile levels must lie in (0, 1), got {quantiles!r}")
+    n_t = int(config.n_t)
+    stream = config if scheme == "sm" else replace(config, n_t=1)
+    if receiver == "pzf" and m is None:
+        m = default_m(stream)
+    ccdf = sinr_ccdf(stream, receiver, m=m)
+    mean = ergodic_rate(ccdf)
+    rates = {q: math.log2(1.0 + _sinr_quantile(ccdf, q)) for q in quantiles}
+    if scheme == "sm":
+        mean = n_t * mean
+        if convention == "calibrated":
+            rates = {q: n_t * c for q, c in rates.items()}
+    elif convention == "per-stream":
+        rates = {q: c / n_t for q, c in rates.items()}
+    return RateProfile(mean, rates, scheme, receiver, m)

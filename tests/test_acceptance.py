@@ -23,7 +23,7 @@ from cellmimo.pzf import (
     mean_inverse_sinr,
     optimal_m,
 )
-from cellmimo.rate import mean_sum_rate, rate_quantile, sinr_ccdf
+from cellmimo.rate import rate_profile
 from test_montecarlo import _manual_realization
 
 
@@ -225,28 +225,25 @@ def test_criterion_06_optimal_split_rule_matches_exhaustive_argmin():
 # Criterion 7: rate table reproduction (alpha = 4, sigma2 = 0).
 
 def test_criterion_07_rate_table_reproduction():
-    cov_mmse_1x4 = sinr_ccdf(_config(1, 4), "mmse")
-    assert mean_sum_rate("sst", 1, 4, "mmse") == pytest.approx(4.87, abs=0.05)
-    assert rate_quantile("sst", cov_mmse_1x4, 1, 0.05) == pytest.approx(1.149, rel=0.05)
-    assert rate_quantile("sst", cov_mmse_1x4, 1, 0.80) == pytest.approx(7.19, rel=0.05)
+    mmse_1x4 = rate_profile(_config(1, 4), "mmse", "sst")
+    assert mmse_1x4.mean_rate == pytest.approx(4.87, abs=0.05)
+    assert mmse_1x4.quantiles[0.05] == pytest.approx(1.149, rel=0.05)
+    assert mmse_1x4.quantiles[0.8] == pytest.approx(7.19, rel=0.05)
 
-    cov_pzf_1x4 = sinr_ccdf(_config(1, 4), "pzf", m=2)
-    assert mean_sum_rate("sst", 1, 4, "pzf", m=2) == pytest.approx(4.26918, abs=0.02)
-    assert rate_quantile("sst", cov_pzf_1x4, 1, 0.05) == pytest.approx(0.7899, rel=0.05)
-    assert rate_quantile("sst", cov_pzf_1x4, 1, 0.80) == pytest.approx(6.3964, rel=0.05)
+    pzf_1x4 = rate_profile(_config(1, 4), "pzf", "sst", m=2)
+    assert pzf_1x4.mean_rate == pytest.approx(4.26918, abs=0.02)
+    assert pzf_1x4.quantiles[0.05] == pytest.approx(0.7899, rel=0.05)
+    assert pzf_1x4.quantiles[0.8] == pytest.approx(6.3964, rel=0.05)
 
-    cov_mmse_2x4 = sinr_ccdf(_config(2, 4), "mmse")
-    q05 = rate_quantile("sm", cov_mmse_2x4, 2, 0.05)
-    q80 = rate_quantile("sm", cov_mmse_2x4, 2, 0.80)
-    assert q05 == pytest.approx(1.016, rel=0.05)
-    assert q80 == pytest.approx(9.46, rel=0.05)
+    mmse_2x4 = rate_profile(_config(2, 4), "mmse", "sm")
+    assert mmse_2x4.quantiles[0.05] == pytest.approx(1.016, rel=0.05)
+    assert mmse_2x4.quantiles[0.8] == pytest.approx(9.46, rel=0.05)
     # Reference mean 6.24, consistent with the q05 and q80 references
     # above, which the law matches to 0.1%: the law gives 6.241264, an
     # mpmath quadrature of the same CCDF over t = log2(1 + z) gives
     # 6.2412645, and a fading Monte Carlo of 1,000,448 trials (seed
     # 20261018, default 1600-station window) gives 6.2562 +/- 0.0056.
-    mean_2x4 = mean_sum_rate("sm", 2, 4, "mmse")
-    assert mean_2x4 == pytest.approx(6.24, abs=0.05)
+    assert mmse_2x4.mean_rate == pytest.approx(6.24, abs=0.05)
 
 
 # ----------------------------------------------------------------------

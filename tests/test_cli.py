@@ -103,6 +103,14 @@ def test_rate_json_profile(capsys):
     assert payload["m"] == 2
     assert set(payload) >= {"mean_rate", "q05", "q80", "scheme", "receiver"}
 
+    # The order the law ran at: default_m of the 1x4 stream law, not of 2x4.
+    code, out = _run(capsys, [
+        "rate", "--rx", "pzf", "--nt", "2", "--nr", "4", "--scheme", "sst",
+        "--format", "json",
+    ])
+    assert code == 0
+    assert json.loads(out.out)["m"] == 2
+
 
 def test_rate_sst_equals_sm_single_stream(capsys):
     means = {}
@@ -193,8 +201,16 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     code, out = _run(capsys, ["validate", "--nt", "1", "--nr", "2", "--m", "1",
                               "--zdb", "0:0:1", "--trials", "1"])
     assert code == 2 and "standard error" in out.err
+    # An MMSE order fails in every command, also where the grid is empty.
+    for argv in (
+        ["coverage", "--rx", "mmse", "--m", "1", "--method", "mc", "--zdb", "5:0:1"],
+        ["rate", "--rx", "mmse", "--m", "1"],
+        ["validate", "--rx", "mmse", "--m", "1", "--zdb", "0:0:1", "--trials", "2"],
+    ):
+        code, out = _run(capsys, argv + ["--nt", "2", "--nr", "4"])
+        assert code == 2, argv
     # 3: numeric failure.
-    monkeypatch.setattr(cli, "ergodic_rate", lambda *a, **k: (_ for _ in ()).throw(
+    monkeypatch.setattr("cellmimo.rate.ergodic_rate", lambda *a, **k: (_ for _ in ()).throw(
         NumericError("forced")))
     code, out = _run(capsys, ["rate", "--rx", "mmse", "--nt", "1", "--nr", "2"])
     assert code == 3
@@ -229,3 +245,17 @@ def test_quantile_flag(capsys):
     assert code == 0
     payload = json.loads(out.out)
     assert "q50" in payload and payload["q50"] > 0.0
+
+    # Integer percentages pad to two digits; others keep their decimals.
+    code, out = _run(capsys, [
+        "rate", "--rx", "mmse", "--nt", "1", "--nr", "4",
+        "--quantiles", "0.05,0.07,0.125,0.8",
+    ])
+    assert code == 0
+    assert _parse_csv(out.out)[0][-4:] == ["q05", "q07", "q12.5", "q80"]
+    # Two levels that would share a column fail instead of one being dropped.
+    code, out = _run(capsys, [
+        "rate", "--rx", "pzf", "--nt", "1", "--nr", "4",
+        "--quantiles", "0.1234561,0.1234562,0.07",
+    ])
+    assert code == 2 and "--quantiles" in out.err

@@ -1,7 +1,7 @@
 """The documented examples: the package docstring runs as a doctest, the
 README quick start reproduces the values its comments print, the README
-module map names exactly the package's modules, and every exported name
-exists."""
+module map names exactly the package's modules, every exported name
+exists, and every call the README names resolves."""
 
 import ast
 import doctest
@@ -64,13 +64,44 @@ def test_module_map_matches_package():
     assert sorted(named) == sorted(modules)
 
 
-def test_exports_resolve():
-    """Every name in the package's and each module's ``__all__`` is defined,
-    so a deletion cannot leave a stale export behind."""
-    modules = [cellmimo] + [
+def _modules():
+    return [cellmimo] + [
         importlib.import_module(f"cellmimo.{path.stem}")
         for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"
     ]
-    for module in modules:
+
+
+def test_exports_resolve():
+    """Every name in the package's and each module's ``__all__`` is defined,
+    so a deletion cannot leave a stale export behind."""
+    for module in _modules():
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
+
+
+# Calls in README code spans that are math notation, or numpy's, not the
+# package's.
+_NOTATION = {"Beta", "Gamma", "J", "SeedSequence", "ceil", "exp", "f", "log2"}
+
+
+def _resolves(module, dotted):
+    obj = module
+    for part in dotted.split("."):
+        obj = getattr(obj, part, None)
+    return obj is not None
+
+
+def test_readme_calls_resolve():
+    """Every ``name(`` call in a README code span is an attribute of
+    ``cellmimo`` or one of its modules, so a renamed or deleted function
+    cannot stay documented."""
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.DOTALL)
+    modules = _modules()
+    calls = {
+        name
+        for span in re.findall(r"`([^`\n]+)`", text)
+        for name in re.findall(r"(?<![\w.])([A-Za-z_][\w.]*)\(", span)
+    }
+    assert calls - _NOTATION
+    for name in sorted(calls - _NOTATION):
+        assert any(_resolves(module, name) for module in modules), name

@@ -6,89 +6,92 @@ scipy ``quad`` at 1e-11 relative, over the same truncated range.
 
 import math
 
+import numpy as np
 import pytest
 from scipy import integrate
 
 from cellmimo.errors import ConfigError, NumericError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.pzf import coverage_pzf, default_m
-from cellmimo.rate import (
-    ergodic_rate,
-    mean_sum_rate,
-    rate_profile,
-    rate_quantile,
-    sinr_ccdf,
-    stream_config,
-)
+from cellmimo.rate import ergodic_rate, rate_profile, sinr_ccdf
 
 
 def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):
     return NetworkConfig(lam=lam, alpha=alpha, sigma2=sigma2, n_t=n_t, n_r=n_r)
 
 
+def _mean_rate(config, receiver, scheme, m=None):
+    return rate_profile(config, receiver, scheme, m=m, quantiles=()).mean_rate
+
+
 def test_mean_rate_reference_values():
-    assert mean_sum_rate("sm", 1, 4, "mmse") == pytest.approx(4.87, abs=0.01)
-    assert mean_sum_rate("sm", 1, 4, "pzf", m=2) == pytest.approx(4.26918, abs=1e-4)
+    assert _mean_rate(_config(1, 4), "mmse", "sm") == pytest.approx(4.87, abs=0.01)
+    assert _mean_rate(_config(1, 4), "pzf", "sm", m=2) == pytest.approx(4.26918, abs=1e-4)
     # Regression pins at full precision for drift detection.
-    assert mean_sum_rate("sm", 2, 4, "mmse") == pytest.approx(
+    assert _mean_rate(_config(2, 4), "mmse", "sm") == pytest.approx(
         6.241264469505511, rel=1e-7
     )
-    assert mean_sum_rate("sm", 4, 4, "mmse") == pytest.approx(
+    assert _mean_rate(_config(4, 4), "mmse", "sm") == pytest.approx(
         6.515701027246838, rel=1e-7
+    )
+    # NetworkConfig takes numpy integers, and so does the rate summary.
+    assert _mean_rate(_config(np.int64(2), 4), "mmse", "sm") == pytest.approx(
+        6.241264469505511, rel=1e-7
     )
 
 
 def test_quantile_reference_values():
-    profile = rate_profile("sm", 1, 4, "mmse")
-    assert profile.q05 == pytest.approx(1.1232536234238606, rel=1e-6)
-    assert profile.q80 == pytest.approx(7.115094562212235, rel=1e-6)
+    profile = rate_profile(_config(1, 4), "mmse", "sm")
+    assert profile.quantiles[0.05] == pytest.approx(1.1232536234238606, rel=1e-6)
+    assert profile.quantiles[0.8] == pytest.approx(7.115094562212235, rel=1e-6)
     assert profile.mean_rate == pytest.approx(4.865878385240726, rel=1e-7)
-    assert (profile.scheme, profile.receiver) == ("sm", "mmse")
+    assert (profile.scheme, profile.receiver, profile.m) == ("sm", "mmse", None)
 
 
 def test_sst_equals_sm_for_single_stream():
     for receiver, m in (("mmse", None), ("pzf", 2)):
-        sm = rate_profile("sm", 1, 4, receiver, m=m)
-        sst = rate_profile("sst", 1, 4, receiver, m=m)
+        sm = rate_profile(_config(1, 4), receiver, "sm", m=m)
+        sst = rate_profile(_config(1, 4), receiver, "sst", m=m)
         assert sm.mean_rate == pytest.approx(sst.mean_rate, rel=1e-9)
-        assert sm.q05 == pytest.approx(sst.q05, rel=1e-9)
-        assert sm.q80 == pytest.approx(sst.q80, rel=1e-9)
+        assert sm.quantiles[0.05] == pytest.approx(sst.quantiles[0.05], rel=1e-9)
+        assert sm.quantiles[0.8] == pytest.approx(sst.quantiles[0.8], rel=1e-9)
 
 
 def test_sst_rate_ignores_stream_count():
     # Single-stream transmission shares one stream by time division, so the
     # number of transmit antennas never enters its SINR law.
-    assert mean_sum_rate("sst", 4, 4, "mmse") == pytest.approx(
-        mean_sum_rate("sst", 1, 4, "mmse"), rel=1e-10
+    assert _mean_rate(_config(4, 4), "mmse", "sst") == pytest.approx(
+        _mean_rate(_config(1, 4), "mmse", "sst"), rel=1e-10
     )
 
 
 def test_sm_beats_sst_in_mean_for_reference_cell():
-    assert mean_sum_rate("sm", 2, 4, "mmse") > mean_sum_rate("sst", 2, 4, "mmse")
+    assert _mean_rate(_config(2, 4), "mmse", "sm") > _mean_rate(_config(2, 4), "mmse", "sst")
 
 
 def test_quantile_conventions_scale_consistently():
-    ccdf = sinr_ccdf(_config(2, 4), "mmse")
-    calibrated = rate_quantile("sm", ccdf, 2, 0.05, convention="calibrated")
-    per_stream = rate_quantile("sm", ccdf, 2, 0.05, convention="per-stream")
-    assert calibrated == pytest.approx(2.0 * per_stream, rel=1e-12)
-    sst_cal = rate_quantile("sst", ccdf, 2, 0.05, convention="calibrated")
-    sst_ps = rate_quantile("sst", ccdf, 2, 0.05, convention="per-stream")
-    assert sst_cal == pytest.approx(2.0 * sst_ps, rel=1e-12)
+    # Per scheme, the two conventions differ by the factor n_t = 2.
+    for scheme in ("sm", "sst"):
+        calibrated, per_stream = (
+            rate_profile(_config(2, 4), "mmse", scheme, quantiles=(0.05,),
+                         convention=convention).quantiles[0.05]
+            for convention in ("calibrated", "per-stream")
+        )
+        assert calibrated == pytest.approx(2.0 * per_stream, rel=1e-12)
 
 
 def test_quantile_is_coverage_inverse():
     ccdf = sinr_ccdf(_config(1, 4), "mmse")
     q = 0.37
-    value = rate_quantile("sst", ccdf, 1, q)
+    value = rate_profile(_config(1, 4), "mmse", "sst", quantiles=(q,)).quantiles[q]
     z_at_quantile = 2.0**value - 1.0
     assert ccdf(z_at_quantile) == pytest.approx(1.0 - q, abs=1e-10)
 
 
 def test_quantiles_increase_with_level():
-    ccdf = sinr_ccdf(_config(1, 4), "mmse")
     levels = [0.05, 0.3, 0.6, 0.9]
-    values = [rate_quantile("sst", ccdf, 1, q) for q in levels]
+    profile = rate_profile(_config(1, 4), "mmse", "sst", quantiles=levels)
+    values = [profile.quantiles[q] for q in levels]
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -129,9 +132,12 @@ def _quad_rate(ccdf):
     ("sm", 2, 4, "mmse", None, 4.0, 1.0),
 ])
 def test_ergodic_rate_matches_adaptive_quad(scheme, n_t, n_r, receiver, m, alpha, sigma2):
-    config = stream_config(_config(n_t, n_r, alpha=alpha, sigma2=sigma2), scheme)
-    ccdf = sinr_ccdf(config, receiver, m=m)
-    assert ergodic_rate(ccdf) == pytest.approx(_quad_rate(ccdf), rel=1e-9, abs=0.0)
+    # Every sst case has n_t = 1, so both schemes' streams see config's law.
+    config = _config(n_t, n_r, alpha=alpha, sigma2=sigma2)
+    streams = n_t if scheme == "sm" else 1
+    quad_rate = streams * _quad_rate(sinr_ccdf(config, receiver, m=m))
+    mean = _mean_rate(config, receiver, scheme, m=m)
+    assert mean == pytest.approx(quad_rate, rel=1e-9, abs=0.0)
 
 
 def test_ergodic_rate_raises_at_the_bisection_cap():
@@ -181,17 +187,15 @@ def test_sinr_ccdf_validation_and_dispatch():
 
 
 def test_rate_quantile_validation():
-    ccdf = sinr_ccdf(_config(1, 2), "mmse")
+    config = _config(1, 2)
     with pytest.raises(ConfigError):
-        rate_quantile("tdma", ccdf, 1, 0.05)
+        rate_profile(config, "mmse", "tdma")
     with pytest.raises(ConfigError):
-        rate_quantile("sm", ccdf, 1, 0.0)
+        rate_profile(config, "mmse", "sm", quantiles=(0.0,))
     with pytest.raises(ConfigError):
-        rate_quantile("sm", ccdf, 1, 0.05, convention="median")
-    with pytest.raises(ConfigError):
-        rate_quantile("sm", ccdf, 0, 0.05)
+        rate_profile(config, "mmse", "sm", convention="median")
 
 
 def test_mean_sum_rate_scheme_validation():
     with pytest.raises(ConfigError):
-        mean_sum_rate("fdma", 1, 4, "mmse")
+        rate_profile(_config(1, 4), "mmse", "fdma", quantiles=())
