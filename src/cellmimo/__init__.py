@@ -25,13 +25,7 @@ from .errors import (
 )
 from .geometry import NetworkConfig
 from .mmse import coverage_mmse
-from .montecarlo import (
-    McEstimate,
-    estimate_coverage,
-    estimate_coverage_curve,
-    estimate_rate,
-    simulate_sinr,
-)
+from .montecarlo import simulate_sinr
 from .pzf import (
     coverage_pzf,
     default_m,
@@ -51,7 +45,6 @@ __all__ = [
     "CellMimoError",
     "ConditioningError",
     "ConfigError",
-    "McEstimate",
     "NetworkConfig",
     "NumericError",
     "RateProfile",
@@ -61,9 +54,6 @@ __all__ = [
     "coverage_pzf",
     "default_m",
     "ergodic_rate",
-    "estimate_coverage",
-    "estimate_coverage_curve",
-    "estimate_rate",
     "mean_inverse_sinr",
     "optimal_m",
     "rate_profile",

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 from . import __version__
 from .errors import ConfigError, NumericError
 from .geometry import NetworkConfig
-from .montecarlo import _reduce, estimate_coverage_curve, simulate_sinr
+from .montecarlo import simulate_sinr
 from .pzf import argmin_mean_inverse_sinr, optimal_m
 from .rate import rate_profile, sinr_ccdf
 
@@ -154,8 +154,9 @@ def _resolve_network(args: argparse.Namespace) -> tuple[NetworkConfig, int | Non
     return config, (int(m) if m is not None else None)
 
 
-def _parse_zdb_range(spec: str) -> list[float]:
-    """Inclusive dB grid START:STOP:STEP; START > STOP yields an empty grid."""
+def _parse_zdb_range(spec: str) -> list[tuple[float, float]]:
+    """Inclusive dB grid START:STOP:STEP as (dB, linear) threshold pairs;
+    START > STOP yields an empty grid."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"z-range must be START:STOP:STEP in dB, got {spec!r}")
@@ -168,7 +169,11 @@ def _parse_zdb_range(spec: str) -> list[float]:
     if step <= 0.0:
         raise ConfigError(f"z-range step must be positive, got {step!r}")
     count = math.floor((stop - start) / step + 1e-9) + 1
-    return [start + k * step for k in range(max(0, count))]
+    grid_db = [start + k * step for k in range(max(0, count))]
+    try:
+        return [(z_db, 10.0 ** (z_db / 10.0)) for z_db in grid_db]
+    except OverflowError as exc:
+        raise ConfigError(f"z-range {spec!r} has thresholds beyond the float range") from exc
 
 
 def _parse_float_list(spec: str, flag: str) -> list[float]:
@@ -183,10 +188,10 @@ def _parse_float_list(spec: str, flag: str) -> list[float]:
 
 def _parse_int_list(spec: str, flag: str) -> list[int]:
     values = _parse_float_list(spec, flag)
-    out = [int(v) for v in values]
-    if any(o != v for o, v in zip(out, values)):
+    # False for nan and inf too.
+    if not all(v.is_integer() for v in values):
         raise ConfigError(f"{flag} expects integers, got {spec!r}")
-    return out
+    return [int(v) for v in values]
 
 
 def _merge_range_values(argv: list[str]) -> list[str]:
@@ -208,8 +213,13 @@ def _merge_range_values(argv: list[str]) -> list[str]:
 # --------------------------------------------------------------------------
 # Subcommands
 
-def _db_to_linear(z_db: float) -> float:
-    return 10.0 ** (z_db / 10.0)
+def _coverage_estimate(samples, z: float) -> tuple[float, float]:
+    """Monte Carlo coverage P[SINR > z] from SINR samples, and its standard
+    error (inf for a single sample)."""
+    hits = (samples > z).astype(float)
+    n = hits.size
+    se = float(hits.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
+    return float(hits.mean()), se
 
 
 def cmd_coverage(args: argparse.Namespace, argv: list[str], started: float) -> int:
@@ -217,23 +227,19 @@ def cmd_coverage(args: argparse.Namespace, argv: list[str], started: float) -> i
     # Built for both methods, so an order the receiver cannot take fails
     # even on an empty grid.
     ccdf = sinr_ccdf(config, args.rx, m=m)
-    grid_db = _parse_zdb_range(args.zdb)
+    grid = _parse_zdb_range(args.zdb)
     header = ["z_db", "z_linear", "coverage", "method", "ci_halfwidth"]
     rows: list[list[str]] = []
     if args.method == "analytic":
-        for z_db in grid_db:
-            z = _db_to_linear(z_db)
+        for z_db, z in grid:
             rows.append([_fmt(z_db), _fmt(z), _fmt(ccdf(z)), "analytic", ""])
-    elif grid_db:
-        estimates = estimate_coverage_curve(
-            config, args.rx, [_db_to_linear(v) for v in grid_db],
-            args.trials, args.seed, m=m, threads=args.threads,
-        )
-        for z_db, est in zip(grid_db, estimates):
-            rows.append([
-                _fmt(z_db), _fmt(_db_to_linear(z_db)), _fmt(est.mean),
-                "mc", _fmt(1.96 * est.std_error),
-            ])
+    elif grid:
+        samples = simulate_sinr(
+            config, args.rx, args.trials, args.seed, m=m, threads=args.threads,
+        )[args.rx]
+        for z_db, z in grid:
+            mc, se = _coverage_estimate(samples, z)
+            rows.append([_fmt(z_db), _fmt(z), _fmt(mc), "mc", _fmt(1.96 * se)])
     seed = args.seed if args.method == "mc" else None
     _write_output(_csv_text(header, rows), args.out,
                   argv=argv, args=args, seed=seed, started=started)
@@ -312,8 +318,8 @@ def cmd_optimal_m(args: argparse.Namespace, argv: list[str], started: float) -> 
 def cmd_validate(args: argparse.Namespace, argv: list[str], started: float) -> int:
     config, m = _resolve_network(args)
     receivers = ("pzf", "mmse") if args.rx == "both" else (args.rx,)
-    grid_db = _parse_zdb_range(args.zdb)
-    if not grid_db:
+    grid = _parse_zdb_range(args.zdb)
+    if not grid:
         raise ConfigError("validation needs a nonempty z-range")
     if args.trials < 2:
         raise ConfigError("validation needs at least 2 trials: one has no standard error")
@@ -327,11 +333,9 @@ def cmd_validate(args: argparse.Namespace, argv: list[str], started: float) -> i
     for receiver in receivers:
         ccdf = sinr_ccdf(config, receiver, m=m if receiver == "pzf" else None)
         samples = sinr[receiver]
-        for z_db in grid_db:
-            z = _db_to_linear(z_db)
+        for z_db, z in grid:
             exact = ccdf(z)
-            est = _reduce((samples > z).astype(float), args.trials, args.seed)
-            mc, se = est.mean, est.std_error
+            mc, se = _coverage_estimate(samples, z)
             if se > 0.0:
                 score = (mc - exact) / se
             else:

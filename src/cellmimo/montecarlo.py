@@ -8,9 +8,10 @@ interference around the 1e-4 relative level).
 
 Two layers:
 
-* A batched engine (:func:`simulate_sinr` and the estimators built on it) -
+* A batched engine (:func:`simulate_sinr`, the one Monte Carlo entry
+  point: it returns SINR samples, which callers reduce to estimates) -
   vectorized over trials in fixed chunks of 512, single-precision channel
-  draws, used for production estimates.  It is the only network sampler.
+  draws.  It is the only network sampler.
 
 * Reference receivers (:func:`pzf_filter`, :func:`pzf_sinr`,
   :func:`mmse_sinr`) - one :class:`NetworkRealization` at a time, plain
@@ -44,19 +45,15 @@ import numpy as np
 
 from .errors import ConditioningError, ConfigError, NumericError
 from .geometry import NetworkConfig
-from .pzf import _split_delta, default_m
+from .pzf import _receiver_order, _split_delta
 
 __all__ = [
     "NetworkRealization",
-    "McEstimate",
     "default_window_radius",
     "pzf_filter",
     "pzf_sinr",
     "mmse_sinr",
     "simulate_sinr",
-    "estimate_coverage",
-    "estimate_coverage_curve",
-    "estimate_rate",
 ]
 
 CHUNK_TRIALS = 512
@@ -66,7 +63,6 @@ _CPU_MAX = Path("/sys/fs/cgroup/cpu.max")  # cgroup v2 CPU quota: "<quota> <peri
 _COND_LIMIT = 1e12
 _DIAG_FLOOR = 1e-12  # relative diagonal floor for noiseless covariance solves
 _NEAR_DOUBLE = 32  # nearest interferers whose covariance terms use float64
-_RECEIVERS = ("pzf", "mmse")
 
 
 def default_window_radius(lam: float) -> float:
@@ -380,16 +376,9 @@ def _default_workers() -> int:
     return min(_available_cores(), _POOL_BYTES // _SLAB_BYTES)
 
 
-def _resolve_receivers(receivers) -> tuple[str, ...]:
-    if isinstance(receivers, str):
-        receivers = (receivers,)
-    receivers = tuple(receivers)
-    for r in receivers:
-        if r not in _RECEIVERS:
-            raise ConfigError(f"unknown receiver {r!r}; expected subset of {_RECEIVERS}")
-    if not receivers:
-        raise ConfigError("at least one receiver is required")
-    return receivers
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def simulate_sinr(
@@ -412,24 +401,16 @@ def simulate_sinr(
     is the available cores (at most ten) where workers start by ``fork``,
     else 1.  The samples are bit-identical for every value.
     """
-    receivers = _resolve_receivers(receivers)
-    if not isinstance(trials, (int, np.integer)) or trials < 1:
+    receivers = (receivers,) if isinstance(receivers, str) else tuple(receivers)
+    pzf_m = _receiver_order(config, receivers, m)
+    if not _is_int(trials) or trials < 1:
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    if threads is not None and (
-        isinstance(threads, bool) or not isinstance(threads, (int, np.integer)) or threads < 1
-    ):
+    if threads is not None and (not _is_int(threads) or threads < 1):
         raise ConfigError(f"threads must be None or a positive integer, got {threads!r}")
     if window_radius is None:
         window_radius = default_window_radius(config.lam)
-
-    pzf_m: int | None = None
-    if "pzf" in receivers:
-        pzf_m = default_m(config) if m is None else m
-        _split_delta(config.n_t, config.n_r, pzf_m)
-    elif m is not None:
-        raise ConfigError("cancellation order m is only meaningful for the PZF receiver")
 
     want_mmse = "mmse" in receivers
     n_chunks = (int(trials) + CHUNK_TRIALS - 1) // CHUNK_TRIALS
@@ -452,85 +433,3 @@ def simulate_sinr(
         r: np.concatenate([chunk[r] for chunk in results]) for r in receivers
     }
 
-
-@dataclass(frozen=True)
-class McEstimate:
-    """Monte Carlo estimate with its standard error."""
-
-    mean: float
-    std_error: float
-    trials: int
-    seed: int
-
-
-def _reduce(samples: np.ndarray, trials: int, seed: int) -> McEstimate:
-    n = samples.size
-    mean = float(samples.mean())
-    if n > 1:
-        se = float(samples.std(ddof=1) / math.sqrt(n))
-    else:
-        se = math.inf
-    return McEstimate(mean=mean, std_error=se, trials=trials, seed=seed)
-
-
-def estimate_coverage(
-    config: NetworkConfig,
-    receiver: str,
-    z: float,
-    trials: int,
-    seed: int,
-    *,
-    m: int | None = None,
-    window_radius: float | None = None,
-    threads: int | None = None,
-) -> McEstimate:
-    """Monte Carlo coverage probability P[SINR > z] with standard error."""
-    return estimate_coverage_curve(
-        config, receiver, [z], trials, seed,
-        m=m, window_radius=window_radius, threads=threads,
-    )[0]
-
-
-def estimate_coverage_curve(
-    config: NetworkConfig,
-    receiver: str,
-    z_values,
-    trials: int,
-    seed: int,
-    *,
-    m: int | None = None,
-    window_radius: float | None = None,
-    threads: int | None = None,
-) -> list[McEstimate]:
-    """Coverage estimates for several thresholds from one simulation pass."""
-    z_arr = np.asarray(list(z_values), dtype=float)
-    # NaN fails both comparisons.
-    if not np.all((z_arr >= 0.0) & (z_arr < math.inf)):
-        raise ConfigError("thresholds must be finite and >= 0")
-    if z_arr.size == 0:
-        return []
-    sinr = simulate_sinr(
-        config, receiver, trials, seed,
-        m=m, window_radius=window_radius, threads=threads,
-    )[receiver]
-    return [
-        _reduce((sinr > z).astype(np.float64), int(trials), int(seed)) for z in z_arr
-    ]
-
-
-def estimate_rate(
-    config: NetworkConfig,
-    receiver: str,
-    trials: int,
-    seed: int,
-    *,
-    m: int | None = None,
-    window_radius: float | None = None,
-    threads: int | None = None,
-) -> McEstimate:
-    """Monte Carlo per-stream ergodic rate E[log2(1 + SINR)]."""
-    sinr = simulate_sinr(
-        config, receiver, trials, seed,
-        m=m, window_radius=window_radius, threads=threads,
-    )[receiver]
-    return _reduce(np.log2(1.0 + sinr), int(trials), int(seed))

@@ -22,7 +22,9 @@ only through the radial moment :func:`cellmimo.specfun.radial_moment`,
 which is an exact gamma moment without noise.
 
 The mean inverse SINR in closed form and the optimal-split rule derived
-from it live here too.
+from it live here too, with the one rule that picks the order a run of
+the PZF or MMSE receiver uses (:func:`_receiver_order`), which the CCDF
+factories and the simulator share.
 """
 
 from __future__ import annotations
@@ -261,6 +263,32 @@ def default_m(config: NetworkConfig) -> int:
         m = optimal_m(config)
     except ConfigError:
         m = 1
+    _split_delta(config.n_t, config.n_r, m)
+    return m
+
+
+_RECEIVERS = ("pzf", "mmse")
+
+
+def _receiver_order(config: NetworkConfig, receivers: tuple, m: int | None) -> int | None:
+    """The PZF cancellation order a run of ``receivers`` uses.
+
+    Where "pzf" is among them: ``m``, checked by :func:`_split_delta`, or
+    :func:`default_m` when ``m`` is None.  Otherwise None.  Raises
+    ConfigError on an empty tuple, an unknown receiver name, or an order
+    given without "pzf".
+    """
+    if not receivers:
+        raise ConfigError("at least one receiver is required")
+    for r in receivers:
+        if r not in _RECEIVERS:
+            raise ConfigError(f"unknown receiver {r!r}; expected one of {_RECEIVERS}")
+    if "pzf" not in receivers:
+        if m is not None:
+            raise ConfigError("the MMSE receiver takes no cancellation order")
+        return None
+    if m is None:
+        return default_m(config)
     _split_delta(config.n_t, config.n_r, m)
     return m
 

@@ -32,7 +32,7 @@ from scipy import optimize as _optimize
 from .errors import ConfigError, NumericError
 from .geometry import NetworkConfig
 from .mmse import coverage_mmse
-from .pzf import _split_delta, coverage_pzf, default_m
+from .pzf import _receiver_order, coverage_pzf
 
 __all__ = [
     "RateProfile",
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 _SCHEMES = ("sm", "sst")
-_RECEIVERS = ("pzf", "mmse")
 _CONVENTIONS = ("calibrated", "per-stream")
 # ergodic_rate truncates the rate integral where the CCDF drops below
 # _CCDF_FLOOR, and gives up if that takes t = log2(1 + z) beyond _T_MAX.
@@ -90,15 +89,10 @@ def sinr_ccdf(config: NetworkConfig, receiver: str, m: int | None = None) -> Cal
     For ``pzf``, ``m`` picks the cancellation order (default:
     :func:`cellmimo.pzf.default_m`).
     """
-    if receiver not in _RECEIVERS:
-        raise ConfigError(f"unknown receiver {receiver!r}; expected one of {_RECEIVERS}")
-    if receiver == "mmse":
-        if m is not None:
-            raise ConfigError("the MMSE receiver takes no cancellation order")
+    # An infeasible m fails here, not at the first call.
+    m = _receiver_order(config, (receiver,), m)
+    if m is None:
         return lambda z: coverage_mmse(config, z)
-
-    m = default_m(config) if m is None else m
-    _split_delta(config.n_t, config.n_r, m)  # an infeasible m fails here, not at the first call
     return lambda z: coverage_pzf(config, z, m)
 
 
@@ -189,8 +183,7 @@ def rate_profile(
         raise ConfigError(f"quantile levels must lie in (0, 1), got {quantiles!r}")
     n_t = int(config.n_t)
     stream = config if scheme == "sm" else replace(config, n_t=1)
-    if receiver == "pzf" and m is None:
-        m = default_m(stream)
+    m = _receiver_order(stream, (receiver,), m)
     ccdf = sinr_ccdf(stream, receiver, m=m)
     mean = ergodic_rate(ccdf)
     rates = {q: math.log2(1.0 + _sinr_quantile(ccdf, q)) for q in quantiles}

@@ -16,7 +16,7 @@ from scipy import stats
 
 from cellmimo.geometry import NetworkConfig
 from cellmimo.mmse import coverage_mmse
-from cellmimo.montecarlo import estimate_coverage, pzf_filter, simulate_sinr
+from cellmimo.montecarlo import pzf_filter, simulate_sinr
 from cellmimo.pzf import (
     argmin_mean_inverse_sinr,
     coverage_pzf,
@@ -345,15 +345,16 @@ def test_criterion_09_distribution_and_invariance_properties():
         assert abs(q - base_mmse) < 1e-8
 
     # Scale invariance of the simulator, window scaled with density.
-    a = estimate_coverage(
-        _config(2, 4, lam=1.0), "pzf", 1.0, 20_000, 101,
-        m=1, window_radius=math.sqrt(400.0 / math.pi),
-    )
-    b = estimate_coverage(
-        _config(2, 4, lam=4.0), "pzf", 1.0, 20_000, 202,
-        m=1, window_radius=math.sqrt(100.0 / math.pi),
-    )
-    assert abs(a.mean - b.mean) <= 3.0 * math.hypot(a.std_error, b.std_error)
+    estimates = []
+    for lam, seed, stations in ((1.0, 101, 400.0), (4.0, 202, 100.0)):
+        hits = simulate_sinr(
+            _config(2, 4, lam=lam), "pzf", 20_000, seed,
+            m=1, window_radius=math.sqrt(stations / math.pi),
+        )["pzf"] > 1.0
+        se = float(np.std(hits, ddof=1) / math.sqrt(hits.size))
+        estimates.append((float(np.mean(hits)), se))
+    (a, se_a), (b, se_b) = estimates
+    assert abs(a - b) <= 3.0 * math.hypot(se_a, se_b)
 
     # MMSE dominates PZF on every matched realization: the MMSE filter
     # maximizes SINR over all linear filters, PZF is one such filter.

@@ -209,6 +209,17 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     ):
         code, out = _run(capsys, argv + ["--nt", "2", "--nr", "4"])
         assert code == 2, argv
+    # A threshold beyond the float range, and non-finite antenna counts.
+    for argv in (
+        ["coverage", "--rx", "mmse", "--nt", "1", "--nr", "1", "--zdb", "4000:4000:1"],
+        ["coverage", "--rx", "mmse", "--nt", "1", "--nr", "1", "--zdb", "4000:4000:1",
+         "--method", "mc"],
+        ["validate", "--rx", "mmse", "--nt", "1", "--nr", "1", "--zdb", "4000:4000:1"],
+        ["optimal-m", "--nt", "nan", "--nr", "4"],
+        ["optimal-m", "--nt", "1", "--nr", "inf"],
+    ):
+        code, out = _run(capsys, argv)
+        assert code == 2, argv
     # 3: numeric failure.
     monkeypatch.setattr("cellmimo.rate.ergodic_rate", lambda *a, **k: (_ for _ in ()).throw(
         NumericError("forced")))

@@ -41,7 +41,7 @@ def test_readme_quick_start_anchors():
     anchors = 0
     for node in ast.parse(code).body:
         source = ast.get_source_segment(code, node)
-        if "estimate_coverage(" in source or source.startswith("est."):
+        if "simulate_sinr(" in source or source.startswith("(sinr "):
             continue  # the Monte Carlo cross-check prints no anchor and takes ~20 s
         tail = lines[node.end_lineno - 1][node.end_col_offset:]
         if not (isinstance(node, ast.Expr) and "#" in tail):

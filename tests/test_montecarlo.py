@@ -22,15 +22,11 @@ from cellmimo.errors import ConditioningError, ConfigError, NumericError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.montecarlo import (
     CHUNK_TRIALS,
-    McEstimate,
     NetworkRealization,
     _chunk_geometry,
     _draw_channels,
     _simulate_chunk,
     default_window_radius,
-    estimate_coverage,
-    estimate_coverage_curve,
-    estimate_rate,
     mmse_sinr,
     pzf_filter,
     pzf_sinr,
@@ -379,61 +375,57 @@ def test_receiver_subset_preserves_stream():
     np.testing.assert_array_equal(both["mmse"], only_mmse["mmse"])
 
 
+def _mean_and_se(values):
+    """Sample mean and its standard error, reduced as criterion 8 does."""
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
+
+
 def test_matches_analytic_interference_limited():
     config = _config(2, 4)
     z = 1.0
-    curve = estimate_coverage_curve(config, "mmse", [z], 4096, 7)
-    est = curve[0]
+    mc, se = _mean_and_se(simulate_sinr(config, "mmse", 4096, 7)["mmse"] > z)
     exact = coverage_mmse(_config(2, 4), z)
-    assert abs(est.mean - exact) <= 4.0 * est.std_error
-    pzf_est = estimate_coverage(config, "pzf", z, 4096, 7, m=1)
+    assert abs(mc - exact) <= 4.0 * se
+    mc, se = _mean_and_se(simulate_sinr(config, "pzf", 4096, 7, m=1)["pzf"] > z)
     pzf_exact = coverage_pzf(_config(2, 4), z, 1)
-    assert abs(pzf_est.mean - pzf_exact) <= 4.0 * pzf_est.std_error
+    assert abs(mc - pzf_exact) <= 4.0 * se
 
 
 def test_matches_analytic_with_noise():
     sigma2 = 0.1 * math.pi**2  # 0.1 (pi lam)^(alpha/2) at lam = 1, alpha = 4
     config = _config(2, 4, sigma2=sigma2)
-    est = estimate_coverage(config, "mmse", 1.0, 4096, 17)
+    mc, se = _mean_and_se(simulate_sinr(config, "mmse", 4096, 17)["mmse"] > 1.0)
     exact = coverage_mmse(config, 1.0)
-    assert abs(est.mean - exact) <= 4.0 * est.std_error
+    assert abs(mc - exact) <= 4.0 * se
 
-    est = estimate_coverage(config, "pzf", 1.0, 4096, 17, m=1)
+    mc, se = _mean_and_se(simulate_sinr(config, "pzf", 4096, 17, m=1)["pzf"] > 1.0)
     exact = coverage_pzf(config, 1.0, 1)
-    assert abs(est.mean - exact) <= 4.0 * est.std_error
+    assert abs(mc - exact) <= 4.0 * se
 
 
 def test_density_invariance_without_noise():
     z = 1.0
-    a = estimate_coverage(_config(2, 4, lam=1.0), "mmse", z, 4096, 11)
-    b = estimate_coverage(_config(2, 4, lam=4.0), "mmse", z, 4096, 77)
-    spread = math.hypot(a.std_error, b.std_error)
-    assert abs(a.mean - b.mean) <= 3.0 * spread
+    a, se_a = _mean_and_se(simulate_sinr(_config(2, 4, lam=1.0), "mmse", 4096, 11)["mmse"] > z)
+    b, se_b = _mean_and_se(simulate_sinr(_config(2, 4, lam=4.0), "mmse", 4096, 77)["mmse"] > z)
+    spread = math.hypot(se_a, se_b)
+    assert abs(a - b) <= 3.0 * spread
 
 
 def test_estimate_rate_matches_analytic():
     config = _config(2, 4)
-    est = estimate_rate(config, "mmse", 4096, 5)
+    mc, se = _mean_and_se(np.log2(1.0 + simulate_sinr(config, "mmse", 4096, 5)["mmse"]))
     exact = ergodic_rate(sinr_ccdf(config, "mmse"))  # per-stream
-    assert abs(est.mean - exact) <= 4.0 * est.std_error
-    assert est.trials == 4096 and est.seed == 5
+    assert abs(mc - exact) <= 4.0 * se
 
 
 def test_estimate_fields_and_validation():
-    est = estimate_coverage(_config(1, 2), "pzf", 1.0, 256, 3, m=1, window_radius=6.0)
-    assert isinstance(est, McEstimate)
-    assert 0.0 <= est.mean <= 1.0 and est.std_error > 0.0
-    assert estimate_coverage_curve(_config(1, 2), "pzf", [], 256, 3, m=1) == []
     with pytest.raises(ConfigError):
         simulate_sinr(_config(1, 2), "zf", 128, 0)
-    with pytest.raises(ConfigError):
-        simulate_sinr(_config(1, 2), "pzf", 0, 0)
-    with pytest.raises(ConfigError):
-        simulate_sinr(_config(1, 2), "pzf", 128, -1)
+    for bad in (0, True):
+        with pytest.raises(ConfigError):
+            simulate_sinr(_config(1, 2), "pzf", bad, 0)
+    for bad in (-1, True):
+        with pytest.raises(ConfigError):
+            simulate_sinr(_config(1, 2), "pzf", 128, bad)
     with pytest.raises(ConfigError):
         simulate_sinr(_config(1, 2), "mmse", 128, 0, m=1)
-    for bad in (-1.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(ConfigError):
-            estimate_coverage_curve(_config(1, 2), "pzf", [bad], 128, 0, m=1)
-        with pytest.raises(ConfigError):
-            estimate_coverage(_config(1, 2), "pzf", bad, 128, 0, m=1)
