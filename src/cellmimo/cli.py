@@ -21,6 +21,8 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigError, NumericError
 from .geometry import NetworkConfig
@@ -154,9 +156,14 @@ def _resolve_network(args: argparse.Namespace) -> tuple[NetworkConfig, int | Non
     return config, (int(m) if m is not None else None)
 
 
+# Most thresholds one --zdb grid may hold.
+_MAX_GRID_POINTS = 10_000
+
+
 def _parse_zdb_range(spec: str) -> list[tuple[float, float]]:
     """Inclusive dB grid START:STOP:STEP as (dB, linear) threshold pairs;
-    START > STOP yields an empty grid."""
+    START > STOP yields an empty grid, and more than 10000 points raise
+    ConfigError."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ConfigError(f"z-range must be START:STOP:STEP in dB, got {spec!r}")
@@ -168,7 +175,11 @@ def _parse_zdb_range(spec: str) -> list[tuple[float, float]]:
         raise ConfigError(f"z-range must be finite, got {spec!r}")
     if step <= 0.0:
         raise ConfigError(f"z-range step must be positive, got {step!r}")
-    count = math.floor((stop - start) / step + 1e-9) + 1
+    # Counted before it is built: an unbounded grid would allocate until it dies.
+    span = (stop - start) / step + 1e-9
+    if span >= _MAX_GRID_POINTS:
+        raise ConfigError(f"z-range {spec!r} has more than {_MAX_GRID_POINTS} thresholds")
+    count = math.floor(span) + 1
     grid_db = [start + k * step for k in range(max(0, count))]
     try:
         return [(z_db, 10.0 ** (z_db / 10.0)) for z_db in grid_db]
@@ -231,8 +242,9 @@ def cmd_coverage(args: argparse.Namespace, argv: list[str], started: float) -> i
     header = ["z_db", "z_linear", "coverage", "method", "ci_halfwidth"]
     rows: list[list[str]] = []
     if args.method == "analytic":
-        for z_db, z in grid:
-            rows.append([_fmt(z_db), _fmt(z), _fmt(ccdf(z)), "analytic", ""])
+        values = ccdf(np.array([z for _, z in grid]))
+        for (z_db, z), value in zip(grid, values):
+            rows.append([_fmt(z_db), _fmt(z), _fmt(value), "analytic", ""])
     elif grid:
         samples = simulate_sinr(
             config, args.rx, args.trials, args.seed, m=m, threads=args.threads,
@@ -333,8 +345,7 @@ def cmd_validate(args: argparse.Namespace, argv: list[str], started: float) -> i
     for receiver in receivers:
         ccdf = sinr_ccdf(config, receiver, m=m if receiver == "pzf" else None)
         samples = sinr[receiver]
-        for z_db, z in grid:
-            exact = ccdf(z)
+        for (z_db, z), exact in zip(grid, ccdf(np.array([z for _, z in grid]))):
             mc, se = _coverage_estimate(samples, z)
             if se > 0.0:
                 score = (mc - exact) / se

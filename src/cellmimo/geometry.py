@@ -2,19 +2,27 @@
 
 Base stations form a homogeneous Poisson field of intensity ``lam`` per unit
 area; the user attaches to the nearest one.  :class:`NetworkConfig` holds
-the static parameters every law and the simulator take.
+the static parameters every law and the simulator take, and
+:func:`_over_thresholds` the threshold contract both coverage laws share.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
 
 __all__ = ["NetworkConfig"]
+
+# Thresholds per law call, which bounds the laws' work arrays: the noisy
+# MMSE 4x16 law at 10000 thresholds peaked at 151 MB of numpy allocations
+# in one call and at 18 MB in blocks of 1024, in about the same time
+# (11.2 s against 10.4 s).
+_THRESHOLD_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -45,3 +53,24 @@ class NetworkConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _over_thresholds(z, law: Callable[[np.ndarray], np.ndarray]) -> float | np.ndarray:
+    """A coverage law at every threshold of ``z``, a float or an array.
+
+    ``law`` takes the positive entries as a 1-d array, at most 1024 at a
+    time, and returns their coverages; z = 0 gives 1 without a call.  The
+    result is a float for a scalar z and an array of z's shape otherwise.
+    Raises ConfigError unless every entry is finite and >= 0.
+    """
+    zv = np.asarray(z, dtype=float)
+    # The comparison runs only on finite entries, so NaN raises no warning.
+    if not (np.isfinite(zv).all() and (zv >= 0.0).all()):
+        raise ConfigError(f"thresholds must be finite and >= 0, got {z!r}")
+    flat = zv.ravel()
+    out = np.ones(flat.size)
+    positive = np.flatnonzero(flat)
+    for start in range(0, positive.size, _THRESHOLD_BLOCK):
+        blk = positive[start:start + _THRESHOLD_BLOCK]
+        out[blk] = np.clip(law(flat[blk]), 0.0, 1.0)
+    return float(out[0]) if zv.ndim == 0 else out.reshape(zv.shape)

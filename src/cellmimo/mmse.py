@@ -29,8 +29,8 @@ import math
 import numpy as np
 from scipy import special as _sp
 
-from .errors import ConfigError, SizeGuardError
-from .geometry import NetworkConfig
+from .errors import SizeGuardError
+from .geometry import NetworkConfig, _over_thresholds
 from .specfun import _MAX_A, _log_kernel_table, _power_table, radial_moment
 
 __all__ = ["coverage_mmse"]
@@ -38,14 +38,16 @@ __all__ = ["coverage_mmse"]
 _MAX_NR = 16
 
 
-def coverage_mmse(config: NetworkConfig, z: float) -> float:
+def coverage_mmse(config: NetworkConfig, z) -> float | np.ndarray:
     """MMSE coverage probability P[SINR > z] for the typical user.
 
-    The numerator of the conditional law is a polynomial of degree n_r - 1
-    in z.  Averaged over the Poisson field, its coefficients of order
-    <= n_r - 1 - v with partition length ell sum to the entry
-    S[ell, n_r - 1 - v] of the power table
-    (:func:`cellmimo.specfun._power_table`) of
+    ``z`` is a threshold or an array of them, each finite and >= 0; the
+    result is a float for a scalar and an array of z's shape otherwise, and
+    every threshold's kernels come from one table.  The numerator of the
+    conditional law is a polynomial of degree n_r - 1 in z.  Averaged over
+    the Poisson field, its coefficients of order <= n_r - 1 - v with
+    partition length ell sum to the entry S[ell, n_r - 1 - v] of the power
+    table (:func:`cellmimo.specfun._power_table`) of
     g_p = 2 C(n_t, p) Theta_p z^p / (Theta_0 (alpha p - 2)), p <= n_t,
     times the own-cell polynomial C(n_t - 1, k) z^k / (1 + z)^(n_t - 1).
     The coverage sums those entries over ell and the noise order v, each
@@ -53,41 +55,42 @@ def coverage_mmse(config: NetworkConfig, z: float) -> float:
     the radial moment J (:func:`cellmimo.specfun.radial_moment`) and
     b = z n_t sigma2 / (pi lam Theta_0)^(alpha/2).  Without noise only
     v = 0 occurs and J(ell, 0) = ell!, which is why the zero-noise law is
-    intensity-free.  z must be finite and >= 0; n_r above 16 or n_t (the
-    kernels' first parameter) above 40 raises SizeGuardError.
+    intensity-free.  n_r above 16 or n_t (the kernels' first parameter)
+    above 40 raises SizeGuardError.
     """
-    if not (z >= 0.0 and math.isfinite(z)):
-        raise ConfigError(f"threshold must be finite and >= 0, got {z!r}")
     n_t, n_r, alpha = config.n_t, config.n_r, config.alpha
     if n_r > _MAX_NR or n_t > _MAX_A:
         raise SizeGuardError(
             f"n_r={n_r} or n_t={n_t} exceeds the analytic-law guard ({_MAX_NR} or {_MAX_A}); "
             "use the Monte Carlo estimator for larger arrays"
         )
-    z = float(z)
-    if z == 0.0:
-        return 1.0
 
-    # log Theta_p = log F(n_t, p - 2/alpha; p - 2/alpha + 1; -z), which never underflows.
-    log_theta = _log_kernel_table(n_t, alpha, np.array([z]), min(n_t, n_r - 1), 0)[:, 0]
-    log_z, log_1pz = math.log(z), math.log1p(z)
-    p = np.arange(1, log_theta.size)
-    g = np.zeros(n_r)
-    g[p] = np.exp(
-        np.log(2.0 * _sp.comb(n_t, p) / (alpha * p - 2.0))
-        + log_theta[p] + p * log_z - log_theta[0]
-    )
-    k = np.arange(min(n_t, n_r))
-    first = np.zeros(n_r)
-    first[k] = _sp.comb(n_t - 1, k) * np.exp(k * log_z - (n_t - 1) * log_1pz)
-    table = _power_table(g, first)
+    def law(z: np.ndarray) -> np.ndarray:
+        # log Theta_p = log F(n_t, p - 2/alpha; p - 2/alpha + 1; -z), which never underflows.
+        log_theta = _log_kernel_table(n_t, alpha, z, min(n_t, n_r - 1), 0)
+        log_z, log_1pz = np.log(z), np.log1p(z)
+        p = np.arange(1, len(log_theta))[:, None]
+        g = np.zeros((n_r, z.size))
+        g[1:len(log_theta)] = np.exp(
+            np.log(2.0 * _sp.comb(n_t, p) / (alpha * p - 2.0))
+            + log_theta[1:] + p * log_z - log_theta[0]
+        )
+        k = np.arange(min(n_t, n_r))[:, None]
+        first = np.zeros((n_r, z.size))
+        first[:len(k)] = _sp.comb(n_t - 1, k) * np.exp(k * log_z - (n_t - 1) * log_1pz)
+        table = _power_table(g, first)
 
-    theta0 = math.exp(log_theta[0])
-    b = z * n_t * config.sigma2 / (math.pi * config.lam * theta0) ** (alpha / 2.0)
-    # The (partition length, noise order) pairs with a term: ell + v <= n_r - 1.
-    ell, v = np.nonzero(np.add.outer(np.arange(n_r), np.arange(n_r if b > 0.0 else 1)) < n_r)
-    with np.errstate(divide="ignore"):  # J underflows only for negligible terms
-        log_radial = np.log(radial_moment(ell + 0.5 * alpha * v, b, alpha))
-    radial = np.exp(log_radial + _sp.xlogy(v, b) - _sp.gammaln(v + 1.0) - log_theta[0])
-    total = float(np.dot(table[ell, n_r - 1 - v], radial))
-    return min(max(total, 0.0), 1.0)
+        theta0 = np.exp(log_theta[0])
+        b = z * n_t * config.sigma2 / (math.pi * config.lam * theta0) ** (alpha / 2.0)
+        # The (partition length, noise order) pairs with a term: ell + v <= n_r - 1.
+        ell, v = np.nonzero(
+            np.add.outer(np.arange(n_r), np.arange(n_r if b.any() else 1)) < n_r
+        )
+        with np.errstate(divide="ignore"):  # J underflows only for negligible terms
+            log_radial = np.log(radial_moment(ell[:, None] + 0.5 * alpha * v[:, None], b, alpha))
+        radial = np.exp(
+            log_radial + _sp.xlogy(v[:, None], b) - _sp.gammaln(v + 1.0)[:, None] - log_theta[0]
+        )
+        return (table[ell, n_r - 1 - v] * radial).sum(axis=0)
+
+    return _over_thresholds(z, law)

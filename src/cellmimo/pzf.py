@@ -36,7 +36,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import ConfigError, NumericError, SizeGuardError
-from .geometry import NetworkConfig
+from .geometry import NetworkConfig, _over_thresholds
 from .specfun import _MAX_A, _log_kernel_table, _power_table, pochhammer, radial_moment
 
 __all__ = [
@@ -52,6 +52,9 @@ __all__ = [
 _GL_FIRST = 8
 _GL_LAST = 256
 _GL_TOL = 1e-10
+# Cells of one block's power table, (delta + 1)^2 per (z, u) grid point:
+# 0.5 MB of float64, however many thresholds one call takes.
+_TABLE_CELLS = 1 << 16
 
 # The law is checked up to this many surplus dimensions; beyond it, use the
 # Monte Carlo estimator.
@@ -113,51 +116,102 @@ def _static_terms(n_t: int, m: int, delta: int, alpha: float, noisy: bool):
 
 
 def _conditional_coverage_u(
-    n_t: int, m: int, delta: int, alpha: float, z: float, noise: float, u: np.ndarray
+    n_t: int, m: int, delta: int, alpha: float, z, noise, u: np.ndarray
 ) -> np.ndarray:
-    """Coverage conditioned on u = r/R (the inverse distance ratio).
+    """Coverage conditioned on u = r/R (the inverse distance ratio), on the
+    (z, u) grid: an array of shape z.shape + u.shape.
 
-    u is an array with entries in (0, 1].  The term of block count ell and
-    noise order q is S[ell, delta - q] times the radial factor
-    J(p, c) c^q / q! / (Gamma(m) lambda0^m), p = m - 1 + ell + alpha q / 2,
-    where S is the power table of g_j = |c_j| lambda_j x^j / (j! lambda0)
+    z and noise share one shape, and u is 1-d with entries in (0, 1].  The
+    term of block count ell and noise order q is S[ell, delta - q] times the
+    radial factor J(p, c) c^q / q! / (Gamma(m) lambda0^m),
+    p = m - 1 + ell + alpha q / 2, where S is the power table of
+    g_j = |c_j| lambda_j x^j / (j! lambda0)
     (:func:`cellmimo.specfun._power_table`) and J the radial moment.  The
-    kernels lambda_j come as logs, every order from one
+    kernels lambda_j come as logs, every order at every grid point from one
     :func:`cellmimo.specfun._log_kernel_table` call, so none underflows at
     large x = z u^alpha.  Noise enters only through
     c(u) = noise * (u^2 / lambda0)^(alpha/2), the noise scale in units of
     the radial variable; at zero noise only q = 0 occurs and
     J(p, 0) = Gamma(p + 1).
     """
-    log_c, ell, q, p, pair_p, log_w = _static_terms(n_t, m, delta, alpha, noise > 0.0)
-    x = z * u**alpha
-    log_lam = _log_kernel_table(n_t, alpha, x, delta, 1)
-    g = np.exp(log_c[:, None] + log_lam + np.outer(np.arange(delta + 1), np.log(x)) - log_lam[0])
-    table = _power_table(g, np.eye(delta + 1, 1))
-    # Without noise the radial moments are the constants Gamma(p + 1).
-    c = noise * (u * u / np.exp(log_lam[0])) ** (alpha / 2.0) if noise else 0.0
-    with np.errstate(divide="ignore"):  # J underflows only for negligible terms
-        log_radial = np.log(radial_moment(p[:, None], c, alpha))[pair_p]
-    radial = np.exp(log_radial + _sp.xlogy(q[:, None], c) + (log_w[:, None] - m * log_lam[0]))
-    return (table[ell, delta - q] * radial).sum(axis=0)
+    noisy = bool(np.any(noise))
+    log_c, ell, q, p, pair_p, log_w = _static_terms(n_t, m, delta, alpha, noisy)
+    x = np.multiply.outer(z, u**alpha)
+    shape, x = x.shape, x.ravel()
+    if noisy:
+        noise = np.broadcast_to(np.asarray(noise)[..., None], shape).ravel()
+        uu = np.broadcast_to(u * u, shape).ravel()
+    out = np.empty(x.size)
+    # Blocks of grid points bound the power table's cells.
+    cols = max(1, _TABLE_CELLS // (delta + 1) ** 2)
+    for start in range(0, x.size, cols):
+        blk = slice(start, start + cols)
+        log_lam = _log_kernel_table(n_t, alpha, x[blk], delta, 1)
+        g = np.exp(
+            log_c[:, None] + log_lam + np.outer(np.arange(delta + 1), np.log(x[blk])) - log_lam[0]
+        )
+        table = _power_table(g, np.eye(delta + 1, 1))
+        # Without noise the radial moments are the constants Gamma(p + 1).
+        c = noise[blk] * (uu[blk] / np.exp(log_lam[0])) ** (alpha / 2.0) if noisy else 0.0
+        with np.errstate(divide="ignore"):  # J underflows only for negligible terms
+            log_radial = np.log(radial_moment(p[:, None], c, alpha))[pair_p]
+        radial = np.exp(log_radial + _sp.xlogy(q[:, None], c) + (log_w[:, None] - m * log_lam[0]))
+        out[blk] = (table[ell, delta - q] * radial).sum(axis=0)
+    return out.reshape(shape)
 
 
-def coverage_pzf(config: NetworkConfig, z: float, m: int) -> float:
+def _ratio_average(
+    n_t: int, m: int, delta: int, alpha: float, z: np.ndarray, noise: np.ndarray, panels: int
+) -> np.ndarray:
+    """The average over u of the conditional law, for m >= 2, at the 1-d
+    thresholds z that share one u-panel count.
+
+    The Gauss-Legendre rule doubles from 8 nodes per panel for all of z at
+    once; each z takes the first level that agrees with the one before to
+    1e-10 relative, and only the others go on to the next level.  Raises
+    NumericError if some z does not converge by 256 nodes per panel.
+    """
+    out = np.empty(z.size)
+    pending = np.arange(z.size)
+    prev = None
+    n = _GL_FIRST
+    while n <= _GL_LAST:
+        u, w = _ratio_rule(n, panels)
+        density = 2.0 * (m - 1) * u * (1.0 - u * u) ** (m - 2)
+        conditional = _conditional_coverage_u(n_t, m, delta, alpha, z[pending], noise[pending], u)
+        val = (density * conditional) @ w
+        if prev is not None:
+            done = np.abs(val - prev) <= _GL_TOL * val
+            out[pending[done]] = val[done]
+            pending, val = pending[~done], val[~done]
+            if not pending.size:
+                return out
+        prev = val
+        n *= 2
+    raise NumericError(
+        f"distance-ratio average did not converge to {_GL_TOL} relative "
+        f"(n_t={n_t}, m={m}, delta={delta}, alpha={alpha}, z={z[pending[0]]})"
+    )
+
+
+def coverage_pzf(config: NetworkConfig, z, m: int) -> float | np.ndarray:
     """PZF coverage probability P[SINR > z] for the typical user.
 
+    ``z`` is a threshold or an array of them, each finite and >= 0; the
+    result is a float for a scalar and an array of z's shape otherwise.
     An average over the inverse distance ratio u = r/R (degenerate at 1 for
     m = 1, where no interferer is cancelled) of the conditional law.  The
     average takes Gauss-Legendre panels [2^-(k+1), 2^-k] down to below
     z^(-1/alpha)/4 and one panel from 0 to there, with 8, 16, 32, ... nodes
-    on every panel until two rules agree to 1e-10 relative; it raises
-    NumericError if 256 nodes per panel do not get there.  So small
-    coverages are as accurate as large ones.  Receiver noise enters only
-    through the combination z n_t sigma2 / (pi lam)^(alpha/2); with
+    on every panel until two rules agree to 1e-10 relative for that z; it
+    raises NumericError if 256 nodes per panel do not get there.  So small
+    coverages are as accurate as large ones.  The thresholds with one panel
+    count are evaluated together, level by level.  Receiver noise enters
+    only through the combination z n_t sigma2 / (pi lam)^(alpha/2); with
     sigma2 = 0 the law is scale-free and the base-station intensity drops
     out entirely.  ``m`` is the cancellation order (the m - 1 nearest
-    interferers are nulled); z must be finite and >= 0.  delta above 20 or
-    n_t + delta (the kernels' largest first parameter) above 40 raises
-    SizeGuardError.
+    interferers are nulled).  delta above 20 or n_t + delta (the kernels'
+    largest first parameter) above 40 raises SizeGuardError.
     """
     delta = _split_delta(config.n_t, config.n_r, m)
     if delta > _MAX_DELTA or config.n_t + delta > _MAX_A:
@@ -165,36 +219,23 @@ def coverage_pzf(config: NetworkConfig, z: float, m: int) -> float:
             f"delta={delta} or n_t + delta={config.n_t + delta} exceeds the analytic-law guard "
             f"({_MAX_DELTA} or {_MAX_A}); use the Monte Carlo estimator for larger arrays"
         )
-    if not (z >= 0.0 and math.isfinite(z)):
-        raise ConfigError(f"threshold must be finite and >= 0, got {z!r}")
-    z = float(z)
-    if z == 0.0:
-        return 1.0
     n_t, m, alpha = config.n_t, int(m), config.alpha
-    noise = z * n_t * config.sigma2 / (math.pi * config.lam) ** (alpha / 2.0)
-    if m == 1:
-        val = _conditional_coverage_u(n_t, m, delta, alpha, z, noise, np.ones(1))[0]
-        return float(min(max(val, 0.0), 1.0))
 
-    # The conditional law turns from ~1 to its decay where x = z u^alpha
-    # passes 1, at u ~ z^(-1/alpha): the panels halve down to a quarter of
-    # that, so every node sits where the integrand varies.
-    panels = max(1, math.floor(2.0 + math.log2(z) / alpha) + 1)
-    prev = None
-    n = _GL_FIRST
-    while n <= _GL_LAST:
-        u, w = _ratio_rule(n, panels)
-        density = 2.0 * (m - 1) * u * (1.0 - u * u) ** (m - 2)
-        conditional = _conditional_coverage_u(n_t, m, delta, alpha, z, noise, u)
-        val = float(np.dot(w, density * conditional))
-        if prev is not None and abs(val - prev) <= _GL_TOL * val:
-            return float(min(max(val, 0.0), 1.0))
-        prev = val
-        n *= 2
-    raise NumericError(
-        f"distance-ratio average did not converge to {_GL_TOL} relative "
-        f"(n_t={n_t}, m={m}, delta={delta}, alpha={alpha}, z={z})"
-    )
+    def law(z: np.ndarray) -> np.ndarray:
+        noise = z * n_t * config.sigma2 / (math.pi * config.lam) ** (alpha / 2.0)
+        if m == 1:
+            return _conditional_coverage_u(n_t, m, delta, alpha, z, noise, np.ones(1))[:, 0]
+        # The conditional law turns from ~1 to its decay where x = z u^alpha
+        # passes 1, at u ~ z^(-1/alpha): the panels halve down to a quarter
+        # of that, so every node sits where the integrand varies.
+        panels = np.array([max(1, math.floor(2.0 + math.log2(v) / alpha) + 1) for v in z])
+        out = np.empty(z.size)
+        for count in np.unique(panels):
+            group = np.flatnonzero(panels == count)
+            out[group] = _ratio_average(n_t, m, delta, alpha, z[group], noise[group], int(count))
+        return out
+
+    return _over_thresholds(z, law)
 
 
 def mean_inverse_sinr(config: NetworkConfig, m: int) -> float:

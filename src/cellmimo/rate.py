@@ -3,9 +3,12 @@
 The per-stream ergodic rate is the integral of the SINR CCDF over
 t = log2(1 + z), taken by a fixed Gauss-Kronrod rule on the graded panels
 [0, 1], [1, 2], [2, 4], ... and cut where the CCDF drops below 1e-8 (see
-:func:`ergodic_rate`); rate quantiles invert the CCDF at a fixed
-probability.  :func:`rate_profile` summarizes both for one of two
-transmission schemes, and is the one place that reads a scheme:
+:func:`ergodic_rate`).  The coverage laws take an array of thresholds, so
+each panel's nodes go to the law in one call.  Rate quantiles invert the
+CCDF at a fixed probability: brentq solves in a bracket taken from the
+CCDF values the rate integral already computed.  :func:`rate_profile`
+summarizes both for one of two transmission schemes, and is the one place
+that reads a scheme:
 
 * ``sm`` (spatial multiplexing): the base station sends n_t streams, one
   per user; each user decodes its own stream, so the cell sum rate is
@@ -83,8 +86,9 @@ class RateProfile:
     m: int | None
 
 
-def sinr_ccdf(config: NetworkConfig, receiver: str, m: int | None = None) -> Callable[[float], float]:
-    """SINR CCDF z -> P[SINR > z] for the given receiver.
+def sinr_ccdf(config: NetworkConfig, receiver: str, m: int | None = None) -> Callable:
+    """SINR CCDF z -> P[SINR > z] for the given receiver, at a threshold or
+    an array of them (a float or an array of z's shape, as the laws return).
 
     For ``pzf``, ``m`` picks the cancellation order (default:
     :func:`cellmimo.pzf.default_m`).
@@ -96,27 +100,30 @@ def sinr_ccdf(config: NetworkConfig, receiver: str, m: int | None = None) -> Cal
     return lambda z: coverage_pzf(config, z, m)
 
 
-def ergodic_rate(coverage_fn: Callable[[float], float]) -> float:
+def ergodic_rate(coverage_fn: Callable[[np.ndarray], np.ndarray]) -> float:
     """Per-stream ergodic rate E[log2(1 + SINR)] in bits/s/Hz.
 
-    Integrates the CCDF over t = log2(1 + z) with the Gauss-Kronrod G7/K15
-    rule on the panels [0, 1], [1, 2], [2, 4], [4, 8], ...: a panel's K15
-    value is taken when it is within 1e-9 of its G7 value, and the panel is
-    bisected otherwise; 12 levels of bisection without that raise
+    ``coverage_fn`` takes a 1-d array of thresholds and returns the CCDF at
+    each.  The integral runs over t = log2(1 + z) with the Gauss-Kronrod
+    G7/K15 rule on the panels [0, 1], [1, 2], [2, 4], [4, 8], ...: a panel's
+    K15 value is taken when it is within 1e-9 of its G7 value, and the
+    panel is bisected otherwise; 12 levels of bisection without that raise
     :class:`NumericError`.  The K15 value's own error is far below that
-    difference for a smooth CCDF.  Panels stop at the first panel end T
-    where the CCDF is below 1e-8; the neglected tail is below
+    difference for a smooth CCDF.  Each panel's 15 nodes are one call, and
+    a top-level panel's end rides along in it.  Panels stop at the first
+    panel end T where the CCDF is below 1e-8; the neglected tail is below
     1e-8 * alpha/(2 ln 2) for every law in this package.  Raises
     :class:`NumericError` if no such T exists up to T = 256.
     """
 
-    def ccdf_t(t: float) -> float:
+    def ccdf_t(t: np.ndarray) -> np.ndarray:
         return coverage_fn(2.0**t - 1.0)
 
     total, lo, hi = 0.0, 0.0, 1.0
     while True:
-        total += _kronrod_panel(ccdf_t, lo, hi, 0)
-        if ccdf_t(hi) < _CCDF_FLOOR:
+        fx = ccdf_t(np.append(_nodes(lo, hi), hi))
+        total += _kronrod_panel(ccdf_t, lo, hi, fx[:-1], 0)
+        if fx[-1] < _CCDF_FLOOR:
             return total
         if hi >= _T_MAX:
             raise NumericError(
@@ -126,10 +133,17 @@ def ergodic_rate(coverage_fn: Callable[[float], float]) -> float:
         lo, hi = hi, 2.0 * hi
 
 
-def _kronrod_panel(f: Callable[[float], float], lo: float, hi: float, depth: int) -> float:
-    """Integral of f over [lo, hi] by K15, bisected until |K15 - G7| <= 1e-9."""
+def _nodes(lo: float, hi: float) -> np.ndarray:
+    """The 15 Kronrod nodes on [lo, hi]."""
+    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * _NODES
+
+
+def _kronrod_panel(
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, fx: np.ndarray, depth: int
+) -> float:
+    """Integral of f over [lo, hi] by K15 from fx, f at :func:`_nodes`,
+    bisected until |K15 - G7| <= 1e-9."""
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    fx = np.array([f(mid + half * x) for x in _NODES])
     k15 = half * float(fx @ _WK15)
     if abs(k15 - half * float(fx[1::2] @ _WG7)) <= _PANEL_TOL:
         return k15
@@ -138,23 +152,38 @@ def _kronrod_panel(f: Callable[[float], float], lo: float, hi: float, depth: int
             f"rate integral did not converge on t in [{lo:.6g}, {hi:.6g}] "
             f"after {_PANEL_DEPTH} bisections; the CCDF is not smooth there"
         )
-    return _kronrod_panel(f, lo, mid, depth + 1) + _kronrod_panel(f, mid, hi, depth + 1)
+    return (_kronrod_panel(f, lo, mid, f(_nodes(lo, mid)), depth + 1)
+            + _kronrod_panel(f, mid, hi, f(_nodes(mid, hi)), depth + 1))
 
 
-def _sinr_quantile(coverage_fn: Callable[[float], float], q: float) -> float:
-    """SINR threshold z_q with P[SINR <= z_q] = q: the bracket [0, 4^k] is
-    widened until the CCDF falls to 1 - q, then brentq solves."""
+def _sinr_quantile(
+    coverage_fn: Callable[[float], float], q: float, z_seen: np.ndarray, ccdf_seen: np.ndarray
+) -> float:
+    """SINR threshold z_q with P[SINR <= z_q] = q, by brentq.
+
+    The bracket comes from the thresholds ``z_seen`` where the CCDF is
+    already known to be ``ccdf_seen``: the smallest one where the CCDF is at
+    most 1 - q, and the largest below it where it is above 1 - q (or 0).
+    Only when no known CCDF is at most 1 - q is the bracket [0, 4^k]
+    widened until the CCDF falls there.
+    """
     target = 1.0 - q  # CCDF value at the quantile threshold
 
     def shifted(z: float) -> float:
         return coverage_fn(z) - target
 
-    hi = 1.0
-    while shifted(hi) > 0.0:
-        hi *= 4.0
-        if hi > 2.0**256:
-            raise NumericError("quantile bracket search ran away; CCDF decays too slowly")
-    return _optimize.brentq(shifted, 0.0, hi, xtol=1e-14, rtol=1e-12)
+    past = ccdf_seen <= target
+    if past.any():
+        hi = float(z_seen[past].min())
+        before = z_seen[~past & (z_seen < hi)]
+        lo = float(before.max()) if before.size else 0.0
+    else:
+        lo, hi = 0.0, 1.0
+        while shifted(hi) > 0.0:
+            hi *= 4.0
+            if hi > 2.0**256:
+                raise NumericError("quantile bracket search ran away; CCDF decays too slowly")
+    return _optimize.brentq(shifted, lo, hi, xtol=1e-14, rtol=1e-12)
 
 
 def rate_profile(
@@ -185,8 +214,15 @@ def rate_profile(
     stream = config if scheme == "sm" else replace(config, n_t=1)
     m = _receiver_order(stream, (receiver,), m)
     ccdf = sinr_ccdf(stream, receiver, m=m)
-    mean = ergodic_rate(ccdf)
-    rates = {q: math.log2(1.0 + _sinr_quantile(ccdf, q)) for q in quantiles}
+    seen = []
+
+    def recorded(z: np.ndarray) -> np.ndarray:
+        seen.append((z, ccdf(z)))
+        return seen[-1][1]
+
+    mean = ergodic_rate(recorded)
+    z_seen, ccdf_seen = (np.concatenate(v) for v in zip(*seen))
+    rates = {q: math.log2(1.0 + _sinr_quantile(ccdf, q, z_seen, ccdf_seen)) for q in quantiles}
     if scheme == "sm":
         mean = n_t * mean
         if convention == "calibrated":

@@ -89,10 +89,16 @@ _QUAD_PANEL_NODES = 24
 _QUAD_ORIGIN_NODES = 12
 # Panel nodes other than the origin panel's, the same for every b.
 _SHARED_NODES = _QUAD_PANELS * _QUAD_PANEL_NODES
-# Rows of z per quadrature block: a larger (rows x nodes) matrix-vector
+# Rows of z per quadrature block.  A larger (rows x nodes) matrix-vector
 # product can take OpenBLAS's threaded gemv, which on a 2-vCPU Xeon took
 # 8.0 ms for 2984 x 156 against 0.19 ms on one thread (2048 rows: 0.11 ms).
-_QUAD_ROWS = 2048
+# The laws pass whole threshold arrays, so the block also sets the size of
+# the work arrays, 147 KB each at 128 x 144.  On the benchmark's
+# analytic_zero_noise workload peak RSS was 96.2 MB at 2048 rows and
+# 91.5 MB at 512 (one run each), and 90.0 MB at 128 (median of 10; 89.5 MB
+# with one threshold per call); wall_s was 0.33 s at 128 rows, against
+# 0.37-0.38 s at 256 and 0.39 s at 64.
+_QUAD_ROWS = 128
 # Radial moment: trapezoid step in units of the integrand's peak width and
 # in units of 1/s (s = alpha/2), the tail cut (log of the peak-to-cut
 # ratio), and the bound on the difference between the rule and its
@@ -411,4 +417,4 @@ def _power_table(g: np.ndarray, first: np.ndarray) -> np.ndarray:
         for i in range(1, n - ell + 1):
             b[ell, ell - 1 + i:] += g[i] * b[ell - 1, ell - 1:n - i]
         b[ell] /= ell
-    return np.cumsum(b, axis=1)
+    return np.cumsum(b, axis=1, out=b)

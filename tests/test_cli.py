@@ -4,11 +4,13 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from cellmimo import cli
-from cellmimo.errors import NumericError
+from cellmimo.errors import ConfigError, NumericError
 
 
 def _run(capsys, argv):
@@ -152,7 +154,7 @@ def test_validate_passes_and_reports(capsys):
 
 def test_validate_gate_fails_on_bias(capsys, monkeypatch):
     # Force a wrong analytic law; the z-score gate must trip.
-    monkeypatch.setattr(cli, "sinr_ccdf", lambda *a, **k: (lambda z: 0.0))
+    monkeypatch.setattr(cli, "sinr_ccdf", lambda *a, **k: np.zeros_like)
     code, out = _run(capsys, [
         "validate", "--rx", "mmse", "--nt", "2", "--nr", "4",
         "--zdb", "0:0:1", "--trials", "1024", "--seed", "1",
@@ -231,6 +233,25 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
                               "--m", "1", "--zdb", "0:0:1",
                               "--out", str(tmp_path / "no" / "dir" / "x.csv")])
     assert code == 4
+
+
+@pytest.mark.parametrize("zdb", ["0:1e8:1", "-1e308:1e308:1"])
+def test_oversized_grid_exits_two_before_allocating(zdb, capsys):
+    # The point count is checked before the grid is built; 1e8 thresholds
+    # would otherwise allocate until a MemoryError.
+    tracemalloc.start()
+    try:
+        code, out = _run(capsys, ["coverage", "--rx", "mmse", "--nt", "1", "--nr", "2",
+                                  "--zdb", zdb])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "more than 10000 thresholds" in out.err
+    assert peak < 1 << 20
+    # The cap is inclusive.
+    assert len(cli._parse_zdb_range("-2500:2499.5:0.5")) == 10000
+    with pytest.raises(ConfigError):
+        cli._parse_zdb_range("-2500:2500:0.5")
 
 
 def test_unknown_flag_exits_two():

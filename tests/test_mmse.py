@@ -177,6 +177,30 @@ def test_request_validation():
     for z in (-0.5, math.nan, math.inf):
         with pytest.raises(ConfigError):
             coverage_mmse(_config(2, 4), z)
+        with pytest.raises(ConfigError):  # anywhere in an array
+            coverage_mmse(_config(2, 4), np.array([[z, 1.0], [0.0, 2.0]]))
+
+
+@pytest.mark.parametrize("n_t,n_r,sigma2", [(2, 4, 0.0), (2, 4, 1.0), (4, 16, 0.0), (1, 8, 0.5)])
+def test_array_thresholds_equal_scalar_calls(n_t, n_r, sigma2):
+    config = _config(n_t, n_r, sigma2=sigma2)
+    zs = np.array([[0.0, 1e-3, 0.5, 3.0], [40.0, 1e3, 0.0, 1e8]])
+    want = np.array([[coverage_mmse(config, z) for z in row] for row in zs])
+    got = coverage_mmse(config, zs)
+    assert got.shape == zs.shape
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(coverage_mmse(config, zs.ravel()), want.ravel(),
+                               rtol=1e-14, atol=0.0)
+    point = coverage_mmse(config, np.array(3.0))
+    assert isinstance(point, float) and point == want[0, 3]
+
+
+def test_threshold_array_longer_than_one_block():
+    # The laws take at most 1024 thresholds per call; longer arrays go in blocks.
+    config = _config(2, 4)
+    zs = np.concatenate([[0.0], 10.0 ** np.linspace(-2.0, 4.0, 1500)])
+    want = np.array([coverage_mmse(config, z) for z in zs])
+    np.testing.assert_allclose(coverage_mmse(config, zs), want, rtol=1e-14, atol=0.0)
 
 
 def test_antenna_count_guard():

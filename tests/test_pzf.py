@@ -317,6 +317,25 @@ def test_request_validation():
     for z in (-1.0, math.nan, math.inf):
         with pytest.raises(ConfigError):
             coverage_pzf(config, z, 2)
+        with pytest.raises(ConfigError):  # anywhere in an array
+            coverage_pzf(config, np.array([[1.0, 0.0], [2.0, z]]), 2)
+
+
+@pytest.mark.parametrize("n_t,n_r,m,sigma2", [
+    (1, 4, 2, 0.0), (1, 4, 2, 1.0), (1, 8, 4, 0.5), (2, 4, 1, 0.0), (2, 4, 1, 1.0),
+])
+def test_array_thresholds_equal_scalar_calls(n_t, n_r, m, sigma2):
+    config = _config(n_t, n_r, sigma2=sigma2)
+    # At alpha = 4 these thresholds take u-panel counts 1 to 9.
+    zs = np.array([[0.0, 1e-3, 0.5, 3.0], [40.0, 1e3, 0.0, 1e8]])
+    want = np.array([[coverage_pzf(config, z, m) for z in row] for row in zs])
+    got = coverage_pzf(config, zs, m)
+    assert got.shape == zs.shape
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(coverage_pzf(config, zs.ravel(), m), want.ravel(),
+                               rtol=1e-14, atol=0.0)
+    point = coverage_pzf(config, np.array(3.0), m)
+    assert isinstance(point, float) and point == want[0, 3]
 
 
 def test_surplus_dimension_guard():

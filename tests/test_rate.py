@@ -88,6 +88,15 @@ def test_quantile_is_coverage_inverse():
     assert ccdf(z_at_quantile) == pytest.approx(1.0 - q, abs=1e-10)
 
 
+def test_quantile_bracket_widens_past_the_rate_cut():
+    # The CCDF level 1e-9 lies below the rate integral's 1e-8 cut, so no
+    # value the integral computed brackets the quantile.
+    ccdf = sinr_ccdf(_config(1, 4), "mmse")
+    q = 1.0 - 1e-9
+    value = rate_profile(_config(1, 4), "mmse", "sst", quantiles=(q,)).quantiles[q]
+    assert ccdf(2.0**value - 1.0) == pytest.approx(1.0 - q, rel=1e-10, abs=0.0)
+
+
 def test_quantiles_increase_with_level():
     levels = [0.05, 0.3, 0.6, 0.9]
     profile = rate_profile(_config(1, 4), "mmse", "sst", quantiles=levels)
@@ -99,13 +108,13 @@ def test_ergodic_rate_exponential_oracle():
     # For CCDF exp(-z), E[log2(1+Z)] = e * E1(1) / ln 2 (exponential integral).
     from scipy.special import exp1
 
-    got = ergodic_rate(lambda z: math.exp(-z))
+    got = ergodic_rate(lambda z: np.exp(-z))
     assert got == pytest.approx(math.e * exp1(1.0) / math.log(2.0), rel=1e-8)
 
 
 def test_ergodic_rate_rejects_slow_decay():
     with pytest.raises(NumericError):
-        ergodic_rate(lambda z: 1.0)
+        ergodic_rate(lambda z: np.ones_like(z))
 
 
 def _quad_rate(ccdf):
@@ -143,16 +152,18 @@ def test_ergodic_rate_matches_adaptive_quad(scheme, n_t, n_r, receiver, m, alpha
 def test_ergodic_rate_raises_at_the_bisection_cap():
     # No panel that holds the jump ever meets the G7/K15 bound.
     with pytest.raises(NumericError, match="bisections"):
-        ergodic_rate(lambda z: 1.0 if z < 10.0 else 0.0)
+        ergodic_rate(lambda z: np.where(z < 10.0, 1.0, 0.0))
 
 
 def test_ergodic_rate_coverage_calls():
     # 7 panels of 15 nodes plus a CCDF check at each panel end; adaptive
-    # quad with the t-cut doubling took 193.
+    # quad with the t-cut doubling took 193 points.  Each panel's nodes and
+    # its end are one call.
     ccdf = sinr_ccdf(_config(1, 4), "pzf", m=2)
     calls = []
-    ergodic_rate(lambda z: calls.append(z) or ccdf(z))
-    assert len(calls) <= 120
+    ergodic_rate(lambda z: calls.append(z.size) or ccdf(z))
+    assert sum(calls) <= 120
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("n_r,m", [(10, 1), (12, 3)])
