@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NumericError
-from .geometry import NetworkConfig
+from .geometry import NetworkConfig, _noise_scale
 from .montecarlo import simulate_sinr
 from .pzf import argmin_mean_inverse_sinr, optimal_m
 from .rate import rate_profile, sinr_ccdf
@@ -311,6 +311,8 @@ def cmd_optimal_m(args: argparse.Namespace, argv: list[str], started: float) -> 
                         lam=args.lam, alpha=alpha, sigma2=sigma2, n_t=n_t, n_r=n_r,
                     )
                     prefix = [str(n_t), str(n_r), _fmt(alpha), _fmt(sigma2)]
+                    # An overflowing noise scale is an input error, not an infeasible split.
+                    _noise_scale(config)
                     try:
                         m_star = optimal_m(config)
                         m_argmin = argmin_mean_inverse_sinr(config)

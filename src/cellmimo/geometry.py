@@ -2,8 +2,10 @@
 
 Base stations form a homogeneous Poisson field of intensity ``lam`` per unit
 area; the user attaches to the nearest one.  :class:`NetworkConfig` holds
-the static parameters every law and the simulator take, and
-:func:`_over_thresholds` the threshold contract both coverage laws share.
+the static parameters every law and the simulator take,
+:func:`_over_thresholds` the threshold contract both coverage laws share,
+and :func:`_noise_scale` the noise scale both laws and the mean inverse
+SINR read.
 """
 
 from __future__ import annotations
@@ -53,6 +55,22 @@ class NetworkConfig:
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _noise_scale(config: NetworkConfig) -> float:
+    """κ = n_t sigma2 (pi lam)^(-alpha/2), the receiver noise against the
+    interference at the typical serving distance.  Exactly 0 when
+    sigma2 = 0, so the zero-noise laws never read lam; raises ConfigError
+    where it overflows."""
+    if config.sigma2 == 0.0:
+        return 0.0
+    try:
+        kappa = config.n_t * config.sigma2 * (math.pi * config.lam) ** (-config.alpha / 2.0)
+    except OverflowError:
+        kappa = math.inf
+    if kappa == math.inf:
+        raise ConfigError(f"noise scale n_t sigma2 (pi lam)^(-alpha/2) overflows for {config}")
+    return kappa
 
 
 def _over_thresholds(z, law: Callable[[np.ndarray], np.ndarray]) -> float | np.ndarray:

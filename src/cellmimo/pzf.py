@@ -11,15 +11,12 @@ leaves expressions built from the interference kernels in
 The coverage is an average over the scale-free distance ratio u = r/R of a
 finite sum over the set partitions of {1..k}, k <= delta (the
 composite-derivative expansion of the interference functional), and, with
-receiver noise, over the noise order.  A term depends on its partition only
-through a product over the blocks and the block count, so the partition sum
-is one coefficient table of a polynomial power
-(:func:`cellmimo.specfun._power_table`), built by a recurrence that adds
-positive numbers only; the noise order picks a column of that table.  The
-result is integrated with Gauss-Legendre rules on panels graded toward
-u = 0, with vectorized kernel evaluations.  Receiver noise enters each term
-only through the radial moment :func:`cellmimo.specfun.radial_moment`,
-which is an exact gamma moment without noise.
+receiver noise, over the noise order.  That conditional law is the one
+both receivers share, :func:`cellmimo.specfun._conditional_law`, at the
+kernel argument x = z u^alpha; this module supplies its inputs and
+integrates it with Gauss-Legendre rules on panels graded toward u = 0.
+Receiver noise enters only through the noise scale
+:func:`cellmimo.geometry._noise_scale`, which is 0 without noise.
 
 The mean inverse SINR in closed form and the optimal-split rule derived
 from it live here too, with the one rule that picks the order a run of
@@ -36,8 +33,8 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import ConfigError, NumericError, SizeGuardError
-from .geometry import NetworkConfig, _over_thresholds
-from .specfun import _MAX_A, _log_kernel_table, _power_table, pochhammer, radial_moment
+from .geometry import NetworkConfig, _noise_scale, _over_thresholds
+from .specfun import _MAX_A, _conditional_law
 
 __all__ = [
     "coverage_pzf",
@@ -52,9 +49,6 @@ __all__ = [
 _GL_FIRST = 8
 _GL_LAST = 256
 _GL_TOL = 1e-10
-# Cells of one block's power table, (delta + 1)^2 per (z, u) grid point:
-# 0.5 MB of float64, however many thresholds one call takes.
-_TABLE_CELLS = 1 << 16
 
 # The law is checked up to this many surplus dimensions; beyond it, use the
 # Monte Carlo estimator.
@@ -88,80 +82,29 @@ def _ratio_rule(n: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
     return u.ravel(), (half * w).ravel()
 
 
-@lru_cache(maxsize=None)
-def _static_terms(n_t: int, m: int, delta: int, alpha: float, noisy: bool):
-    """The z-independent data of the conditional law; callers must not
-    modify the arrays.
-
-    log_c: log(|c_j| / j!) for j = 0..delta (-inf at j = 0), where
-    c_j = (n_t)_j (-2/alpha)_j / (1 - 2/alpha)_j is negative for every
-    j >= 1 (exactly one negative factor); combined with the partition sign
-    (-1)^blocks of the composite-derivative expansion, every term ends up
-    positive.  ell, q: the (block count, noise order) pairs with a term,
-    ell + q <= delta (q = 0 only without noise).  p, pair_p: the distinct
-    radial orders p = m - 1 + ell + alpha q / 2 and each pair's index into
-    them.  log_w: log(1 / (q! Gamma(m))) per pair.
-    """
-    s = 2.0 / alpha
-    log_c = [-math.inf] + [
-        math.log(abs(pochhammer(n_t, j) * pochhammer(-s, j) / pochhammer(1.0 - s, j)))
-        - math.lgamma(j + 1.0)
-        for j in range(1, delta + 1)
-    ]
-    ell, q = np.nonzero(
-        np.add.outer(np.arange(delta + 1), np.arange(delta + 1 if noisy else 1)) <= delta
-    )
-    p, pair_p = np.unique(m - 1 + ell + 0.5 * alpha * q, return_inverse=True)
-    return np.array(log_c), ell, q, p, pair_p, -_sp.gammaln(q + 1.0) - _sp.gammaln(m)
-
-
 def _conditional_coverage_u(
-    n_t: int, m: int, delta: int, alpha: float, z, noise, u: np.ndarray
+    n_t: int, m: int, delta: int, alpha: float, z, kappa: float, u: np.ndarray
 ) -> np.ndarray:
     """Coverage conditioned on u = r/R (the inverse distance ratio), on the
     (z, u) grid: an array of shape z.shape + u.shape.
 
-    z and noise share one shape, and u is 1-d with entries in (0, 1].  The
-    term of block count ell and noise order q is S[ell, delta - q] times the
-    radial factor J(p, c) c^q / q! / (Gamma(m) lambda0^m),
-    p = m - 1 + ell + alpha q / 2, where S is the power table of
-    g_j = |c_j| lambda_j x^j / (j! lambda0)
-    (:func:`cellmimo.specfun._power_table`) and J the radial moment.  The
-    kernels lambda_j come as logs, every order at every grid point from one
-    :func:`cellmimo.specfun._log_kernel_table` call, so none underflows at
-    large x = z u^alpha.  Noise enters only through
-    c(u) = noise * (u^2 / lambda0)^(alpha/2), the noise scale in units of
-    the radial variable; at zero noise only q = 0 occurs and
-    J(p, 0) = Gamma(p + 1).
+    u is 1-d with entries in (0, 1] and κ is
+    :func:`cellmimo.geometry._noise_scale`.  It is the shared conditional
+    law :func:`cellmimo.specfun._conditional_law` at x = z u^alpha with the
+    step-1 kernels and the own-cell polynomial 1.  Its g_j is
+    |c_j| lambda_j x^j / (j! lambda0), c_j = (n_t)_j (-s)_j / (1 - s)_j,
+    s = 2/alpha: (-s)_j / (1 - s)_j telescopes to -s / (j - s), so
+    |c_j| / j! = C(n_t + j - 1, j) 2 / (alpha j - 2), and the sign of c_j
+    cancels the partition sign (-1)^blocks of the composite-derivative
+    expansion.
     """
-    noisy = bool(np.any(noise))
-    log_c, ell, q, p, pair_p, log_w = _static_terms(n_t, m, delta, alpha, noisy)
     x = np.multiply.outer(z, u**alpha)
-    shape, x = x.shape, x.ravel()
-    if noisy:
-        noise = np.broadcast_to(np.asarray(noise)[..., None], shape).ravel()
-        uu = np.broadcast_to(u * u, shape).ravel()
-    out = np.empty(x.size)
-    # Blocks of grid points bound the power table's cells.
-    cols = max(1, _TABLE_CELLS // (delta + 1) ** 2)
-    for start in range(0, x.size, cols):
-        blk = slice(start, start + cols)
-        log_lam = _log_kernel_table(n_t, alpha, x[blk], delta, 1)
-        g = np.exp(
-            log_c[:, None] + log_lam + np.outer(np.arange(delta + 1), np.log(x[blk])) - log_lam[0]
-        )
-        table = _power_table(g, np.eye(delta + 1, 1))
-        # Without noise the radial moments are the constants Gamma(p + 1).
-        c = noise[blk] * (uu[blk] / np.exp(log_lam[0])) ** (alpha / 2.0) if noisy else 0.0
-        with np.errstate(divide="ignore"):  # J underflows only for negligible terms
-            log_radial = np.log(radial_moment(p[:, None], c, alpha))[pair_p]
-        radial = np.exp(log_radial + _sp.xlogy(q[:, None], c) + (log_w[:, None] - m * log_lam[0]))
-        out[blk] = (table[ell, delta - q] * radial).sum(axis=0)
-    return out.reshape(shape)
+    law = _conditional_law(n_t, alpha, x.ravel(), kappa, delta, 1, np.eye(delta + 1, 1), m)
+    return law.reshape(x.shape)
 
 
 def _ratio_average(
-    n_t: int, m: int, delta: int, alpha: float, z: np.ndarray, noise: np.ndarray, panels: int
+    n_t: int, m: int, delta: int, alpha: float, z: np.ndarray, kappa: float, panels: int
 ) -> np.ndarray:
     """The average over u of the conditional law, for m >= 2, at the 1-d
     thresholds z that share one u-panel count.
@@ -178,7 +121,7 @@ def _ratio_average(
     while n <= _GL_LAST:
         u, w = _ratio_rule(n, panels)
         density = 2.0 * (m - 1) * u * (1.0 - u * u) ** (m - 2)
-        conditional = _conditional_coverage_u(n_t, m, delta, alpha, z[pending], noise[pending], u)
+        conditional = _conditional_coverage_u(n_t, m, delta, alpha, z[pending], kappa, u)
         val = (density * conditional) @ w
         if prev is not None:
             done = np.abs(val - prev) <= _GL_TOL * val
@@ -207,7 +150,7 @@ def coverage_pzf(config: NetworkConfig, z, m: int) -> float | np.ndarray:
     raises NumericError if 256 nodes per panel do not get there.  So small
     coverages are as accurate as large ones.  The thresholds with one panel
     count are evaluated together, level by level.  Receiver noise enters
-    only through the combination z n_t sigma2 / (pi lam)^(alpha/2); with
+    only through the combination z n_t sigma2 (pi lam)^(-alpha/2); with
     sigma2 = 0 the law is scale-free and the base-station intensity drops
     out entirely.  ``m`` is the cancellation order (the m - 1 nearest
     interferers are nulled).  delta above 20 or n_t + delta (the kernels'
@@ -219,12 +162,11 @@ def coverage_pzf(config: NetworkConfig, z, m: int) -> float | np.ndarray:
             f"delta={delta} or n_t + delta={config.n_t + delta} exceeds the analytic-law guard "
             f"({_MAX_DELTA} or {_MAX_A}); use the Monte Carlo estimator for larger arrays"
         )
-    n_t, m, alpha = config.n_t, int(m), config.alpha
+    n_t, m, alpha, kappa = config.n_t, int(m), config.alpha, _noise_scale(config)
 
     def law(z: np.ndarray) -> np.ndarray:
-        noise = z * n_t * config.sigma2 / (math.pi * config.lam) ** (alpha / 2.0)
         if m == 1:
-            return _conditional_coverage_u(n_t, m, delta, alpha, z, noise, np.ones(1))[:, 0]
+            return _conditional_coverage_u(n_t, m, delta, alpha, z, kappa, np.ones(1))[:, 0]
         # The conditional law turns from ~1 to its decay where x = z u^alpha
         # passes 1, at u ~ z^(-1/alpha): the panels halve down to a quarter
         # of that, so every node sits where the integrand varies.
@@ -232,7 +174,7 @@ def coverage_pzf(config: NetworkConfig, z, m: int) -> float | np.ndarray:
         out = np.empty(z.size)
         for count in np.unique(panels):
             group = np.flatnonzero(panels == count)
-            out[group] = _ratio_average(n_t, m, delta, alpha, z[group], noise[group], int(count))
+            out[group] = _ratio_average(n_t, m, delta, alpha, z[group], kappa, int(count))
         return out
 
     return _over_thresholds(z, law)
@@ -258,9 +200,8 @@ def mean_inverse_sinr(config: NetworkConfig, m: int) -> float:
     if delta == 0:
         return math.inf
     s = config.alpha / 2.0
-    interference = math.exp(_sp.gammaln(m + 1.0) - _sp.gammaln(m + s)) / (s - 1.0)
-    noise = config.sigma2 * (math.pi * config.lam) ** (-s)
-    return config.n_t * math.gamma(1.0 + s) / delta * (interference + noise)
+    interference = config.n_t * math.exp(_sp.gammaln(m + 1.0) - _sp.gammaln(m + s)) / (s - 1.0)
+    return math.gamma(1.0 + s) / delta * (interference + _noise_scale(config))
 
 
 def _feasible_m_range(config: NetworkConfig) -> int:

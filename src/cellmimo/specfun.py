@@ -8,12 +8,12 @@ family
 
 with b = j - 2/α for the kernel order j and integer first parameter
 a = n_t + j (the PZF law's Λ_j) or a = n_t (the MMSE law's Θ_j), together
-with the gamma function and Pochhammer symbols.  Both laws read every order
-of their kernel, in logs, from one table, :func:`_log_kernel_table`, which
-shares the work across the orders.  The logs stay finite where a kernel
-itself is below the smallest float64, so no term of the laws' sums is lost
-at large z.  The laws' guards bound its domain: a <= 40, and j <= 20 (PZF)
-or j <= min(n_t, 15) (MMSE).
+with the gamma function.  Both laws read every order of their kernel, in
+logs, from one table, :func:`_log_kernel_table`, which shares the work
+across the orders.  The logs stay finite where a kernel itself is below
+the smallest float64, so no term of the laws' sums is lost at large z.
+The laws' guards bound its domain: a <= 40, and j <= 20 (PZF) or
+j <= min(n_t, 15) (MMSE).
 
 The stock ``scipy.special.hyp2f1`` loses up to six digits in parts of this
 family (cancellation for large z when a and b are close), which is not good
@@ -46,13 +46,17 @@ within 3e-14 and the panel rule's within 9e-13, at worst near α = 2 and
 z = 0.01, where log F is near 0.  The tests check both kernel
 families' logs at 1e-12 up to z = 1e77.
 
-Both laws read their sums over partitions from one coefficient table of a
-polynomial power, :func:`_power_table`.
-
 Receiver noise adds one more function, the radial moment
 ``J(p, b) = ∫_0^∞ y^p exp(-y - b y^(α/2)) dy`` (:func:`radial_moment`),
 which is Γ(p + 1) at b = 0 and within 1e-11 relative of mpmath for
 0 <= p <= 64 and 1e-8 <= b <= 1e4 (tested at α = 2.05 to 6).
+
+Both receivers average one conditional law over the Poisson field,
+:func:`_conditional_law`: a coefficient table of a polynomial power
+(:func:`_power_table`, the sums over partitions) times one radial moment
+per (partition length, noise order) pair.  It is the only caller of the
+three pieces above.  The receivers differ only in its inputs (kernel step,
+binomial, own-cell polynomial and order m; MMSE is the m = 1 case).
 """
 
 from __future__ import annotations
@@ -65,10 +69,7 @@ from scipy import special as _sp
 
 from .errors import ConfigError, NumericError
 
-__all__ = [
-    "pochhammer",
-    "radial_moment",
-]
+__all__ = ["radial_moment"]
 
 # The kernels' largest first parameter, which bounds both laws.  The panel
 # rule's error grows with the pole order a and with b beyond the laws'
@@ -112,20 +113,9 @@ _RADIAL_CHECK = 1e-7
 _RADIAL_NEWTON_STEPS = 60
 # Bound on (rows x nodes) of the radial-moment work array.
 _RADIAL_CELLS = 1 << 16
-
-
-def pochhammer(x: float, n: int) -> float:
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1), with (x)_0 = 1.
-
-    Computed as a direct product, which stays exact at zero and negative
-    ``x`` where gamma-ratio formulations hit poles.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ConfigError(f"pochhammer order must be a nonnegative integer, got {n!r}")
-    out = 1.0
-    for i in range(int(n)):
-        out *= x + i
-    return out
+# Cells of one block's power table, n^2 per grid point for a table of n
+# rows: 0.5 MB of float64, however many points one call takes.
+_TABLE_CELLS = 1 << 16
 
 
 @lru_cache(maxsize=128)
@@ -418,3 +408,62 @@ def _power_table(g: np.ndarray, first: np.ndarray) -> np.ndarray:
             b[ell, ell - 1 + i:] += g[i] * b[ell - 1, ell - 1:n - i]
         b[ell] /= ell
     return np.cumsum(b, axis=1, out=b)
+
+
+@lru_cache(maxsize=None)
+def _law_terms(n_t: int, alpha: float, orders: int, step: int, top: int, m: int, noisy: bool):
+    """The x-independent data of :func:`_conditional_law`; callers must not
+    modify the arrays.
+
+    log_b: log(B_j 2 / (α j - 2)), j = 1..orders, with B_j =
+    C(n_t + step (j - 1), j): (n_t)_j / j! for step 1, C(n_t, j) for step 0.
+    ell, q: the (block count, noise order) pairs ell + q <= top (q = 0 only
+    without noise).  p, pair_p: the distinct radial orders
+    m - 1 + ell + α q / 2 and each pair's index into them.  log_w:
+    log(1 / (q! Γ(m))) per pair.
+    """
+    j = np.arange(1, orders + 1)
+    log_b = np.log(2.0 * _sp.comb(n_t + step * (j - 1), j) / (alpha * j - 2.0))
+    ell, q = np.nonzero(
+        np.add.outer(np.arange(top + 1), np.arange(top + 1 if noisy else 1)) <= top
+    )
+    p, pair_p = np.unique(m - 1 + ell + 0.5 * alpha * q, return_inverse=True)
+    return log_b, ell, q, p, pair_p, -_sp.gammaln(q + 1.0) - _sp.gammaln(m)
+
+
+def _conditional_law(
+    n_t: int, alpha: float, x: np.ndarray, kappa: float, orders: int, step: int,
+    first: np.ndarray, m: int,
+) -> np.ndarray:
+    """The conditional coverage law both receivers average, at every entry
+    of the 1-d x > 0:
+
+        Σ_{ℓ+q <= n-1} S[ℓ, n-1-q] J(m - 1 + ℓ + α q / 2, c) c^q / (q! Γ(m) K_0^m),
+
+    with n = len(first), K_j the kernels of :func:`_log_kernel_table`, S the
+    power table of ``first`` (own-cell coefficients along axis 0, one column
+    or one per x) and g_j = B_j 2/(α j - 2) K_j x^j / K_0 for
+    j <= ``orders`` (B_j of :func:`_law_terms`), J the radial moment and
+    c = κ x K_0^(-α/2).  The kernels come as logs, so no term is lost where
+    one underflows.  Without noise (κ = 0) only q = 0 occurs.
+    """
+    n = len(first)
+    log_b, ell, q, p, pair_p, log_w = _law_terms(n_t, alpha, orders, step, n - 1, m, kappa > 0.0)
+    first = np.broadcast_to(first, (n, x.size))
+    j = np.arange(1, orders + 1)[:, None]
+    out = np.empty(x.size)
+    # Blocks of points bound the power table's cells.
+    cols = max(1, _TABLE_CELLS // n**2)
+    for start in range(0, x.size, cols):
+        blk = slice(start, start + cols)
+        log_k = _log_kernel_table(n_t, alpha, x[blk], orders, step)
+        g = np.zeros((n, log_k.shape[1]))
+        g[1:orders + 1] = np.exp(log_b[:, None] + log_k[1:] + j * np.log(x[blk]) - log_k[0])
+        table = _power_table(g, first[:, blk])
+        # x K_0^(-α/2) stays of order 1 at large x, so it is formed first.
+        c = kappa * (x[blk] * np.exp(-0.5 * alpha * log_k[0])) if kappa > 0.0 else 0.0
+        with np.errstate(divide="ignore"):  # J underflows only for negligible terms
+            log_radial = np.log(radial_moment(p[:, None], c, alpha))[pair_p]
+        radial = np.exp(log_radial + _sp.xlogy(q[:, None], c) + (log_w[:, None] - m * log_k[0]))
+        out[blk] = (table[ell, n - 1 - q] * radial).sum(axis=0)
+    return out

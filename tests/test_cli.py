@@ -140,6 +140,19 @@ def test_optimal_m_table(capsys):
     assert table[("2", "2")][6] == "infeasible"
 
 
+def test_optimal_m_without_noise_ignores_the_intensity(capsys):
+    rows = {}
+    for lam in ("1", "1e-300"):
+        code, out = _run(capsys, ["optimal-m", "--nt", "1", "--nr", "4", "--lam", lam])
+        assert code == 0
+        rows[lam] = _parse_csv(out.out)
+    assert rows["1e-300"] == rows["1"]
+    # With noise the scale n_t sigma2 (pi lam)^(-alpha/2) overflows there.
+    code, out = _run(capsys, ["optimal-m", "--nt", "1", "--nr", "4", "--lam", "1e-300",
+                              "--sigma2", "1"])
+    assert code == 2 and "noise scale" in out.err
+
+
 def test_validate_passes_and_reports(capsys):
     code, out = _run(capsys, [
         "validate", "--rx", "both", "--nt", "2", "--nr", "4", "--m", "1",

@@ -10,7 +10,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cellmimo import mmse
+from cellmimo import specfun
 from cellmimo.errors import ConfigError, SizeGuardError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.mmse import coverage_mmse
@@ -143,8 +143,10 @@ def test_law_with_underflowing_kernels_matches_mpmath_kernels(monkeypatch, z):
     # Theta_15 z^15 is of the order of the coverage.
     config = _config(16, 16, alpha=3.0)
     got = coverage_mmse(config, z)
+    calls = []
 
     def mp_log_kernel_table(n_t, alpha, x, orders, step):
+        calls.append(x.size)
         with mp.workdps(40):
             rows = []
             for j in range(orders + 1):
@@ -153,8 +155,9 @@ def test_law_with_underflowing_kernels_matches_mpmath_kernels(monkeypatch, z):
                              for v in x])
             return np.array(rows)
 
-    monkeypatch.setattr(mmse, "_log_kernel_table", mp_log_kernel_table)
+    monkeypatch.setattr(specfun, "_log_kernel_table", mp_log_kernel_table)
     assert got == pytest.approx(coverage_mmse(config, z), rel=1e-10, abs=0.0)
+    assert calls == [1]  # the law read the mpmath table, not its own
 
 
 def test_noise_hurts_and_density_helps():
@@ -168,7 +171,7 @@ def test_noise_hurts_and_density_helps():
 def test_zero_noise_density_invariance():
     values = [
         coverage_mmse(_config(2, 4, lam=lam), 1.7)
-        for lam in (0.2, 1.0, 6.0)
+        for lam in (1e-300, 0.2, 1.0, 6.0, 1e300)
     ]
     assert max(values) - min(values) < 1e-8
 

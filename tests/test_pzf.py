@@ -236,7 +236,7 @@ def test_conditional_coverage_matches_partition_sum(n_t, m):
     for delta, alpha in ((6, 3.7), (3, 2.5)):
         for z in (0.2, 3.0, 1e4):
             for noise in (0.0, 0.7):
-                got = _conditional_coverage_u(n_t, m, delta, alpha, z, noise, u)
+                got = _conditional_coverage_u(n_t, m, delta, alpha, z, noise / z, u)
                 expected = [_partition_sum(n_t, m, delta, alpha, z, noise, v) for v in u]
                 assert got == pytest.approx(expected, rel=1e-13, abs=0.0), (delta, z, noise)
 
@@ -304,7 +304,7 @@ def test_zero_noise_density_invariance():
     z = 1.3
     values = [
         coverage_pzf(_config(1, 4, lam=lam), z, 2)
-        for lam in (0.25, 1.0, 5.0)
+        for lam in (1e-300, 0.25, 1.0, 5.0, 1e300)
     ]
     assert max(values) - min(values) < 1e-8
 

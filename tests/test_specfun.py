@@ -23,7 +23,7 @@ from scipy import special
 import cellmimo
 from cellmimo import mmse, pzf, specfun
 from cellmimo.errors import ConfigError, NumericError
-from cellmimo.specfun import pochhammer, radial_moment
+from cellmimo.specfun import radial_moment
 
 # (n_t, alpha, order, step, z) -> F(n_t + step order, order - 2/alpha;
 # order - 2/alpha + 1; -z), 22 significant digits.  The cases span both
@@ -99,12 +99,6 @@ def test_gamma_oracles():
     assert radial_moment(6.5, 0.0, 4.0) == pytest.approx(1871.254305797788346476, rel=1e-14)
     assert radial_moment(0.5, 0.0, 3.0) == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-14)
     assert radial_moment(4.0, 0.0, 2.5) == 24.0
-
-
-def test_pochhammer_values():
-    assert pochhammer(-0.5, 3) == pytest.approx(-0.375, rel=1e-15)
-    assert pochhammer(2.0, 4) == 120.0
-    assert pochhammer(3.3, 0) == 1.0
 
 
 @settings(deadline=None, max_examples=80)
@@ -286,17 +280,6 @@ assert 0.0 < coverage_mmse(steep, 1e6) < 1.0
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": path})
-
-
-@settings(deadline=None, max_examples=40)
-@given(
-    x=st.floats(min_value=-5.0, max_value=5.0),
-    n=st.integers(min_value=0, max_value=8),
-)
-def test_pochhammer_recurrence(x, n):
-    assert pochhammer(x, n + 1) == pytest.approx(
-        pochhammer(x, n) * (x + n), rel=1e-12, abs=1e-12
-    )
 
 
 def test_theta_equals_lambda_at_order_zero():
