@@ -18,11 +18,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 
 import cellmimo
 from cellmimo import mmse, pzf, specfun
 from cellmimo.errors import ConfigError, NumericError
+from cellmimo.geometry import NetworkConfig
+from cellmimo.mmse import coverage_mmse
+from cellmimo.pzf import coverage_pzf
 from cellmimo.specfun import radial_moment
 
 # (n_t, alpha, order, step, z) -> F(n_t + step order, order - 2/alpha;
@@ -293,6 +296,9 @@ def test_theta_equals_lambda_at_order_zero():
 
 _RADIAL_P = np.array([0.0, 0.25, 1.0, 2.5, 7.0, 20.0, 41.5, 64.0])
 _RADIAL_B = np.array([1e-8, 1e-5, 1e-3, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4])
+# The noise-to-interference ratios the laws pass reach 1e-17 at ordinary
+# noise, so both oracles also take these.
+_RADIAL_SMALL_B = np.array([1e-18, 1e-16, 1e-12])
 
 
 def _mp_radial_moment_pcfd(p, b):
@@ -334,21 +340,100 @@ def test_radial_moment_without_noise_is_gamma(alpha):
 
 
 def test_radial_moment_matches_parabolic_cylinder_oracle():
-    values = radial_moment(_RADIAL_P[:, None], _RADIAL_B[None, :], 4.0)
+    b_grid = np.concatenate([_RADIAL_SMALL_B, _RADIAL_B])
+    values = radial_moment(_RADIAL_P[:, None], b_grid[None, :], 4.0)
     for i, p in enumerate(_RADIAL_P):
-        for j, b in enumerate(_RADIAL_B):
+        for j, b in enumerate(b_grid):
             expected = _mp_radial_moment_pcfd(p, b)
             assert values[i, j] == pytest.approx(float(expected), rel=1e-11), (p, b)
 
 
 @pytest.mark.parametrize("alpha", [2.05, 3.0, 6.0])
 def test_radial_moment_matches_mpmath_quadrature(alpha):
-    p_grid, b_grid = _RADIAL_P[::2], _RADIAL_B[::2]
+    p_grid, b_grid = _RADIAL_P[::2], np.concatenate([_RADIAL_SMALL_B, _RADIAL_B[::2]])
     values = radial_moment(p_grid[:, None], b_grid[None, :], alpha)
     for i, p in enumerate(p_grid):
         for j, b in enumerate(b_grid):
             expected = _mp_radial_moment_quad(p, b, alpha)
             assert values[i, j] == pytest.approx(float(expected), rel=1e-11), (p, b)
+
+
+@pytest.mark.parametrize("alpha", [2.05, 4.0, 6.0])
+@pytest.mark.parametrize("b", [1e8, 1e30])
+def test_log_radial_moment_matches_mpmath_where_it_underflows(alpha, b):
+    """The rule returns log J, which stays exact where J is below the
+    smallest float64 (p = 64 at b = 1e30)."""
+    p_grid = _RADIAL_P[::2]
+    got = specfun._radial_trapezoid(p_grid + 1.0, np.full(p_grid.size, b), 0.5 * alpha)
+    for p, log_j in zip(p_grid, got):
+        with mp.workdps(30):
+            want = float(mp.log(_mp_radial_moment_quad(p, b, alpha)))
+        # log J to 1e-11 absolute is J to 1e-11 relative.
+        assert log_j == pytest.approx(want, rel=0.0, abs=1e-11), (p, b)
+
+
+@pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 6.0])
+def test_radial_rows_do_not_depend_on_their_neighbours(alpha):
+    """Each row of one call sizes its own grid: mixed orders and noise
+    ratios give the values each row gives alone."""
+    rng = np.random.default_rng(11)
+    q = np.concatenate([[1.0, 65.0, 1.0, 65.0], rng.uniform(1.0, 65.0, 60)])
+    b = np.concatenate([[1e-18, 1e-18, 1e4, 1e4], 10.0 ** rng.uniform(-18.0, 4.0, 60)])
+    s = 0.5 * alpha
+    together = specfun._radial_trapezoid(q, b, s)
+    alone = np.array([specfun._radial_trapezoid(q[i:i + 1], b[i:i + 1], s)[0]
+                      for i in range(q.size)])
+    # log J to 1e-13 absolute is J to 1e-13 relative.
+    np.testing.assert_allclose(together, alone, rtol=0.0, atol=1e-13)
+
+
+# ----------------------------------------------------------------------
+# Both noisy laws at vanishing intensity, against the noise-only law
+
+def _noise_only_coverage(d, alpha, noise, lam):
+    """U = 1 - E[exp(-pi lam (G / noise)^(2/alpha))], G ~ Gamma(d), by 1-d
+    adaptive quadrature in G: the coverage with the interference removed,
+    an upper bound of both noisy laws, where noise = n_t sigma2 z."""
+    scale = math.pi * lam * noise ** (-2.0 / alpha)
+
+    def integrand(g):
+        return -math.expm1(-scale * g ** (2.0 / alpha)) * math.exp((d - 1.0) * math.log(g) - g)
+
+    value, error = integrate.quad(integrand, 0.0, math.inf, epsabs=0.0, epsrel=2e-14, limit=200)
+    assert error <= 1e-13 * value
+    return value / math.gamma(d)
+
+
+def _noise_limited_laws(lam, z):
+    """MMSE 1x4 and PZF 1x4 m=1 at alpha = 4, sigma2 = 1: both have the
+    noise-only law of d = 4 receive dimensions."""
+    config = NetworkConfig(lam=lam, alpha=4.0, sigma2=1.0, n_t=1, n_r=4)
+    return coverage_mmse(config, z), coverage_pzf(config, z, 1)
+
+
+@pytest.mark.parametrize("lam", [1e-20, 1e-40, 1e-60, 1e-80, 1e-120])
+def test_noisy_laws_keep_every_noise_order(lam):
+    """At vanishing intensity both laws approach the noise-only leading
+    term pi lam Gamma(d + 1/2) / Gamma(d) (n_t sigma2 z)^(-1/2).  The terms
+    of high noise order carry it although their radial moment underflows."""
+    z = 1e3
+    lead = math.pi * lam * math.gamma(4.5) / math.gamma(4.0) / math.sqrt(z)
+    for value in _noise_limited_laws(lam, z):
+        assert value == pytest.approx(lead, rel=1e-10, abs=0.0)
+
+
+_BOUND_LAMS = [1e-5, 1e-8, 1e-12, 1e-20, 1e-40, 1e-60, 1e-80, 1e-120]
+_BOUND_ZS = [1e-2, 1.0, 1e2, 1e4]
+
+
+@pytest.mark.parametrize("lam", _BOUND_LAMS)
+def test_noisy_laws_below_noise_only_coverage(lam):
+    """Interference only lowers the SINR, so neither law exceeds the
+    noise-only coverage U(z)."""
+    for z in _BOUND_ZS:
+        bound = _noise_only_coverage(4.0, 4.0, z, lam)
+        for value in _noise_limited_laws(lam, z):
+            assert value <= bound * (1.0 + 1e-12), (z, value / bound)
 
 
 def test_radial_moment_domain_errors():
