@@ -2,10 +2,10 @@
 
 Base stations form a homogeneous Poisson field of intensity ``lam`` per unit
 area; the user attaches to the nearest one.  :class:`NetworkConfig` holds
-the static parameters every law and the simulator take,
-:func:`_over_thresholds` the threshold contract both coverage laws share,
-and :func:`_noise_scale` the noise scale both laws and the mean inverse
-SINR read.
+the static parameters every law and the simulator take, :func:`_is_int`
+the rule for their integer parameters, :func:`_over_thresholds` the
+threshold contract both coverage laws share, and :func:`_noise_scale` the
+noise scale both laws and the mean inverse SINR read.
 """
 
 from __future__ import annotations
@@ -25,6 +25,12 @@ __all__ = ["NetworkConfig"]
 # in one call and at 18 MB in blocks of 1024, in about the same time
 # (11.2 s against 10.4 s).
 _THRESHOLD_BLOCK = 1024
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool: the one rule for every integer
+    parameter of the laws and the simulator."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,7 @@ class NetworkConfig:
             raise ConfigError(f"noise power must be >= 0, got {self.sigma2!r}")
         for name in ("n_t", "n_r"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
 
 

@@ -6,21 +6,10 @@ matrices per station, explicit receive filters, no approximations beyond
 the finite window (whose default radius keeps the neglected far-field
 interference around the 1e-4 relative level).
 
-Two layers:
-
-* A batched engine (:func:`simulate_sinr`, the one Monte Carlo entry
-  point: it returns SINR samples, which callers reduce to estimates) -
-  vectorized over trials in fixed chunks of 512, single-precision channel
-  draws.  It is the only network sampler.
-
-* Reference receivers (:func:`pzf_filter`, :func:`pzf_sinr`,
-  :func:`mmse_sinr`) - one :class:`NetworkRealization` at a time, plain
-  float64, written for auditability.  A realization is a list of station
-  distances and channel matrices: either prescribed, or one trial of the
-  engine's own chunk draws replayed, which is how the test suite checks
-  the two layers against each other on identical draws.  The property
-  tests (filter orthogonality, gain distributions, MMSE-vs-PZF dominance)
-  run on these.
+One batched engine, :func:`simulate_sinr`, the one Monte Carlo entry
+point: it returns SINR samples, which callers reduce to estimates.  It is
+vectorized over trials in fixed chunks of 512, with single-precision
+channel draws, and is the only network sampler.
 
 Reproducibility contract: trials are partitioned into fixed 512-trial
 chunks; chunk ``c`` draws from ``SeedSequence([seed, c])`` and partial
@@ -38,29 +27,20 @@ import math
 import multiprocessing as mp
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConditioningError, ConfigError, NumericError
-from .geometry import NetworkConfig
-from .pzf import _receiver_order, _split_delta
+from .errors import ConditioningError, ConfigError
+from .geometry import NetworkConfig, _is_int
+from .pzf import _receiver_order
 
-__all__ = [
-    "NetworkRealization",
-    "default_window_radius",
-    "pzf_filter",
-    "pzf_sinr",
-    "mmse_sinr",
-    "simulate_sinr",
-]
+__all__ = ["default_window_radius", "simulate_sinr"]
 
 CHUNK_TRIALS = 512
 _SLAB_BYTES = 160_000_000  # per slab: its complex64 draws plus their scaled copy
 _POOL_BYTES = 1_600_000_000  # slabs of all default workers together
 _CPU_MAX = Path("/sys/fs/cgroup/cpu.max")  # cgroup v2 CPU quota: "<quota> <period>"
-_COND_LIMIT = 1e12
 _DIAG_FLOOR = 1e-12  # relative diagonal floor for noiseless covariance solves
 _NEAR_DOUBLE = 32  # nearest interferers whose covariance terms use float64
 
@@ -76,128 +56,6 @@ def default_window_radius(lam: float) -> float:
     if not (lam > 0.0):
         raise ConfigError(f"intensity must be positive, got {lam!r}")
     return 40.0 / math.sqrt(lam * math.pi)
-
-
-@dataclass(frozen=True)
-class NetworkRealization:
-    """One draw of the network as seen from the typical user at the origin.
-
-    distances : (J,) station distances, sorted (serving first)
-    channels  : (J, n_r, n_t) complex channel matrices, same order
-    """
-
-    distances: np.ndarray
-    channels: np.ndarray
-
-
-def _pzf_targets(realization: NetworkRealization, m: int, stream: int) -> np.ndarray:
-    """Stack the vectors the PZF filter must null: the serving station's
-    other streams plus every stream of the m-1 nearest interferers."""
-    channels = realization.channels
-    n_r, n_t = channels.shape[1], channels.shape[2]
-    if not (0 <= stream < n_t):
-        raise ConfigError(f"stream index {stream} out of range for n_t={n_t}")
-    _split_delta(n_t, n_r, m)
-    if channels.shape[0] < m:
-        raise NumericError(
-            f"window holds {channels.shape[0]} stations but the split needs {m}; "
-            "enlarge the window"
-        )
-    own = np.delete(realization.channels[0], stream, axis=1)
-    near = channels[1:m].transpose(1, 0, 2).reshape(n_r, -1)
-    return np.concatenate((own, near), axis=1)
-
-
-def pzf_filter(
-    realization: NetworkRealization,
-    m: int,
-    stream: int = 0,
-) -> np.ndarray:
-    """Unit-norm partial zero-forcing filter for one stream, nulling the
-    m-1 nearest interferers.
-
-    Projects the desired channel onto the orthogonal complement of the
-    nulling targets (with one re-orthogonalization pass) and normalizes.
-    Raises :class:`NumericError` on rank deficiency or if the residual
-    overlap with the nulled subspace exceeds 1e-10.
-    """
-    targets = _pzf_targets(realization, m, stream)
-    h = realization.channels[0][:, stream]
-    if targets.shape[1] == 0:
-        v = h / np.linalg.norm(h)
-        return v
-    q, r = np.linalg.qr(targets)
-    diag = np.abs(np.diag(r))
-    if diag.min() < 1e-12 * max(diag.max(), 1.0):
-        raise NumericError("nulling targets are numerically rank deficient")
-    p = h - q @ (q.conj().T @ h)
-    p = p - q @ (q.conj().T @ p)
-    norm = np.linalg.norm(p)
-    if norm == 0.0:
-        raise NumericError("desired channel lies in the nulled subspace")
-    v = p / norm
-    residual = np.abs(q.conj().T @ v).max()
-    if residual > 1e-10:
-        raise NumericError(f"filter failed orthogonality check (residual {residual:.2e})")
-    return v
-
-
-def pzf_sinr(
-    realization: NetworkRealization,
-    config: NetworkConfig,
-    m: int,
-    stream: int = 0,
-) -> float:
-    """Post-filter SINR of the PZF receiver for one realization."""
-    v = pzf_filter(realization, m, stream)
-    h = realization.channels[0][:, stream]
-    d = realization.distances
-    signal = d[0] ** (-config.alpha) * abs(np.vdot(v, h)) ** 2
-    interference = 0.0
-    for j in range(m, len(d)):
-        gains = np.abs(v.conj() @ realization.channels[j]) ** 2
-        interference += d[j] ** (-config.alpha) * gains.sum()
-    return float(signal / (config.n_t * config.sigma2 + interference))
-
-
-def mmse_sinr(
-    realization: NetworkRealization,
-    config: NetworkConfig,
-    stream: int = 0,
-) -> float:
-    """Post-filter SINR of the linear MMSE receiver for one realization.
-
-    Builds the interference-plus-noise covariance (own-cell cross streams,
-    all interferers, noise), applies a relative diagonal floor when
-    sigma2 = 0, and refuses near-singular solves (condition number above
-    1e12) with :class:`ConditioningError`.
-    """
-    channels = realization.channels
-    n_r, n_t = channels.shape[1], channels.shape[2]
-    if not (0 <= stream < n_t):
-        raise ConfigError(f"stream index {stream} out of range for n_t={n_t}")
-    d = realization.distances
-    h = channels[0][:, stream]
-    # Scaled covariance: n_t * (true covariance); the SINR expression below
-    # compensates, and the scaling keeps the per-interferer weights as plain
-    # path gains.
-    cov = config.n_t * config.sigma2 * np.eye(n_r, dtype=complex)
-    own = channels[0] @ channels[0].conj().T - np.outer(h, h.conj())
-    cov += d[0] ** (-config.alpha) * own
-    for j in range(1, len(d)):
-        cov += d[j] ** (-config.alpha) * (channels[j] @ channels[j].conj().T)
-    if config.sigma2 == 0.0:
-        floor = _DIAG_FLOOR * np.real(np.trace(cov)) / n_r
-        cov += floor * np.eye(n_r)
-    if np.linalg.cond(cov) > _COND_LIMIT:
-        raise ConditioningError("interference covariance is near singular")
-    x = np.linalg.solve(cov, h)
-    return float(d[0] ** (-config.alpha) * np.real(np.vdot(h, x)))
-
-
-# ---------------------------------------------------------------------------
-# Batched engine
-# ---------------------------------------------------------------------------
 
 
 def _chunk_geometry(rng, lam, window_radius, n_trials, min_count):
@@ -376,11 +234,6 @@ def _default_workers() -> int:
     return min(_available_cores(), _POOL_BYTES // _SLAB_BYTES)
 
 
-def _is_int(value) -> bool:
-    """An int or numpy integer, not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def simulate_sinr(
     config: NetworkConfig,
     receivers,
@@ -400,6 +253,9 @@ def simulate_sinr(
     at the chunk count; a one-chunk call runs in this process.  The default
     is the available cores (at most ten) where workers start by ``fork``,
     else 1.  The samples are bit-identical for every value.
+    ``window_radius`` (default: :func:`default_window_radius`) must be
+    finite and positive, and its disk must hold at least the split's m
+    stations on average (1 for MMSE alone).
     """
     receivers = (receivers,) if isinstance(receivers, str) else tuple(receivers)
     pzf_m = _receiver_order(config, receivers, m)
@@ -409,13 +265,22 @@ def simulate_sinr(
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     if threads is not None and (not _is_int(threads) or threads < 1):
         raise ConfigError(f"threads must be None or a positive integer, got {threads!r}")
-    if window_radius is None:
-        window_radius = default_window_radius(config.lam)
+    radius = default_window_radius(config.lam) if window_radius is None else float(window_radius)
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ConfigError(f"window radius must be positive and finite, got {window_radius!r}")
+    # Each trial's station count is redrawn until it covers the split, which
+    # a window holding fewer stations on average may never do.
+    needed, mean_count = pzf_m or 1, config.lam * math.pi * radius * radius
+    if mean_count < needed:
+        raise ConfigError(
+            f"window radius {radius!r} holds {mean_count:.3g} stations on average, "
+            f"fewer than the {needed} the split needs"
+        )
 
     want_mmse = "mmse" in receivers
     n_chunks = (int(trials) + CHUNK_TRIALS - 1) // CHUNK_TRIALS
     jobs = [
-        (config, pzf_m, want_mmse, float(window_radius), int(seed), c,
+        (config, pzf_m, want_mmse, radius, int(seed), c,
          min(CHUNK_TRIALS, int(trials) - c * CHUNK_TRIALS))
         for c in range(n_chunks)
     ]

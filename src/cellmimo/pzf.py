@@ -33,7 +33,7 @@ import numpy as np
 from scipy import special as _sp
 
 from .errors import ConfigError, NumericError, SizeGuardError
-from .geometry import NetworkConfig, _noise_scale, _over_thresholds
+from .geometry import NetworkConfig, _is_int, _noise_scale, _over_thresholds
 from .specfun import _MAX_A, _conditional_law
 
 __all__ = [
@@ -61,7 +61,7 @@ def _split_delta(n_t: int, n_r: int, m: int) -> int:
 
     Raises ConfigError unless m is a positive integer with delta >= 0.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ConfigError(f"m must be a positive integer, got {m!r}")
     delta = n_r - m * n_t
     if delta < 0:

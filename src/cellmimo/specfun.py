@@ -47,13 +47,14 @@ z = 0.01, where log F is near 0.  The tests check both kernel
 families' logs at 1e-12 up to z = 1e77.
 
 Receiver noise adds one more function, the radial moment
-``J(p, b) = ∫_0^∞ y^p exp(-y - b y^(α/2)) dy`` (:func:`radial_moment`),
-which is Γ(p + 1) at b = 0.  For b > 0 it is the trapezoid rule in
-t = log y, centred on the integrand's mode, with the rule on every other
-node as its error check.  Each row of a call takes only the nodes its own
-integrand needs.  On the right the rule stops where the integrand falls to
-e^-40 of its peak, found by Newton steps from beyond that point.  On the
-left, once both exponentials of the integrand are small, the rest of the
+``J(p, b) = ∫_0^∞ y^p exp(-y - b y^(α/2)) dy`` (:func:`_log_radial_moment`),
+where y is the serving-cell area in units of the interference scale and b
+the noise-to-interference ratio.  It is Γ(p + 1) at b = 0.  For b > 0 it
+is the trapezoid rule in t = log y, centred on the integrand's mode, with
+the rule on every other node as its error check.  Each row of a call
+takes only the nodes its own integrand needs.  On the right the rule stops
+where the integrand falls to e^-40 of its peak, found by Newton steps from
+beyond that point.  On the left, once both exponentials of the integrand are small, the rest of the
 infinite node sum is a double series of geometric sums, added in closed
 form; where the integrand falls to e^-40 first, the rule stops there
 instead.  The rule returns log J, so the laws keep every term whose J is
@@ -68,6 +69,8 @@ Both receivers average one conditional law over the Poisson field,
 per (partition length, noise order) pair.  It is the only caller of the
 three pieces above.  The receivers differ only in its inputs (kernel step,
 binomial, own-cell polynomial and order m; MMSE is the m = 1 case).
+Nothing here is public: the laws of :mod:`cellmimo.pzf` and
+:mod:`cellmimo.mmse` are the entry points.
 """
 
 from __future__ import annotations
@@ -78,9 +81,9 @@ from functools import lru_cache
 import numpy as np
 from scipy import special as _sp
 
-from .errors import ConfigError, NumericError
+from .errors import NumericError
 
-__all__ = ["radial_moment"]
+__all__: list[str] = []
 
 # The kernels' largest first parameter, which bounds both laws.  The panel
 # rule's error grows with the pole order a and with b beyond the laws'
@@ -331,45 +334,11 @@ def _monotone_g(a: int, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def radial_moment(p, b, alpha: float):
-    """Radial moment J(p, b) = ∫_0^∞ y^p exp(-y - b y^(α/2)) dy.
-
-    Receiver noise enters the coverage laws only through this integral: y
-    is the serving-cell area in units of the interference scale and b the
-    noise-to-interference ratio.  ``p >= 0`` and ``b >= 0`` broadcast
-    against each other.  J(p, 0) = Γ(p + 1) exactly, which is all the
-    zero-noise laws need.
-
-    For b > 0 the integrand in t = log y is exp(φ(t)) with
-    φ(t) = (p+1) t - e^t - b e^(αt/2), which is strictly concave.  It is
-    integrated by the trapezoid rule centred on its mode, with a step set by
-    the width of its peak and by α; the rule on every other node gives the
-    error estimate, and :class:`NumericError` is raised when that estimate
-    exceeds its bound.  Each entry takes its own nodes: up to the exact
-    cut at e^-40 of the peak on the right, and on the left down to where
-    both exponentials are small, below which the remaining nodes are
-    summed in closed form.  The laws read log J from the same rule, which
-    stays finite where J underflows to 0 (b = 1e30 at p = 64, α = 4).
-    """
-    if not (alpha > 2.0 and math.isfinite(alpha)):
-        raise ConfigError(f"path-loss exponent must exceed 2, got {alpha!r}")
-    pv, bv = np.asarray(p, dtype=float), np.asarray(b, dtype=float)
-    b_max = bv.max()
-    # NaN fails the first two comparisons.
-    if not (pv.min() >= 0.0 and bv.min() >= 0.0 and pv.max() < math.inf and b_max < math.inf):
-        raise ConfigError("radial moment needs finite p >= 0 and b >= 0")
-    out = np.asarray(_sp.gamma(pv + 1.0 + 0.0 * bv))  # in the broadcast shape
-    if b_max > 0.0:
-        pb, bb = np.broadcast_arrays(pv, bv)
-        noisy = bb > 0.0
-        out[noisy] = np.exp(_radial_trapezoid(pb[noisy] + 1.0, bb[noisy], 0.5 * alpha))
-    return float(out) if out.ndim == 0 else out
-
-
 def _log_radial_moment(p: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
     """log J(p, b) on the (p, b) grid of the 1-d p >= 0 and b >= 0: log Γ(p + 1)
-    where b = 0, as :func:`radial_moment` has it, and the rule's log elsewhere,
-    which stays finite where J underflows."""
+    where b = 0, and the trapezoid rule's log elsewhere, which stays finite
+    where J underflows.  Raises NumericError where the rule's error check
+    fails."""
     noisy = b > 0.0
     if noisy.all():
         q = np.repeat(p + 1.0, b.size)
@@ -610,7 +579,7 @@ def _conditional_law(
     first: np.ndarray, m: int,
 ) -> np.ndarray:
     """The conditional coverage law both receivers average, at every entry
-    of the 1-d x > 0:
+    of the 1-d x >= 0:
 
         Σ_{ℓ+q <= n-1} S[ℓ, n-1-q] J(m - 1 + ℓ + α q / 2, c) c^q / (q! Γ(m) K_0^m),
 
@@ -632,7 +601,11 @@ def _conditional_law(
         blk = slice(start, start + cols)
         log_k = _log_kernel_table(n_t, alpha, x[blk], orders, step)
         g = np.zeros((n, log_k.shape[1]))
-        g[1:orders + 1] = np.exp(log_b[:, None] + log_k[1:] + j * np.log(x[blk]) - log_k[0])
+        # x = z u^α underflows to 0 at small u for large α; its log is then
+        # -inf and g_j = 0, the exact limit.
+        with np.errstate(divide="ignore"):
+            log_x = np.log(x[blk])
+        g[1:orders + 1] = np.exp(log_b[:, None] + log_k[1:] + j * log_x - log_k[0])
         table = _power_table(g, first[:, blk])
         # x K_0^(-α/2) stays of order 1 at large x, so it is formed first.
         c = kappa * (x[blk] * np.exp(-0.5 * alpha * log_k[0])) if kappa > 0.0 else np.zeros(1)

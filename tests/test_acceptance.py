@@ -16,7 +16,7 @@ from scipy import stats
 
 from cellmimo.geometry import NetworkConfig
 from cellmimo.mmse import coverage_mmse
-from cellmimo.montecarlo import pzf_filter, simulate_sinr
+from cellmimo.montecarlo import simulate_sinr
 from cellmimo.pzf import (
     argmin_mean_inverse_sinr,
     coverage_pzf,
@@ -24,7 +24,7 @@ from cellmimo.pzf import (
     optimal_m,
 )
 from cellmimo.rate import rate_profile
-from test_montecarlo import _manual_realization
+from reference_receivers import _manual_realization, pzf_filter
 
 
 def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):

@@ -105,3 +105,32 @@ def test_readme_calls_resolve():
     assert calls - _NOTATION
     for name in sorted(calls - _NOTATION):
         assert any(_resolves(module, name) for module in modules), name
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def test_public_names_have_callers_in_the_package():
+    """Every public top-level function or class of ``src/cellmimo`` is in
+    ``cellmimo.__all__``, is the CLI's ``main``, or is read by package code
+    outside its own definition, so a helper that only tests call cannot
+    stay in the program.  Docstrings and ``__all__`` strings do not count."""
+    reads = set()  # (name, module, top-level definition reading it or None)
+    public = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        for stmt in ast.parse(path.read_text()).body:
+            owner = stmt.name if isinstance(stmt, _DEFINITIONS) else None
+            if owner and not owner.startswith("_"):
+                public.append((module, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.add((node.id, module, owner))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    reads.add((node.attr, module, owner))
+    unused = [
+        f"{module}.{name}" for module, name in public
+        if name not in cellmimo.__all__ and (module, name) != ("cli", "main")
+        and not any(n == name and (m, o) != (module, name) for n, m, o in reads)
+    ]
+    assert not unused, unused

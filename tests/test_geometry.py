@@ -16,7 +16,7 @@ from scipy import integrate, special, stats
 
 from cellmimo.errors import ConfigError
 from cellmimo.geometry import NetworkConfig
-from cellmimo.montecarlo import _chunk_geometry
+from cellmimo.montecarlo import _chunk_geometry, simulate_sinr
 from cellmimo.pzf import _conditional_coverage_u, _split_delta, coverage_pzf, mean_inverse_sinr
 
 
@@ -63,6 +63,21 @@ def test_network_config_validation():
         NetworkConfig(lam=1.0, alpha=4.0, sigma2=-0.1, n_t=2, n_r=4)
     with pytest.raises(ConfigError):
         NetworkConfig(lam=1.0, alpha=4.0, sigma2=0.0, n_t=0, n_r=4)
+
+
+_CONFIG_1X4 = NetworkConfig(lam=1.0, alpha=4.0, sigma2=0.0, n_t=1, n_r=4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: NetworkConfig(lam=1.0, alpha=4.0, sigma2=0.0, n_t=True, n_r=4),
+    lambda: coverage_pzf(_CONFIG_1X4, 1.0, True),
+    lambda: simulate_sinr(_CONFIG_1X4, "pzf", 128, 0, m=True),
+], ids=["NetworkConfig", "coverage_pzf", "simulate_sinr"])
+def test_integer_parameters_refuse_bools(call):
+    """Every integer parameter follows one rule: a bool is refused, although
+    Python counts it as an int."""
+    with pytest.raises(ConfigError):
+        call()
 
 
 def test_pzf_split_for_config():

@@ -15,7 +15,7 @@ from cellmimo.errors import ConfigError, SizeGuardError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.mmse import coverage_mmse
 from cellmimo.pzf import coverage_pzf
-from cellmimo.specfun import _log_kernel_table, radial_moment
+from cellmimo.specfun import _log_kernel_table
 
 
 def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):
@@ -121,8 +121,10 @@ def _partition_sum(config, z):
                         math.comb(n_t, p) * theta[p] / (alpha * p - 2.0) for p in parts
                     ) / math.prod(math.factorial(parts.count(p)) for p in set(parts))
                     ell = len(parts)
+                    log_j = specfun._log_radial_moment(
+                        np.array([ell + 0.5 * alpha * v]), np.array([b]), alpha)[0, 0]
                     radial = (2.0**ell / theta[0] ** (ell + 1) * b**v / math.factorial(v)
-                              * radial_moment(ell + 0.5 * alpha * v, b, alpha))
+                              * math.exp(log_j))
                     total += own * weight * radial
     return total
 

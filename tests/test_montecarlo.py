@@ -2,9 +2,9 @@
 
 The load-bearing test is the identical-draws equivalence: the batched
 engine's chunk draws are replayed (:func:`_replay_reference`) through the
-single-realization reference ops, so any disagreement between the two code
-paths (indexing, weighting, cancellation bookkeeping) shows up as a numeric
-mismatch rather than a statistical one.
+single-realization reference ops of ``reference_receivers``, so any
+disagreement between the two code paths (indexing, weighting, cancellation
+bookkeeping) shows up as a numeric mismatch rather than a statistical one.
 """
 
 import itertools
@@ -22,50 +22,25 @@ from cellmimo.errors import ConditioningError, ConfigError, NumericError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.montecarlo import (
     CHUNK_TRIALS,
-    NetworkRealization,
     _chunk_geometry,
-    _draw_channels,
     _simulate_chunk,
     default_window_radius,
-    mmse_sinr,
-    pzf_filter,
-    pzf_sinr,
     simulate_sinr,
 )
 from cellmimo.mmse import coverage_mmse
 from cellmimo.pzf import coverage_pzf
 from cellmimo.rate import ergodic_rate, sinr_ccdf
+from reference_receivers import (
+    _manual_realization,
+    _replay_reference,
+    mmse_sinr,
+    pzf_filter,
+    pzf_sinr,
+)
 
 
 def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):
     return NetworkConfig(lam=lam, alpha=alpha, sigma2=sigma2, n_t=n_t, n_r=n_r)
-
-
-def _manual_realization(rng, radii, n_r, n_t):
-    """Realization with prescribed station distances and fresh channels."""
-    raw = rng.standard_normal((len(radii), n_r, n_t, 2))
-    channels = (raw[..., 0] + 1j * raw[..., 1]) / math.sqrt(2.0)
-    return NetworkRealization(distances=np.asarray(radii, dtype=float), channels=channels)
-
-
-def _replay_reference(config, window, seeds, n_trials, min_count=1, slab_cols=None):
-    """The realizations of every trial of one engine chunk, in trial order:
-    the chunk's own draws from ``seeds`` (geometry, serving channels, then
-    interferer slabs of ``slab_cols`` columns, one slab by default) replayed
-    in float64 for the reference ops."""
-    rng = np.random.default_rng(seeds)
-    r2 = _chunk_geometry(rng, config.lam, window, n_trials, min_count)
-    shape = (n_trials, config.n_r, config.n_t)
-    slabs = [_draw_channels(rng, shape)[:, None]]
-    n_int = r2.shape[1] - 1
-    step = slab_cols or max(1, n_int)
-    slabs += [_draw_channels(rng, (n_trials, min(step, n_int - s)) + shape[1:])
-              for s in range(0, n_int, step)]
-    stations = np.concatenate(slabs, axis=1)
-    for t in range(n_trials):
-        count = int(np.sum(np.isfinite(r2[t])))
-        yield NetworkRealization(distances=np.sqrt(r2[t, :count]),
-                                 channels=stations[t, :count].astype(np.complex128))
 
 
 # ----------------------------------------------------------------------
@@ -416,6 +391,26 @@ def test_estimate_rate_matches_analytic():
     mc, se = _mean_and_se(np.log2(1.0 + simulate_sinr(config, "mmse", 4096, 5)["mmse"]))
     exact = ergodic_rate(sinr_ccdf(config, "mmse"))  # per-stream
     assert abs(mc - exact) <= 4.0 * se
+
+
+@pytest.mark.parametrize("receiver, m, radius", [
+    ("pzf", 1, 0.0),
+    ("mmse", None, 0.0),
+    ("pzf", 2, 1e-3),  # holds 3e-6 stations on average, the split needs 2
+    ("pzf", 1, -1.0),
+    ("pzf", 1, math.nan),
+    ("pzf", 1, math.inf),
+])
+def test_window_radius_validation(monkeypatch, receiver, m, radius):
+    """A radius that is not finite and positive, or whose window holds fewer
+    stations on average than the split needs, is refused before any draw;
+    the count redraw would otherwise never end in a window that small."""
+    def no_draw(*args):
+        raise AssertionError("drew a chunk geometry")
+
+    monkeypatch.setattr(montecarlo, "_chunk_geometry", no_draw)
+    with pytest.raises(ConfigError):
+        simulate_sinr(_config(1, 4), receiver, 128, 0, m=m, window_radius=radius)
 
 
 def test_estimate_fields_and_validation():

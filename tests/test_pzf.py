@@ -37,7 +37,7 @@ from cellmimo.pzf import (
     mean_inverse_sinr,
     optimal_m,
 )
-from cellmimo.specfun import _log_kernel_table, radial_moment
+from cellmimo.specfun import _log_kernel_table
 
 
 def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):
@@ -224,7 +224,8 @@ def _partition_sum(n_t, m, delta, alpha, z, noise, u):
             weight = math.prod(block[len(b)] for b in partition) / math.factorial(k)
             for q in range(delta - k + 1 if noise else 1):
                 p = m - 1 + blocks + 0.5 * alpha * q
-                total += (weight / l0 ** (m + blocks) * radial_moment(p, c, alpha)
+                log_j = specfun._log_radial_moment(np.array([p]), np.array([c]), alpha)[0, 0]
+                total += (weight / l0 ** (m + blocks) * math.exp(log_j)
                           * c**q / math.factorial(q) / math.gamma(m))
     return total
 
@@ -319,6 +320,24 @@ def test_request_validation():
             coverage_pzf(config, z, 2)
         with pytest.raises(ConfigError):  # anywhere in an array
             coverage_pzf(config, np.array([[1.0, 0.0], [2.0, z]]), 2)
+
+
+# The law at alpha = 100 as 5b55bef computed it, where these same values came
+# with a divide-by-zero warning from the log of the underflowed x.
+_LARGE_ALPHA_PINS = {
+    0.0: [0.9999999999999034, 0.9999719801894007, 0.9885836736343445],
+    1.0: [0.9746110386838573, 0.9591972794844174, 0.9317471675653304],
+}
+
+
+@pytest.mark.parametrize("sigma2", sorted(_LARGE_ALPHA_PINS))
+def test_law_at_large_alpha_takes_the_underflow_limit(sigma2):
+    """At alpha = 100 the kernel argument x = z u^alpha underflows to 0 at
+    the u-average's small u, where g_j = 0 is its exact limit: the law
+    raises no warning (the suite makes RuntimeWarning an error) and keeps
+    its values."""
+    got = coverage_pzf(_config(1, 4, alpha=100.0, sigma2=sigma2), np.array([1e-3, 1.0, 1e3]), 2)
+    np.testing.assert_allclose(got, _LARGE_ALPHA_PINS[sigma2], rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("n_t,n_r,m,sigma2", [
