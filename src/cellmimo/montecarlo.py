@@ -183,12 +183,19 @@ def _simulate_chunk(
     out: dict[str, np.ndarray] = {}
     if pzf_m is not None:
         signal = np.abs(np.einsum("bi,bi->b", v.conj(), h)) ** 2
-        out["pzf"] = serve_gain * signal / (noise + i_pzf)
+        # Without noise, a trial with no interferer has SINR inf, exactly.
+        with np.errstate(divide="ignore"):
+            out["pzf"] = serve_gain * signal / (noise + i_pzf)
     if want_mmse:
         if config.sigma2 == 0.0:
             floor = _DIAG_FLOOR * np.einsum("bii->b", cov).real / n_r
             cov += floor[:, None, None] * np.eye(n_r)
-        x = np.linalg.solve(cov, h[:, :, None])[:, :, 0]
+        try:
+            x = np.linalg.solve(cov, h[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            # Without noise, a trial with no interferer and n_t = 1 has a zero
+            # covariance, which no diagonal floor relative to it can lift.
+            raise ConditioningError("interference covariance is singular") from exc
         sinr = serve_gain * np.einsum("bi,bi->b", h.conj(), x).real
         # h^H C^-1 h > 0 for every positive definite C; anything else means
         # the solve lost the covariance to rounding.
@@ -254,8 +261,8 @@ def simulate_sinr(
     is the available cores (at most ten) where workers start by ``fork``,
     else 1.  The samples are bit-identical for every value.
     ``window_radius`` (default: :func:`default_window_radius`) must be
-    finite and positive, and its disk must hold at least the split's m
-    stations on average (1 for MMSE alone).
+    finite and positive, and its disk must hold a finite mean station count
+    of at least the split's m (1 for MMSE alone).
     """
     receivers = (receivers,) if isinstance(receivers, str) else tuple(receivers)
     pzf_m = _receiver_order(config, receivers, m)
@@ -269,8 +276,13 @@ def simulate_sinr(
     if not (math.isfinite(radius) and radius > 0.0):
         raise ConfigError(f"window radius must be positive and finite, got {window_radius!r}")
     # Each trial's station count is redrawn until it covers the split, which
-    # a window holding fewer stations on average may never do.
-    needed, mean_count = pzf_m or 1, config.lam * math.pi * radius * radius
+    # a window holding fewer stations on average may never do.  pi R^2 is
+    # formed first: the draws need it finite, whatever lam.
+    needed, mean_count = pzf_m or 1, config.lam * (math.pi * radius * radius)
+    if not math.isfinite(mean_count):
+        raise ConfigError(
+            f"window radius {radius!r} holds no finite mean station count at lam={config.lam!r}"
+        )
     if mean_count < needed:
         raise ConfigError(
             f"window radius {radius!r} holds {mean_count:.3g} stations on average, "

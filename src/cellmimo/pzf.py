@@ -145,9 +145,10 @@ def coverage_pzf(config: NetworkConfig, z, m: int) -> float | np.ndarray:
     An average over the inverse distance ratio u = r/R (degenerate at 1 for
     m = 1, where no interferer is cancelled) of the conditional law.  The
     average takes Gauss-Legendre panels [2^-(k+1), 2^-k] down to below
-    z^(-1/alpha)/4 and one panel from 0 to there, with 8, 16, 32, ... nodes
-    on every panel until two rules agree to 1e-10 relative for that z; it
-    raises NumericError if 256 nodes per panel do not get there.  So small
+    (z (1 + kappa))^(-1/alpha)/4, kappa the noise scale, and one panel from
+    0 to there, with 8, 16, 32, ... nodes on every panel until two rules
+    agree to 1e-10 relative for that z; it raises NumericError if 256 nodes
+    per panel do not get there.  So small
     coverages are as accurate as large ones.  The thresholds with one panel
     count are evaluated together, level by level.  Receiver noise enters
     only through the combination z n_t sigma2 (pi lam)^(-alpha/2); with
@@ -168,9 +169,14 @@ def coverage_pzf(config: NetworkConfig, z, m: int) -> float | np.ndarray:
         if m == 1:
             return _conditional_coverage_u(n_t, m, delta, alpha, z, kappa, np.ones(1))[:, 0]
         # The conditional law turns from ~1 to its decay where x = z u^alpha
-        # passes 1, at u ~ z^(-1/alpha): the panels halve down to a quarter
-        # of that, so every node sits where the integrand varies.
-        panels = np.array([max(1, math.floor(2.0 + math.log2(v) / alpha) + 1) for v in z])
+        # passes 1, at u ~ z^(-1/alpha), or, where noise dominates (its
+        # factor exp(-c), c ~ kappa x for x <= 1), at u ~ (kappa z)^(-1/alpha):
+        # the panels halve down to a quarter of (z (1 + kappa))^(-1/alpha),
+        # so every node sits where the integrand varies.  Summed as logs,
+        # z (1 + kappa) cannot overflow.
+        log2_noise = math.log2(1.0 + kappa)
+        panels = np.array([max(1, math.floor(2.0 + (math.log2(v) + log2_noise) / alpha) + 1)
+                           for v in z])
         out = np.empty(z.size)
         for count in np.unique(panels):
             group = np.flatnonzero(panels == count)

@@ -52,23 +52,24 @@ where y is the serving-cell area in units of the interference scale and b
 the noise-to-interference ratio.  It is Γ(p + 1) at b = 0.  For b > 0 it
 is the trapezoid rule in t = log y, centred on the integrand's mode, with
 the rule on every other node as its error check.  Each row of a call
-takes only the nodes its own integrand needs.  On the right the rule stops
+takes only the nodes its own integrand needs: on each side the rule stops
 where the integrand falls to e^-40 of its peak, found by Newton steps from
-beyond that point.  On the left, once both exponentials of the integrand are small, the rest of the
-infinite node sum is a double series of geometric sums, added in closed
-form; where the integrand falls to e^-40 first, the rule stops there
-instead.  The rule returns log J, so the laws keep every term whose J is
-below the smallest float64.  J is within 1e-11 relative of mpmath for
-0 <= p <= 64 and 1e-18 <= b <= 1e4, and log J within 1e-11 at b = 1e8 and
-1e30, where J underflows (tested at α = 2.05 to 6).  The laws pass b down
-to about 1e-17 at ordinary noise.
+beyond that point.  The rule returns log J, so the laws keep every term
+whose J is below the smallest float64.  J is within 1e-11 relative of
+mpmath for 0 <= p <= 64 and 1e-18 <= b <= 1e4, and log J within 1e-11 at
+b = 1e8 and 1e30, where J underflows (tested at α = 2.05 to 6).  The laws
+pass b down to about 1e-17 at ordinary noise.
 
 Both receivers average one conditional law over the Poisson field,
 :func:`_conditional_law`: a coefficient table of a polynomial power
-(:func:`_power_table`, the sums over partitions) times one radial moment
-per (partition length, noise order) pair.  It is the only caller of the
-three pieces above.  The receivers differ only in its inputs (kernel step,
-binomial, own-cell polynomial and order m; MMSE is the m = 1 case).
+(:func:`_power_table`, the sums over partitions) times the radial moments
+of a lattice of (partition length, noise order) pairs.  With noise, the
+rule takes only the lattice's top anti-diagonal; every lower point follows
+from the exact recurrence (p + 1) J(p, b) = J(p + 1, b) + (α/2) b
+J(p + α/2, b), integration by parts of J, which adds only positive terms.
+It is the only caller of the three pieces above.  The receivers differ
+only in its inputs (kernel step, binomial, own-cell polynomial and order m;
+MMSE is the m = 1 case).
 Nothing here is public: the laws of :mod:`cellmimo.pzf` and
 :mod:`cellmimo.mmse` are the entry points.
 """
@@ -128,11 +129,6 @@ _RADIAL_CHECK = 1e-7
 # toward each tail cut (each stops on the far side of its cut).
 _RADIAL_NEWTON_STEPS = 60
 _RADIAL_CUT_STEPS = 3
-# The rule's nodes are summed in closed form where e1 e^x and e2 e^(sx) are
-# at most _RADIAL_HEAD, dropping terms up to _RADIAL_SERIES_TOL relative to
-# the mode's node.
-_RADIAL_HEAD = 0.25
-_RADIAL_SERIES_TOL = 2.0**-56
 # Bound on (rows x nodes) of a radial-moment work array.  On the 96 calls
 # of a noisy PZF sst 1x4 m=2 rate profile (2-vCPU Xeon, best of 3) the rule
 # took 0.35 s at 2^14 cells, against 0.40, 0.40 and 0.44 s at 2^13, 2^15
@@ -355,8 +351,8 @@ def _radial_trapezoid(q: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     # smaller of the two one-term roots, φ' <= 0 and the root lies within
     # log 2 to the left; φ' is concave and decreasing there, so Newton
     # steps approach the root monotonically from the right.
-    log_q, log_b = np.log(q), np.log(b)
-    t = np.minimum(log_q, (log_q - np.log(s) - log_b) / s)
+    log_q = np.log(q)
+    t = np.minimum(log_q, (log_q - np.log(s) - np.log(b)) / s)
     for _ in range(_RADIAL_NEWTON_STEPS):
         e1, e2 = np.exp(t), b * np.exp(s * t)
         dt = (q - e1 - s * e2) / (e1 + s * s * e2)
@@ -371,28 +367,14 @@ def _radial_trapezoid(q: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     step = np.minimum(_RADIAL_STEP * width, _RADIAL_STRIP_STEP / s)
     # Node k sits at x = k step from the mode and holds exp(ψ(x)), relative
     # to the peak, with ψ(x) = q x - e1 expm1(x) - e2 expm1(s x).  Right of
-    # the mode φ''' < 0 gives ψ(x) <= -x²/(2 width²), which sets the start
-    # of the right cut.
+    # the mode φ''' < 0 gives ψ(x) <= -x²/(2 width²), and left of it
+    # q = e1 + s e2 >= e1 + e2 gives ψ(x) <= q (x + 1): both bounds start the
+    # Newton steps toward a cut.  The first node is even, so the half
+    # rule's nodes are the even ones.
     right = _radial_cut(q, e1, e2, s, math.sqrt(2.0 * _RADIAL_TAIL) * width)
-    # Left of x_head both e1 e^x and e2 e^(sx) are at most _RADIAL_HEAD, and
-    # :func:`_radial_head` sums the nodes there in closed form.  Rows whose
-    # ψ(x_head) is below the cut -_RADIAL_TAIL start at the cut instead and
-    # drop the nodes left of it.  The cut's Newton steps start from x_head
-    # or, if nearer, from the bound ψ(x) <= q (x + 1).  The first explicit
-    # node is even, so the half rule's nodes are the even ones.
-    log_head = math.log(_RADIAL_HEAD)
-    x_head = np.minimum(np.minimum(log_head - t, (log_head - log_b) / s - t), 0.0)
-    first = 2.0 * np.floor(0.5 * np.floor(x_head / step))
-    head = q * x_head - e1 * np.expm1(x_head) - e2 * np.expm1(s * x_head) >= -_RADIAL_TAIL
+    left = _radial_cut(q, e1, e2, s, -(1.0 + _RADIAL_TAIL / q))
+    first = 2.0 * np.floor(0.5 * np.ceil(left / step))
     fine, coarse = np.zeros_like(q), np.zeros_like(q)
-    if head.any():
-        fine[head], coarse[head] = _radial_head(
-            q[head], e1[head], e2[head], t[head], log_b[head], s, step[head], first[head])
-    if not head.all():
-        tail = ~head
-        left = _radial_cut(q[tail], e1[tail], e2[tail], s,
-                           np.maximum(x_head[tail], -(1.0 + _RADIAL_TAIL / q[tail])))
-        first[tail] = 2.0 * np.floor(0.5 * np.ceil(left / step[tail]))
     # Each row has its own node count; a row's nodes past it sit at
     # x = -inf, which holds exactly 0.
     count = np.ceil(right / step) - first + 1.0
@@ -453,82 +435,6 @@ def _radial_cut(q, e1, e2, s: float, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _radial_head(q, e1, e2, t, log_b, s: float, step, first):
-    """The sums of the nodes k < ``first`` of the rule (step h) and of its
-    half (step 2h, even k), relative to the peak.
-
-    With x_h = first h, a = e1 e^(x_h) and c = e2 e^(s x_h), expanding
-    exp(-a e^y) exp(-c e^(sy)) in powers of a and c turns every node sum
-    into a geometric series:
-
-        Σ_{k<first} exp(ψ(kh)) = e^(e1 + e2 + q x_h)
-            Σ_{i,j} (-a)^i (-c)^j / (i! j!) / expm1(h (q + i + s j)),
-
-    and the half rule's the same with 2h.  The terms kept are those of
-    :func:`_series_plan` for τ = _RADIAL_SERIES_TOL / w, with w the largest
-    e^(e1 + e2 + q x_h) / expm1(q h), which bounds every geometric factor:
-    the dropped ones then sum to less than _RADIAL_SERIES_TOL relative to
-    the mode's node, which is in every row's sum.
-    """
-    x = first * step
-    log_a, log_c = t + x, log_b + s * (t + x)
-    pre = np.exp(e1 + e2 + q * x)
-    # a, c and τ rounded to powers of two, up for a and c and down for τ,
-    # so that one plan serves many calls.
-    i, j, weights, power = _series_plan(
-        math.ceil(np.max(log_a) / math.log(2.0)), math.ceil(np.max(log_c) / math.log(2.0)),
-        math.floor(math.log2(_RADIAL_SERIES_TOL / np.max(pre / np.expm1(q * step)))), s)
-    fine, coarse = np.empty_like(q), np.empty_like(q)
-    per_block = max(1, _RADIAL_CELLS // i.size)
-    for start in range(0, q.size, per_block):
-        blk = slice(start, start + per_block)
-        # The coefficient of each distinct exponent q + i + s j.
-        coef = np.exp(np.multiply.outer(log_a[blk], i) + np.multiply.outer(log_c[blk], j)) @ weights
-        d = np.expm1(step[blk, None] * (q[blk, None] + power))
-        coef /= d
-        fine[blk] = coef @ np.ones(power.size)
-        d += 2.0
-        coef /= d
-        coarse[blk] = coef @ np.ones(power.size)
-    return pre * fine, pre * coarse
-
-
-@lru_cache(maxsize=256)
-def _series_plan(log2_a: int, log2_c: int, log2_tau: int, s: float):
-    """The index pairs (i, j) of the terms a^i c^j / (i! j!) above
-    θ = τ / (2J + 4), for a = 2^log2_a <= 1/2, c = 2^log2_c <= 1/2 and
-    τ = 2^log2_tau, with J the first j where c^j / j! <= τ / (2j + 4); the
-    distinct exponents i + s j; and the (pairs x exponents) matrix that sums
-    each pair's (-1)^(i + j) / (i! j!) into its exponent's column.
-
-    The kept pairs form a staircase, i < I_j for j < J.  The dropped terms
-    of a column j < J sum to less than twice the first of them (a <= 1/2),
-    which is at most θ, and the columns j >= J to less than
-    2 e^a c^J / J! < 4θ, so all dropped terms sum to less than τ.
-    """
-    a, c, tau = 2.0**log2_a, 2.0**log2_c, 2.0**log2_tau
-    cj, big_j = 1.0, 0
-    while cj > tau / (2 * big_j + 4):
-        big_j += 1
-        cj *= c / big_j
-    theta = tau / (2 * big_j + 4)
-    pairs = []
-    cj = 1.0
-    for j in range(big_j):
-        term, i = cj, 0
-        while term > theta:
-            pairs.append((i, j))
-            i += 1
-            term *= a / i
-        cj *= c / (j + 1)
-    i, j = np.array(pairs, dtype=float).T
-    power, column = np.unique(i + s * j, return_inverse=True)
-    weights = np.zeros((i.size, power.size))
-    weights[np.arange(i.size), column] = (-1.0) ** (i + j) * np.exp(
-        -_sp.gammaln(i + 1.0) - _sp.gammaln(j + 1.0))
-    return i, j, weights, power
-
-
 def _power_table(g: np.ndarray, first: np.ndarray) -> np.ndarray:
     """Cumulative coefficients of first(t) g(t)^ℓ / ℓ!, the partition sums
     of both coverage laws.
@@ -560,18 +466,43 @@ def _law_terms(n_t: int, alpha: float, orders: int, step: int, top: int, m: int,
 
     log_b: log(B_j 2 / (α j - 2)), j = 1..orders, with B_j =
     C(n_t + step (j - 1), j): (n_t)_j / j! for step 1, C(n_t, j) for step 0.
-    ell, q: the (block count, noise order) pairs ell + q <= top (q = 0 only
-    without noise).  p, pair_p: the distinct radial orders
-    m - 1 + ell + α q / 2 and each pair's index into them.  log_w:
+    ell, q: the (block count, noise order) pairs ell + q <= top, by
+    anti-diagonal ell + q and then by ell (q = 0 only without noise).  p:
+    each pair's radial order m - 1 + ell + α q / 2.  log_w:
     log(1 / (q! Γ(m))) per pair.
     """
     j = np.arange(1, orders + 1)
     log_b = np.log(2.0 * _sp.comb(n_t + step * (j - 1), j) / (alpha * j - 2.0))
-    ell, q = np.nonzero(
-        np.add.outer(np.arange(top + 1), np.arange(top + 1 if noisy else 1)) <= top
-    )
-    p, pair_p = np.unique(m - 1 + ell + 0.5 * alpha * q, return_inverse=True)
-    return log_b, ell, q, p, pair_p, -_sp.gammaln(q + 1.0) - _sp.gammaln(m)
+    if noisy:
+        ell = np.concatenate([np.arange(d + 1) for d in range(top + 1)])
+        q = np.repeat(np.arange(top + 1), np.arange(1, top + 2)) - ell
+    else:
+        ell, q = np.arange(top + 1), np.zeros(top + 1, dtype=int)
+    p = m - 1 + ell + 0.5 * alpha * q
+    return log_b, ell, q, p, -_sp.gammaln(q + 1.0) - _sp.gammaln(m)
+
+
+def _log_radial_lattice(p: np.ndarray, c: np.ndarray, alpha: float) -> np.ndarray:
+    """log J(p_i, c) on the (p, c) grid, for the radial orders p of the
+    noisy pairs of :func:`_law_terms`, whose last n entries are the top
+    anti-diagonal ℓ + q = n - 1.  The rule takes only those; each lower
+    point follows, in logs, from the two above it by the exact recurrence
+
+        (m + ℓ + s q) J(ℓ, q) = J(ℓ + 1, q) + s c J(ℓ, q + 1),    s = α/2,
+
+    J(ℓ, q) the moment of order m - 1 + ℓ + s q: integration by parts of
+    J, whose backward form adds only positive terms.
+    """
+    n = math.isqrt(2 * p.size)
+    diagonals = [_log_radial_moment(p[-n:], c, alpha)]
+    with np.errstate(divide="ignore"):  # c = 0 where x underflows
+        log_sc = np.log(0.5 * alpha) + np.log(c)
+    log_order = np.log(p + 1.0)[:, None]
+    for d in range(n - 2, -1, -1):
+        above = diagonals[-1]
+        rows = slice(d * (d + 1) // 2, (d + 1) * (d + 2) // 2)
+        diagonals.append(np.logaddexp(above[1:], log_sc + above[:-1]) - log_order[rows])
+    return np.concatenate(diagonals[::-1])
 
 
 def _conditional_law(
@@ -588,10 +519,11 @@ def _conditional_law(
     or one per x) and g_j = B_j 2/(α j - 2) K_j x^j / K_0 for
     j <= ``orders`` (B_j of :func:`_law_terms`), J the radial moment and
     c = κ x K_0^(-α/2).  The kernels come as logs, so no term is lost where
-    one underflows.  Without noise (κ = 0) only q = 0 occurs.
+    one underflows.  Without noise (κ = 0) only q = 0 occurs; with noise
+    the moments come from :func:`_log_radial_lattice`.
     """
     n = len(first)
-    log_b, ell, q, p, pair_p, log_w = _law_terms(n_t, alpha, orders, step, n - 1, m, kappa > 0.0)
+    log_b, ell, q, p, log_w = _law_terms(n_t, alpha, orders, step, n - 1, m, kappa > 0.0)
     first = np.broadcast_to(first, (n, x.size))
     j = np.arange(1, orders + 1)[:, None]
     out = np.empty(x.size)
@@ -607,9 +539,13 @@ def _conditional_law(
             log_x = np.log(x[blk])
         g[1:orders + 1] = np.exp(log_b[:, None] + log_k[1:] + j * log_x - log_k[0])
         table = _power_table(g, first[:, blk])
-        # x K_0^(-α/2) stays of order 1 at large x, so it is formed first.
-        c = kappa * (x[blk] * np.exp(-0.5 * alpha * log_k[0])) if kappa > 0.0 else np.zeros(1)
-        log_radial = _log_radial_moment(p, c, alpha)[pair_p]
+        if kappa > 0.0:
+            # x K_0^(-α/2) stays of order 1 at large x, so it is formed first.
+            c = kappa * (x[blk] * np.exp(-0.5 * alpha * log_k[0]))
+            log_radial = _log_radial_lattice(p, c, alpha)
+        else:
+            c = np.zeros(1)
+            log_radial = _log_radial_moment(p, c, alpha)
         radial = np.exp(log_radial + _sp.xlogy(q[:, None], c) + (log_w[:, None] - m * log_k[0]))
         out[blk] = (table[ell, n - 1 - q] * radial).sum(axis=0)
     return out

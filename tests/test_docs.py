@@ -1,7 +1,8 @@
 """The documented examples: the package docstring runs as a doctest, the
 README quick start reproduces the values its comments print, the README
 module map names exactly the package's modules, every exported name
-exists, and every call the README names resolves."""
+exists, every call the README names resolves, and every module-level name
+of the package is read by package code."""
 
 import ast
 import doctest
@@ -134,3 +135,39 @@ def test_public_names_have_callers_in_the_package():
         and not any(n == name and (m, o) != (module, name) for n, m, o in reads)
     ]
     assert not unused, unused
+
+
+def _bound_names(stmt):
+    """The module-level names a top-level statement binds."""
+    if isinstance(stmt, _DEFINITIONS):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def test_module_names_are_read_in_the_package():
+    """Every module-level name of ``src/cellmimo`` (constant, function or
+    class) is read or imported by package code outside the statement that
+    binds it, so a constant or helper left behind by a deletion cannot stay
+    in the program.  Dunder names are exempt."""
+    bound, reads = [], set()  # (module, name, statement) and (name, statement)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            bound += [(path.stem, name, stmt) for name in _bound_names(stmt)]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.add((node.id, stmt))
+                elif isinstance(node, ast.Attribute):
+                    reads.add((node.attr, stmt))
+                elif isinstance(node, ast.alias):
+                    reads.add((node.name, stmt))
+    unread = [
+        f"{module}.{name}" for module, name, stmt in bound
+        if not name.startswith("__") and not any(n == name and s is not stmt for n, s in reads)
+    ]
+    assert not unread, unread

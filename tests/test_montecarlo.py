@@ -10,6 +10,7 @@ bookkeeping) shows up as a numeric mismatch rather than a statistical one.
 import itertools
 import math
 import multiprocessing
+import warnings
 from pathlib import Path
 
 import mpmath as mp
@@ -400,17 +401,33 @@ def test_estimate_rate_matches_analytic():
     ("pzf", 1, -1.0),
     ("pzf", 1, math.nan),
     ("pzf", 1, math.inf),
+    ("pzf", 1, 1e200),  # its squared radius, and so its mean count, overflows
 ])
 def test_window_radius_validation(monkeypatch, receiver, m, radius):
-    """A radius that is not finite and positive, or whose window holds fewer
-    stations on average than the split needs, is refused before any draw;
-    the count redraw would otherwise never end in a window that small."""
+    """A radius that is not finite and positive, whose window holds no
+    finite mean station count, or fewer stations on average than the split
+    needs, is refused before any draw; the count redraw would otherwise
+    never end in a window that small."""
     def no_draw(*args):
         raise AssertionError("drew a chunk geometry")
 
     monkeypatch.setattr(montecarlo, "_chunk_geometry", no_draw)
     with pytest.raises(ConfigError):
         simulate_sinr(_config(1, 4), receiver, 128, 0, m=m, window_radius=radius)
+
+
+def test_near_empty_zero_noise_window():
+    """Without noise, a window of 3.1 stations on average leaves some
+    trials with no interferer.  Their PZF SINR is inf, exactly and without
+    a warning; MMSE with n_t = 1 then has a zero covariance and raises the
+    engine's typed error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sinr = simulate_sinr(_config(1, 4), "pzf", 512, 0, m=1, window_radius=1.0)["pzf"]
+        assert np.isinf(sinr).any() and not np.isnan(sinr).any()
+        assert np.all(sinr > 0.0)
+        with pytest.raises(ConditioningError):
+            simulate_sinr(_config(1, 4), "mmse", 512, 0, window_radius=1.0)
 
 
 def test_estimate_fields_and_validation():

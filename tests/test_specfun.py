@@ -391,6 +391,23 @@ def test_radial_rows_do_not_depend_on_their_neighbours(alpha):
     np.testing.assert_allclose(together, alone, rtol=0.0, atol=1e-13)
 
 
+_LATTICE_C = np.concatenate([[0.0], np.logspace(-18.0, 30.0, 25)])
+
+
+@pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0, 6.0, 8.0])
+def test_radial_lattice_matches_the_rule_on_every_order(alpha):
+    """The recurrence from the top anti-diagonal gives every lower point
+    of the noisy lattice as the rule gives it on that order alone."""
+    for m in (1, 2, 5):
+        for top in (0, 1, 3, 8, 20):
+            p = specfun._law_terms(1, alpha, 0, 1, top, m, True)[3]
+            lattice = specfun._log_radial_lattice(p, _LATTICE_C, alpha)
+            for i in range(p.size):
+                alone = specfun._log_radial_moment(p[i:i + 1], _LATTICE_C, alpha)[0]
+                bound = 1e-13 * np.maximum(1.0, np.abs(alone))
+                assert np.all(np.abs(lattice[i] - alone) <= bound), (m, top, p[i])
+
+
 # ----------------------------------------------------------------------
 # Both noisy laws at vanishing intensity, against the noise-only law
 
@@ -433,11 +450,36 @@ _BOUND_ZS = [1e-2, 1.0, 1e2, 1e4]
 @pytest.mark.parametrize("lam", _BOUND_LAMS)
 def test_noisy_laws_below_noise_only_coverage(lam):
     """Interference only lowers the SINR, so neither law exceeds the
-    noise-only coverage U(z)."""
+    noise-only coverage U(z): of 4 receive dimensions for MMSE and PZF
+    m=1, and of 3 for PZF m=2."""
+    config = NetworkConfig(lam=lam, alpha=4.0, sigma2=1.0, n_t=1, n_r=4)
     for z in _BOUND_ZS:
         bound = _noise_only_coverage(4.0, 4.0, z, lam)
         for value in _noise_limited_laws(lam, z):
             assert value <= bound * (1.0 + 1e-12), (z, value / bound)
+        value = coverage_pzf(config, z, 2)
+        bound = _noise_only_coverage(3.0, 4.0, z, lam)
+        assert value <= bound * (1.0 + 1e-12), (z, value / bound)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-10, 1e-20, 1e-40, 1e-150])
+def test_noisy_pzf_resolves_noise_dominated_thresholds(lam):
+    """Where noise dominates, the PZF u-average still resolves the law:
+    its panels reach down to where the noise factor turns, at u of about
+    (kappa z)^(-1/alpha), and every value stays below the noise-only U(z)
+    of 3 receive dimensions."""
+    config = NetworkConfig(lam=lam, alpha=4.0, sigma2=1.0, n_t=1, n_r=4)
+    for z in (1e-3, 1.0, 1e3, 1e10, 1e30):
+        if (lam, z) == (1e-150, 1e30):
+            # kappa z is about 1e329: the noise factor turns where u^alpha is
+            # about 1e-329, below the smallest float, so x = z u^alpha
+            # underflows to 0 there and the average cannot converge.
+            with pytest.raises(NumericError):
+                coverage_pzf(config, z, 2)
+            continue
+        value = coverage_pzf(config, z, 2)
+        bound = _noise_only_coverage(3.0, 4.0, z, lam)
+        assert 0.0 < value <= bound * (1.0 + 1e-12), (z, value / bound)
 
 
 def test_radial_moment_raises_when_the_rule_cannot_resolve(monkeypatch):
