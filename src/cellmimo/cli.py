@@ -369,18 +369,17 @@ def cmd_validate(args: argparse.Namespace, argv: list[str], started: float) -> i
 # --------------------------------------------------------------------------
 # Parser
 
-def _add_network_flags(parser: argparse.ArgumentParser, *, with_m: bool = True) -> None:
+def _add_network_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nt", type=int, help="transmit antennas / streams per BS")
     parser.add_argument("--nr", type=int, help="receive antennas per user")
     parser.add_argument("--alpha", type=float, help="path-loss exponent (default 4)")
     parser.add_argument("--sigma2", type=float, help="noise power (default 0)")
     parser.add_argument("--lam", type=float, help="BS density per unit area (default 1)")
-    if with_m:
-        parser.add_argument(
-            "--m", type=int,
-            help="PZF cancellation order: null the m-1 nearest interferers "
-                 "(default: optimal-split rule)",
-        )
+    parser.add_argument(
+        "--m", type=int,
+        help="PZF cancellation order: null the m-1 nearest interferers "
+             "(default: optimal-split rule)",
+    )
     parser.add_argument("--config", metavar="FILE",
                         help="key=value parameter file; flags override it")
     parser.add_argument("--out", metavar="PATH",

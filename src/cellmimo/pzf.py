@@ -96,9 +96,15 @@ def _conditional_coverage_u(
     s = 2/alpha: (-s)_j / (1 - s)_j telescopes to -s / (j - s), so
     |c_j| / j! = C(n_t + j - 1, j) 2 / (alpha j - 2), and the sign of c_j
     cancels the partition sign (-1)^blocks of the composite-derivative
-    expansion.
+    expansion.  Where u^alpha is below the smallest normal float, x is
+    formed as exp(log z + alpha log u): u^alpha would lose its bits or
+    underflow to 0 there, while x itself may still be a normal float.
     """
-    x = np.multiply.outer(z, u**alpha)
+    u_alpha = u**alpha
+    x = np.multiply.outer(z, u_alpha)
+    deep = u_alpha < np.finfo(float).tiny
+    with np.errstate(divide="ignore"):  # log 0 = -inf at z = 0 gives x = 0
+        x[..., deep] = np.exp(np.add.outer(np.log(z), alpha * np.log(u[deep])))
     law = _conditional_law(n_t, alpha, x.ravel(), kappa, delta, 1, np.eye(delta + 1, 1), m)
     return law.reshape(x.shape)
 

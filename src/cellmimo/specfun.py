@@ -170,28 +170,6 @@ def _panel_nodes(b: float) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _euler_integral(a: int, b: float, z: np.ndarray) -> np.ndarray:
-    """F(a, b; b+1; -z) - 1 for integer a >= 1, -1 < b < 0 and
-    0 <= z <= 1e4, by the panel rule for F = b int_0^1 t^(b-1) (1+zt)^(-a) dt
-    (DLMF 15.6.1).
-
-    With delta = -b it is F - 1 = delta sum_i c_i g(z t_i), g from
-    :func:`_monotone_g`.  Every operation is then a correctly rounded +, *
-    or / of nonnegative operands, each monotone in its z-dependent operand,
-    and the sum runs in the same order for every z, so z1 <= z2 gives
-    F(z1) <= F(z2) exactly for F = 1 + (F - 1); the form is also free of
-    cancellation, and log1p of it keeps log F accurate relative to itself
-    where F is close to 1 (small z or |b|).
-    """
-    t, c = _panel_nodes(b)
-    out = np.empty_like(z)
-    for start in range(0, z.size, _QUAD_ROWS):
-        blk = slice(start, start + _QUAD_ROWS)
-        x = np.multiply.outer(z[blk], t)
-        out[blk] = -b * (_monotone_g(a, x) * c).sum(axis=-1)
-    return out
-
-
 def _reciprocal(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The (z, t) table of 1 / (1 + z t)."""
     y = np.multiply.outer(z, t)
@@ -265,50 +243,53 @@ def _log_kernel_table(n_t: int, alpha: float, x: np.ndarray, orders: int, step: 
     0).  x is 1-d, finite and >= 0, every a_j <= 40, and j <= n_t for
     step 0, so that b_j < a_j.
 
-    Order 0 (b < 0) takes the monotone form of :func:`_euler_integral` up
-    to x = 1e4.  The orders j >= 1 (b > 0) share their work on both sides
-    of the switch.  On the direct side the integrand is positive and
+    Each order takes the panel rule up to its switch point (1e4, or 4 for
+    b > 0 and a_j > 28) and the 1/z identity beyond it.  On the direct
+    side the orders j >= 1 (b > 0) have a positive integrand, summed as
     F = b sum_i c_i y_i^a with y_i = 1/(1 + x t_i), capped at 1, the exact
     bound of F that rounding of sum_i c_i can exceed by an ulp at x ~ 0.
-    (Order 0's form, 1 - b sum_i c_i g(x t_i), would cancel catastrophically
-    here, where F is small at large x.)  y is formed once on the panel
-    nodes, which do not depend on the order, and y^(a_j) by repeated
-    multiplication; only the origin panel's nodes are per order.  On the
-    reflected side the PZF orders share c = a_j - b_j = n_t + 2/α, so
-    :func:`_log_reflected` serves them all from one node set; each MMSE
-    order has a c of its own and a call of its own.
+    y is formed once on the nodes that all orders share, and y^(a_j) by
+    repeated multiplication; only the origin panel's nodes are per order.
+    Order 0 (b = -δ < 0) is summed as F - 1 = δ sum_i c_i g(x t_i), g from
+    :func:`_monotone_g`.  Every operation is then a correctly rounded +, *
+    or / of nonnegative operands, each monotone in its x-dependent
+    operand, and the sum runs in the same order for every x, so x1 <= x2
+    gives F(x1) <= F(x2) exactly: that is why order 0 keeps this form up
+    to 1e4.  It is also free of cancellation, and log1p of it keeps log F
+    accurate where F is close to 1 (for b > 0 it would cancel where F is
+    small).  On the reflected side the PZF orders share c = a_j - b_j =
+    n_t + 2/α, so one :func:`_log_reflected` call serves them all; each
+    MMSE order has a c and a call of its own.
     """
     s = 2.0 / alpha
+    bs = [j - s for j in range(orders + 1)]
+    limits = np.array([_QUAD_Z_MAX] + [_direct_limit(n_t + step * j) for j in range(1, orders + 1)])
     out = np.empty((orders + 1, x.size))
-    near = x <= _QUAD_Z_MAX
-    out[0, near] = np.log1p(_euler_integral(n_t, -s, x[near]))
-    if not near.all():
-        out[0, ~near] = _log_reflected(n_t, [-s], n_t + s, x[~near])[0]
-    if orders == 0:
-        return out
-    bs = [j - s for j in range(1, orders + 1)]
-    # Each order's switch point; it falls from 1e4 to 4 once a_j > 28.
-    limits = np.array([_direct_limit(n_t + step * j) for j in range(1, orders + 1)])
     # Reflected side first: its work arrays never coexist with the loop's.
-    far = np.flatnonzero(x > limits[-1])
+    far = np.flatnonzero(x > limits.min())
     if far.size:
-        logs = (_log_reflected(n_t + 1, bs, n_t + s, x[far]) if step else
+        logs = (_log_reflected(n_t, bs, n_t + s, x[far]) if step else
                 np.concatenate([_log_reflected(n_t, [b], n_t - b, x[far]) for b in bs]))
-    rows = np.flatnonzero(x <= limits[0])
-    t_shared = _panel_nodes(1.0 - s)[0][:_SHARED_NODES]
+    rows = np.flatnonzero(x <= _QUAD_Z_MAX)
+    t, c = _panel_nodes(-s)
     for start in range(0, rows.size, _QUAD_ROWS):
         blk = rows[start:start + _QUAD_ROWS]
-        y = _reciprocal(x[blk], t_shared)
-        p = _power(y, n_t)
-        for j, b in enumerate(bs, 1):
-            if step:
+        out[0, blk] = np.log1p(
+            s * (_monotone_g(n_t, np.multiply.outer(x[blk], t)) * c).sum(axis=-1))
+        for j, b in enumerate(bs[1:], 1):
+            if j == 1:  # the rows up to the largest switch point of j >= 1
+                sub = blk[x[blk] <= limits[1]]
+                y = _reciprocal(x[sub], t[:_SHARED_NODES])
+                p = _power(y, n_t + step)
+            elif step:
                 p *= y
-            t, c = _panel_nodes(b)
-            origin = _power(_reciprocal(x[blk], t[_SHARED_NODES:]), n_t + step * j)
-            out[j, blk] = np.log(_euler_sum(b, c, p, origin))
+            t_j, c_j = _panel_nodes(b)
+            origin = _power(_reciprocal(x[sub], t_j[_SHARED_NODES:]), n_t + step * j)
+            out[j, sub] = np.log(_euler_sum(b, c_j, p, origin))
+        y = p = None  # kept into the next block, they made the heap shrink and regrow
     # The reflected side takes each order beyond its own switch point.
     if far.size:
-        out[1:, far] = np.where(x[far] > limits[:, None], logs, out[1:, far])
+        out[:, far] = np.where(x[far] > limits[:, None], logs, out[:, far])
     return out
 
 
@@ -335,13 +316,12 @@ def _log_radial_moment(p: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray
     where b = 0, and the trapezoid rule's log elsewhere, which stays finite
     where J underflows.  Raises NumericError where the rule's error check
     fails."""
+    out = np.repeat(_sp.gammaln(p + 1.0)[:, None], b.size, axis=1)
     noisy = b > 0.0
-    if noisy.all():
-        q = np.repeat(p + 1.0, b.size)
-        return _radial_trapezoid(q, np.tile(b, p.size), 0.5 * alpha).reshape(p.size, b.size)
-    out = np.repeat(np.log(_sp.gamma(p + 1.0))[:, None], b.size, axis=1)
     if noisy.any():
-        out[:, noisy] = _log_radial_moment(p, b[noisy], alpha)
+        log_j = _radial_trapezoid(np.repeat(p + 1.0, np.count_nonzero(noisy)),
+                                  np.tile(b[noisy], p.size), 0.5 * alpha)
+        out[:, noisy] = log_j.reshape(p.size, -1)
     return out
 
 
@@ -378,7 +358,12 @@ def _radial_trapezoid(q: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     # Each row has its own node count; a row's nodes past it sit at
     # x = -inf, which holds exactly 0.
     count = np.ceil(right / step) - first + 1.0
-    for rows in _radial_blocks(count):
+    # Rows are blocked in their given order, so that (rows x largest count)
+    # stays within _RADIAL_CELLS (a single row may exceed it).  Blocks of
+    # rows sorted by count measured no faster.
+    size = max(1, int(_RADIAL_CELLS // count.max()))
+    for start in range(0, q.size, size):
+        rows = slice(start, start + size)
         k = np.arange(count[rows].max())
         x = np.add.outer(first[rows], k)
         x[k >= count[rows, None]] = -np.inf
@@ -406,22 +391,6 @@ def _radial_trapezoid(q: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
             f"b={b[bad]:.6g}, alpha={2.0 * s:.6g}"
         )
     return log_peak + np.log(step * fine)
-
-
-def _radial_blocks(count: np.ndarray):
-    """Row selections whose (rows x largest count) stays within
-    _RADIAL_CELLS: all rows at once where they fit, else runs of the rows
-    sorted by count (a single row may exceed it)."""
-    if count.size * count.max() <= _RADIAL_CELLS:
-        yield slice(None)
-        return
-    order = np.argsort(count, kind="stable")
-    start = 0
-    while start < order.size:
-        fits = np.arange(1.0, order.size - start + 1.0) * count[order[start:]] <= _RADIAL_CELLS
-        rows = order[start:start + max(1, int(np.count_nonzero(fits)))]
-        start += rows.size
-        yield rows
 
 
 def _radial_cut(q, e1, e2, s: float, x: np.ndarray) -> np.ndarray:

@@ -287,10 +287,38 @@ assert 0.0 < coverage_mmse(steep, 1e6) < 1.0
                    env={**os.environ, "PYTHONPATH": path})
 
 
+# Both sides of both switch points.
+_SWITCH_X = np.concatenate([np.nextafter(4.0, [0.0, np.inf]), np.nextafter(1e4, [0.0, np.inf])])
+
+
 def test_theta_equals_lambda_at_order_zero():
-    # Order 0 has a = n_t in both shapes, and the same sums to the last bit.
-    x = np.array([0.1, 1.0, 50.0, 1e5])
-    assert np.array_equal(_log_kernel(3, 4.0, 0, 0, x), _log_kernel(3, 4.0, 0, 1, x))
+    """Order 0 has a = n_t in both shapes, and the same sums to the last
+    bit.  It shares the two sides of its table with the other orders; its
+    row is the same for no other order, one, or the most the law reads."""
+    x = np.concatenate([[0.0, 1e-300], _SWITCH_X, 10.0 ** np.linspace(-12.0, 77.0, 90)])
+    for alpha in (2.01, 4.0, 30.0, 1000.0):
+        for n_t in (1, 3, 12, 16, 28, 29, 39):
+            tops = {1: min(pzf._MAX_DELTA, specfun._MAX_A - n_t), 0: min(n_t, mmse._MAX_NR - 1)}
+            rows = [specfun._log_kernel_table(n_t, alpha, x, orders, step)[0]
+                    for step, top in tops.items() for orders in (0, 1, top)]
+            for row in rows[1:]:
+                assert np.array_equal(row, rows[0]), (alpha, n_t)
+
+
+@pytest.mark.parametrize("alpha", [2.01, 4.0, 1000.0])
+@pytest.mark.parametrize("a", [1, 28, 29, 40])
+def test_log_kernels_match_mpmath_at_the_switch_points(a, alpha):
+    """log F against mpmath on both sides of x = 4 and x = 1e4, for the
+    first parameters on both sides of a = 28, where the b > 0 orders'
+    switch point falls from 1e4 to 4."""
+    for order in (0, 1, 2, 15, 20):
+        b = order - 2.0 / alpha
+        for z in _SWITCH_X:
+            got = _log_cells(a, order, alpha, float(z))
+            with mp.workdps(40):
+                want = float(mp.log(mp.hyp2f1(a, b, b + 1, -mp.mpf(float(z)))))
+            for log_f in got:
+                assert log_f == pytest.approx(want, rel=1e-12, abs=0.0), (order, z)
 
 
 # ----------------------------------------------------------------------
@@ -334,12 +362,14 @@ def _mp_radial_moment_quad(p, b, alpha):
 
 @pytest.mark.parametrize("alpha", [2.05, 4.0, 6.0])
 def test_radial_moment_without_noise_is_gamma(alpha):
-    """log J(p, 0) is log Gamma(p + 1) exactly, the form the laws consume."""
-    values = specfun._log_radial_moment(_RADIAL_P, np.zeros(1), alpha)
-    assert values.shape == (_RADIAL_P.size, 1)
-    for p, value in zip(_RADIAL_P, values[:, 0]):
+    """log J(p, 0) is log Gamma(p + 1) exactly, the form the laws consume,
+    also beyond p = 170, where Gamma(p + 1) itself overflows."""
+    p_grid = np.concatenate([_RADIAL_P, [200.0, 750.0]])
+    values = specfun._log_radial_moment(p_grid, np.zeros(1), alpha)
+    assert values.shape == (p_grid.size, 1)
+    for p, value in zip(p_grid, values[:, 0]):
         alone = specfun._log_radial_moment(np.array([p]), np.zeros(1), alpha)[0, 0]
-        assert alone == value == np.log(special.gamma(p + 1.0))
+        assert alone == value == special.gammaln(p + 1.0)
         assert value == pytest.approx(math.lgamma(p + 1.0), rel=1e-15)
 
 
@@ -470,16 +500,27 @@ def test_noisy_pzf_resolves_noise_dominated_thresholds(lam):
     of 3 receive dimensions."""
     config = NetworkConfig(lam=lam, alpha=4.0, sigma2=1.0, n_t=1, n_r=4)
     for z in (1e-3, 1.0, 1e3, 1e10, 1e30):
-        if (lam, z) == (1e-150, 1e30):
-            # kappa z is about 1e329: the noise factor turns where u^alpha is
-            # about 1e-329, below the smallest float, so x = z u^alpha
-            # underflows to 0 there and the average cannot converge.
-            with pytest.raises(NumericError):
-                coverage_pzf(config, z, 2)
-            continue
+        # At lam = 1e-150 and z = 1e30, kappa z is about 1e329: the noise
+        # factor turns where u^alpha is about 1e-329, below the smallest
+        # float, while x = z u^alpha is still about 1e-299 there.
         value = coverage_pzf(config, z, 2)
         bound = _noise_only_coverage(3.0, 4.0, z, lam)
         assert 0.0 < value <= bound * (1.0 + 1e-12), (z, value / bound)
+
+
+@pytest.mark.parametrize("rx, z", [("pzf", 1.0), ("pzf", 1e10), ("mmse", 1e-300), ("mmse", 1.0)])
+def test_noisy_laws_at_steep_path_loss(rx, z):
+    """At alpha = 100 the radial lattice reaches orders p > 170, whose
+    Gamma(p + 1) overflows, and meets c = 0 where x underflows.  Both laws
+    still give a finite value at or below the noise-only U(z), of 11
+    receive dimensions for PZF 1x12 m=2 and 16 for MMSE 1x16, without a
+    warning."""
+    config = NetworkConfig(lam=1.0, alpha=100.0, sigma2=1.0, n_t=1, n_r=12 if rx == "pzf" else 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = coverage_pzf(config, z, 2) if rx == "pzf" else coverage_mmse(config, z)
+    bound = _noise_only_coverage(11.0 if rx == "pzf" else 16.0, 100.0, z, 1.0)
+    assert math.isfinite(value) and value <= bound * (1.0 + 1e-12), (value, bound)
 
 
 def test_radial_moment_raises_when_the_rule_cannot_resolve(monkeypatch):
