@@ -14,7 +14,8 @@ composite-derivative expansion of the interference functional), and, with
 receiver noise, over the noise order.  That conditional law is the one
 both receivers share, :func:`cellmimo.specfun._conditional_law`, at the
 kernel argument x = z u^alpha; this module supplies its inputs and
-integrates it with Gauss-Legendre rules on panels graded toward u = 0.
+integrates it on panels graded toward u = 0 with the package's one
+adaptive rule, the G7/K15 bisection :func:`cellmimo.specfun._kronrod`.
 Receiver noise enters only through the noise scale
 :func:`cellmimo.geometry._noise_scale`, which is 0 without noise.
 
@@ -27,14 +28,13 @@ factories and the simulator share.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
 
-from .errors import ConfigError, NumericError, SizeGuardError
+from .errors import ConfigError, SizeGuardError
 from .geometry import NetworkConfig, _is_int, _noise_scale, _over_thresholds
-from .specfun import _MAX_A, _conditional_law
+from .specfun import _MAX_A, _conditional_law, _kronrod
 
 __all__ = [
     "coverage_pzf",
@@ -44,11 +44,8 @@ __all__ = [
     "argmin_mean_inverse_sinr",
 ]
 
-# Distance-ratio average: Gauss-Legendre nodes per panel, doubled from
-# _GL_FIRST up to _GL_LAST until two rules agree to _GL_TOL relative.
-_GL_FIRST = 8
-_GL_LAST = 256
-_GL_TOL = 1e-10
+# Distance-ratio average: each panel's G7/K15 bound, relative to the coverage.
+_RATIO_TOL = 1e-10
 
 # The law is checked up to this many surplus dimensions; beyond it, use the
 # Monte Carlo estimator.
@@ -71,24 +68,13 @@ def _split_delta(n_t: int, n_r: int, m: int) -> int:
     return int(delta)
 
 
-@lru_cache(maxsize=None)
-def _ratio_rule(n: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on (0, 1), n per panel, over the
-    graded panels [2^-(k+1), 2^-k], k < panels, and [0, 2^-panels]."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    edges = np.concatenate(([0.0], 2.0 ** -np.arange(panels, -1, -1.0)))
-    half = 0.5 * np.diff(edges)[:, None]
-    u = edges[:-1, None] + half * (x + 1.0)
-    return u.ravel(), (half * w).ravel()
-
-
 def _conditional_coverage_u(
     n_t: int, m: int, delta: int, alpha: float, z, kappa: float, u: np.ndarray
 ) -> np.ndarray:
-    """Coverage conditioned on u = r/R (the inverse distance ratio), on the
-    (z, u) grid: an array of shape z.shape + u.shape.
+    """Coverage conditioned on u = r/R (the inverse distance ratio), at z
+    and u broadcast against each other.
 
-    u is 1-d with entries in (0, 1] and κ is
+    u has entries in (0, 1] and κ is
     :func:`cellmimo.geometry._noise_scale`.  It is the shared conditional
     law :func:`cellmimo.specfun._conditional_law` at x = z u^alpha with the
     step-1 kernels and the own-cell polynomial 1.  Its g_j is
@@ -100,47 +86,14 @@ def _conditional_coverage_u(
     formed as exp(log z + alpha log u): u^alpha would lose its bits or
     underflow to 0 there, while x itself may still be a normal float.
     """
+    z, u = np.broadcast_arrays(np.asarray(z, dtype=float), u)
     u_alpha = u**alpha
-    x = np.multiply.outer(z, u_alpha)
+    x = z * u_alpha
     deep = u_alpha < np.finfo(float).tiny
     with np.errstate(divide="ignore"):  # log 0 = -inf at z = 0 gives x = 0
-        x[..., deep] = np.exp(np.add.outer(np.log(z), alpha * np.log(u[deep])))
+        x[deep] = np.exp(np.log(z[deep]) + alpha * np.log(u[deep]))
     law = _conditional_law(n_t, alpha, x.ravel(), kappa, delta, 1, np.eye(delta + 1, 1), m)
     return law.reshape(x.shape)
-
-
-def _ratio_average(
-    n_t: int, m: int, delta: int, alpha: float, z: np.ndarray, kappa: float, panels: int
-) -> np.ndarray:
-    """The average over u of the conditional law, for m >= 2, at the 1-d
-    thresholds z that share one u-panel count.
-
-    The Gauss-Legendre rule doubles from 8 nodes per panel for all of z at
-    once; each z takes the first level that agrees with the one before to
-    1e-10 relative, and only the others go on to the next level.  Raises
-    NumericError if some z does not converge by 256 nodes per panel.
-    """
-    out = np.empty(z.size)
-    pending = np.arange(z.size)
-    prev = None
-    n = _GL_FIRST
-    while n <= _GL_LAST:
-        u, w = _ratio_rule(n, panels)
-        density = 2.0 * (m - 1) * u * (1.0 - u * u) ** (m - 2)
-        conditional = _conditional_coverage_u(n_t, m, delta, alpha, z[pending], kappa, u)
-        val = (density * conditional) @ w
-        if prev is not None:
-            done = np.abs(val - prev) <= _GL_TOL * val
-            out[pending[done]] = val[done]
-            pending, val = pending[~done], val[~done]
-            if not pending.size:
-                return out
-        prev = val
-        n *= 2
-    raise NumericError(
-        f"distance-ratio average did not converge to {_GL_TOL} relative "
-        f"(n_t={n_t}, m={m}, delta={delta}, alpha={alpha}, z={z[pending[0]]})"
-    )
 
 
 def coverage_pzf(config: NetworkConfig, z, m: int) -> float | np.ndarray:
@@ -150,18 +103,19 @@ def coverage_pzf(config: NetworkConfig, z, m: int) -> float | np.ndarray:
     result is a float for a scalar and an array of z's shape otherwise.
     An average over the inverse distance ratio u = r/R (degenerate at 1 for
     m = 1, where no interferer is cancelled) of the conditional law.  The
-    average takes Gauss-Legendre panels [2^-(k+1), 2^-k] down to below
+    average takes the panels [2^-(k+1), 2^-k] down to below
     (z (1 + kappa))^(-1/alpha)/4, kappa the noise scale, and one panel from
-    0 to there, with 8, 16, 32, ... nodes on every panel until two rules
-    agree to 1e-10 relative for that z; it raises NumericError if 256 nodes
-    per panel do not get there.  So small
-    coverages are as accurate as large ones.  The thresholds with one panel
-    count are evaluated together, level by level.  Receiver noise enters
-    only through the combination z n_t sigma2 (pi lam)^(-alpha/2); with
-    sigma2 = 0 the law is scale-free and the base-station intensity drops
-    out entirely.  ``m`` is the cancellation order (the m - 1 nearest
-    interferers are nulled).  delta above 20 or n_t + delta (the kernels'
-    largest first parameter) above 40 raises SizeGuardError.
+    0 to there, each by the G7/K15 rule: a panel's K15 value is kept when
+    it is within 1e-10 times that z's current coverage estimate of its G7
+    value, and the panel is bisected otherwise; 12 rounds of bisection
+    without that raise NumericError.  So small coverages are as accurate
+    as large ones.  The panels of all thresholds are evaluated together,
+    round by round.  Receiver noise enters only through the combination
+    z n_t sigma2 (pi lam)^(-alpha/2); with sigma2 = 0 the law is
+    scale-free and the base-station intensity drops out entirely.  ``m``
+    is the cancellation order (the m - 1 nearest interferers are nulled).
+    delta above 20 or n_t + delta (the kernels' largest first parameter)
+    above 40 raises SizeGuardError.
     """
     delta = _split_delta(config.n_t, config.n_r, m)
     if delta > _MAX_DELTA or config.n_t + delta > _MAX_A:
@@ -173,7 +127,7 @@ def coverage_pzf(config: NetworkConfig, z, m: int) -> float | np.ndarray:
 
     def law(z: np.ndarray) -> np.ndarray:
         if m == 1:
-            return _conditional_coverage_u(n_t, m, delta, alpha, z, kappa, np.ones(1))[:, 0]
+            return _conditional_coverage_u(n_t, m, delta, alpha, z, kappa, np.ones(1))
         # The conditional law turns from ~1 to its decay where x = z u^alpha
         # passes 1, at u ~ z^(-1/alpha), or, where noise dominates (its
         # factor exp(-c), c ~ kappa x for x <= 1), at u ~ (kappa z)^(-1/alpha):
@@ -181,13 +135,16 @@ def coverage_pzf(config: NetworkConfig, z, m: int) -> float | np.ndarray:
         # so every node sits where the integrand varies.  Summed as logs,
         # z (1 + kappa) cannot overflow.
         log2_noise = math.log2(1.0 + kappa)
-        panels = np.array([max(1, math.floor(2.0 + (math.log2(v) + log2_noise) / alpha) + 1)
-                           for v in z])
-        out = np.empty(z.size)
-        for count in np.unique(panels):
-            group = np.flatnonzero(panels == count)
-            out[group] = _ratio_average(n_t, m, delta, alpha, z[group], kappa, int(count))
-        return out
+        edges = [np.append(0.0, 2.0 ** -np.arange(p, -1.0, -1.0)) for p in
+                 (max(1, math.floor(2.0 + (math.log2(v) + log2_noise) / alpha) + 1) for v in z)]
+        owner = np.repeat(np.arange(z.size), [e.size - 1 for e in edges])
+
+        def integrand(u: np.ndarray, k: np.ndarray) -> np.ndarray:
+            density = 2.0 * (m - 1) * u * (1.0 - u * u) ** (m - 2)
+            return density * _conditional_coverage_u(n_t, m, delta, alpha, z[k], kappa, u)
+
+        return _kronrod(integrand, np.concatenate([e[:-1] for e in edges]),
+                        np.concatenate([e[1:] for e in edges]), owner, 0.0, _RATIO_TOL)
 
     return _over_thresholds(z, law)
 

@@ -1,10 +1,12 @@
 """Ergodic rate and rate-distribution summaries.
 
 The per-stream ergodic rate is the integral of the SINR CCDF over
-t = log2(1 + z), taken by a fixed Gauss-Kronrod rule on the graded panels
-[0, 1], [1, 2], [2, 4], ... and cut where the CCDF drops below 1e-8 (see
-:func:`ergodic_rate`).  The coverage laws take an array of thresholds, so
-each panel's nodes go to the law in one call.  Rate quantiles invert the
+t = log2(1 + z), taken on the graded panels [0, 1], [1, 2], [2, 4], ...
+by the package's one adaptive rule, the G7/K15 bisection
+:func:`cellmimo.specfun._kronrod`, and cut where the CCDF drops below 1e-8
+(see :func:`ergodic_rate`).  The coverage laws take an array of
+thresholds, so each round of a panel's bisection goes to the law in one
+call.  Rate quantiles invert the
 CCDF at a fixed probability: brentq solves in a bracket taken from the
 CCDF values the rate integral already computed.  :func:`rate_profile`
 summarizes both for one of two transmission schemes, and is the one place
@@ -36,6 +38,7 @@ from .errors import ConfigError, NumericError
 from .geometry import NetworkConfig
 from .mmse import coverage_mmse
 from .pzf import _receiver_order, coverage_pzf
+from .specfun import _kronrod, _kronrod_nodes
 
 __all__ = [
     "RateProfile",
@@ -50,25 +53,8 @@ _CONVENTIONS = ("calibrated", "per-stream")
 # _CCDF_FLOOR, and gives up if that takes t = log2(1 + z) beyond _T_MAX.
 _CCDF_FLOOR = 1e-8
 _T_MAX = 256.0
-# Gauss-Kronrod G7/K15 on [-1, 1] (QUADPACK's qk15): the 15 Kronrod nodes in
-# increasing order, their weights, and the weights of the 7 Gauss nodes,
-# which are every other Kronrod node.  A panel is accepted when
-# |K15 - G7| <= _PANEL_TOL and otherwise bisected, at most _PANEL_DEPTH times.
-_KRONROD_X = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-              0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-              0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-              0.207784955007898467600689403773245)
-_KRONROD_W = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-              0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-              0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-              0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
-_GAUSS_W = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-            0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
-_NODES = np.array([-x for x in _KRONROD_X] + [0.0] + list(reversed(_KRONROD_X)))
-_WK15 = np.array(_KRONROD_W + _KRONROD_W[-2::-1])
-_WG7 = np.array(_GAUSS_W + _GAUSS_W[-2::-1])
+# The rate integral's bound on |K15 - G7| per panel, absolute.
 _PANEL_TOL = 1e-9
-_PANEL_DEPTH = 12
 
 
 @dataclass(frozen=True)
@@ -106,23 +92,25 @@ def ergodic_rate(coverage_fn: Callable[[np.ndarray], np.ndarray]) -> float:
     ``coverage_fn`` takes a 1-d array of thresholds and returns the CCDF at
     each.  The integral runs over t = log2(1 + z) with the Gauss-Kronrod
     G7/K15 rule on the panels [0, 1], [1, 2], [2, 4], [4, 8], ...: a panel's
-    K15 value is taken when it is within 1e-9 of its G7 value, and the
-    panel is bisected otherwise; 12 levels of bisection without that raise
-    :class:`NumericError`.  The K15 value's own error is far below that
-    difference for a smooth CCDF.  Each panel's 15 nodes are one call, and
-    a top-level panel's end rides along in it.  Panels stop at the first
-    panel end T where the CCDF is below 1e-8; the neglected tail is below
-    1e-8 * alpha/(2 ln 2) for every law in this package.  Raises
-    :class:`NumericError` if no such T exists up to T = 256.
+    K15 value is kept when it is within 1e-9 (absolute) of its G7 value,
+    and the panel is bisected otherwise; 12 rounds of bisection without
+    that raise :class:`NumericError`.  The K15 value's own error is far
+    below that difference for a smooth CCDF.  Each round of a top-level
+    panel's bisection is one call, and the panel's end rides along in its
+    first.  Panels stop at the first panel end T where the CCDF is below
+    1e-8; the neglected tail is below 1e-8 * alpha/(2 ln 2) for every law
+    in this package.  Raises :class:`NumericError` if no such T exists up
+    to T = 256.
     """
 
-    def ccdf_t(t: np.ndarray) -> np.ndarray:
+    def ccdf_t(t: np.ndarray, _owner=None) -> np.ndarray:
         return coverage_fn(2.0**t - 1.0)
 
     total, lo, hi = 0.0, 0.0, 1.0
     while True:
-        fx = ccdf_t(np.append(_nodes(lo, hi), hi))
-        total += _kronrod_panel(ccdf_t, lo, hi, fx[:-1], 0)
+        fx = ccdf_t(np.append(_kronrod_nodes(lo, hi), hi))
+        total += _kronrod(ccdf_t, np.array([lo]), np.array([hi]), np.zeros(1, int), _PANEL_TOL, 0.0,
+                          fx[None, :-1])[0]
         if fx[-1] < _CCDF_FLOOR:
             return total
         if hi >= _T_MAX:
@@ -131,29 +119,6 @@ def ergodic_rate(coverage_fn: Callable[[np.ndarray], np.ndarray]) -> float:
                 "the CCDF decays too slowly"
             )
         lo, hi = hi, 2.0 * hi
-
-
-def _nodes(lo: float, hi: float) -> np.ndarray:
-    """The 15 Kronrod nodes on [lo, hi]."""
-    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * _NODES
-
-
-def _kronrod_panel(
-    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, fx: np.ndarray, depth: int
-) -> float:
-    """Integral of f over [lo, hi] by K15 from fx, f at :func:`_nodes`,
-    bisected until |K15 - G7| <= 1e-9."""
-    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    k15 = half * float(fx @ _WK15)
-    if abs(k15 - half * float(fx[1::2] @ _WG7)) <= _PANEL_TOL:
-        return k15
-    if depth == _PANEL_DEPTH:
-        raise NumericError(
-            f"rate integral did not converge on t in [{lo:.6g}, {hi:.6g}] "
-            f"after {_PANEL_DEPTH} bisections; the CCDF is not smooth there"
-        )
-    return (_kronrod_panel(f, lo, mid, f(_nodes(lo, mid)), depth + 1)
-            + _kronrod_panel(f, mid, hi, f(_nodes(mid, hi)), depth + 1))
 
 
 def _sinr_quantile(

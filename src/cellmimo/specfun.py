@@ -70,6 +70,11 @@ J(p + α/2, b), integration by parts of J, which adds only positive terms.
 It is the only caller of the three pieces above.  The receivers differ
 only in its inputs (kernel step, binomial, own-cell polynomial and order m;
 MMSE is the m = 1 case).
+
+The package's one adaptive rule, :func:`_kronrod`, is here too: G7/K15
+bisection (QUADPACK's qk15; Piessens et al., *QUADPACK*, 1983) of panels
+that each belong to one integral, all pending panels in one integrand call
+per round.  The PZF average over u and the rate integral both use it.
 Nothing here is public: the laws of :mod:`cellmimo.pzf` and
 :mod:`cellmimo.mmse` are the entry points.
 """
@@ -138,6 +143,23 @@ _RADIAL_CELLS = 1 << 14
 # Cells of one block's power table, n^2 per grid point for a table of n
 # rows: 0.5 MB of float64, however many points one call takes.
 _TABLE_CELLS = 1 << 16
+# G7/K15 on [-1, 1] (qk15): the positive Kronrod nodes in decreasing order,
+# their weights then the centre's, and the weights of the 7 Gauss nodes
+# (every other Kronrod node); _kronrod bisects at most _BISECTIONS times.
+_KRONROD_X = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+              0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+              0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+              0.207784955007898467600689403773245)
+_KRONROD_W = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+              0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+              0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+              0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_GAUSS_W = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+            0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+_KRONROD_NODES = np.array([-x for x in _KRONROD_X] + [0.0] + list(reversed(_KRONROD_X)))
+_WK15 = np.array(_KRONROD_W + _KRONROD_W[-2::-1])
+_WG7 = np.array(_GAUSS_W + _GAUSS_W[-2::-1])
+_BISECTIONS = 12
 
 
 @lru_cache(maxsize=128)
@@ -518,3 +540,44 @@ def _conditional_law(
         radial = np.exp(log_radial + _sp.xlogy(q[:, None], c) + (log_w[:, None] - m * log_k[0]))
         out[blk] = (table[ell, n - 1 - q] * radial).sum(axis=0)
     return out
+
+
+def _kronrod_nodes(lo, hi) -> np.ndarray:
+    """The 15 Kronrod nodes of each panel [lo_i, hi_i], as rows."""
+    lo, hi = np.asarray(lo, dtype=float)[..., None], np.asarray(hi, dtype=float)[..., None]
+    return 0.5 * (hi + lo) + 0.5 * (hi - lo) * _KRONROD_NODES
+
+
+def _kronrod(f, lo, hi, owner, atol: float, rtol: float, fx=None) -> np.ndarray:
+    """Integrals of f over the panels [lo_i, hi_i] of the 1-d arrays lo and
+    hi, summed per owner, by G7/K15 bisection of all panels at once.
+
+    Panel i belongs to the integral owner[i], an integer from 0 up; the
+    result holds one sum per owner.  f takes a 1-d array of points and the
+    owners of their panels and returns f there.  Each round evaluates the
+    15 Kronrod nodes of every pending panel in one call of f (``fx``, of
+    shape (panels, 15), gives the first round's values instead).  A panel's
+    K15 value is kept when |K15 - G7| <= atol + rtol |I|, I the owner's
+    current estimate (its kept values plus the K15 values of its pending
+    panels), and the other panels are bisected.  Raises NumericError if a
+    panel is pending after _BISECTIONS rounds of bisection.
+    """
+    owners = int(owner.max()) + 1
+    total = np.zeros(owners)
+    for level in range(_BISECTIONS + 1):
+        if level or fx is None:
+            nodes = _kronrod_nodes(lo, hi)
+            fx = f(nodes.ravel(), np.repeat(owner, nodes.shape[1])).reshape(nodes.shape)
+        half = 0.5 * (hi - lo)
+        k15 = half * (fx @ _WK15)
+        estimate = total + np.bincount(owner, k15, owners)
+        done = np.abs(k15 - half * (fx[:, 1::2] @ _WG7)) <= atol + rtol * np.abs(estimate[owner])
+        total += np.bincount(owner[done], k15[done], owners)
+        lo, hi, owner = lo[~done], hi[~done], owner[~done]
+        if not lo.size:
+            return total
+        if level == _BISECTIONS:
+            raise NumericError(f"G7/K15 rule did not converge on [{lo[0]:.6g}, {hi[0]:.6g}] "
+                               f"after {_BISECTIONS} bisections")
+        mid = 0.5 * (lo + hi)
+        lo, hi, owner = np.append(lo, mid), np.append(mid, hi), np.tile(owner, 2)

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cellmimo import specfun
+from cellmimo import pzf, specfun
 from cellmimo.errors import ConfigError, NumericError, SizeGuardError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.pzf import (
@@ -168,6 +168,15 @@ def test_small_coverage_matches_adaptive_quadrature(n_t, n_r, m, alpha, z):
     expected = _adaptive_u_average(n_t, n_r, m, alpha, z)
     got = coverage_pzf(_config(n_t, n_r, alpha=alpha), z, m)
     assert got == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+def test_ratio_average_raises_at_the_bisection_cap(monkeypatch):
+    # With no tolerance a panel is kept only where its G7 and K15 values
+    # agree to the last bit; some panel never does, so the average bisects
+    # to the cap and gives up.
+    monkeypatch.setattr(pzf, "_RATIO_TOL", 0.0)
+    with pytest.raises(NumericError, match="bisections"):
+        coverage_pzf(_config(1, 4), 1e3, 2)
 
 
 def test_tail_slope_with_underflowing_kernels():

@@ -175,6 +175,39 @@ def test_pzf_rate_with_far_tail_is_warning_free(n_r, m):
     assert 0.0 < rate < 20.0
 
 
+# The abstract's split rule against the rate-optimal split, as
+# (n_t, n_r, alpha): (rule m, argmax m, rate gap in bit/s/Hz).
+_SPLIT_RULE_MISSES = {
+    (1, 7, 5.0): (4, 5, 1.089e-2),
+    (1, 12, 5.0): (7, 8, 3.772e-3),
+    (2, 11, 5.0): (3, 4, 2.834e-4),
+    (3, 11, 3.0): (2, 1, 4.370e-3),
+}
+
+
+@pytest.mark.slow
+def test_abstract_split_rule_matches_the_rate_argmax():
+    # ceil((1 - 2/alpha)(n_r/n_t - 1/2)), clipped to the delta >= 1 orders,
+    # is the per-stream ergodic-rate argmax on 77 of these 81 cells.
+    misses = {}
+    for n_t in (1, 2, 3):
+        for n_r in range(4, 13):
+            for alpha in (3.0, 4.0, 5.0):
+                config = _config(n_t, n_r, alpha=alpha)
+                m_max = (n_r - 1) // n_t
+                rule = min(max(math.ceil((1.0 - 2.0 / alpha) * (n_r / n_t - 0.5)), 1), m_max)
+                rates = {m: ergodic_rate(lambda z, m=m: coverage_pzf(config, z, m))
+                         for m in range(1, m_max + 1)}
+                best = max(rates, key=rates.get)
+                if best != rule:
+                    misses[n_t, n_r, alpha] = (rule, best, rates[best] - rates[rule])
+    assert misses.keys() == _SPLIT_RULE_MISSES.keys(), misses
+    for cell, (rule, best, gap) in misses.items():
+        expected = _SPLIT_RULE_MISSES[cell]
+        assert (rule, best) == expected[:2], (cell, misses[cell])
+        assert gap == pytest.approx(expected[2], rel=0.01), (cell, misses[cell])
+
+
 def test_default_split_rule():
     assert default_m(_config(1, 4)) == 2
     assert default_m(_config(1, 10)) == 5
