@@ -2,11 +2,14 @@
 and Monte Carlo validation runs, emitted as CSV/JSON for plotting.
 
 Exit codes: 0 success, 1 validation gate failed, 2 invalid configuration or
-arguments, 3 numeric failure, 4 I/O failure.  Network parameters may come
-from ``--config FILE`` (``key=value`` lines); explicit flags win.  Every file
-written via ``--out`` gets a ``<out>.manifest.json`` sidecar recording the
-command, parameters, code version, seed, wall time, and output checksum, so
-reruns can be checked byte for byte.
+arguments, 3 numeric failure, 4 I/O failure.  The network parameters ``nt``,
+``nr``, ``alpha``, ``sigma2``, ``lam`` and ``m`` may also come from
+``--config FILE`` (``key=value`` lines with the flags' names): the file wins
+over the defaults and explicit flags win over the file.  Every file written
+via ``--out`` gets a ``<out>.manifest.json`` sidecar, a JSON object with the
+keys ``command``, ``parameters``, ``version``, ``seed`` (null for analytic
+runs), ``wall_time_s`` and ``outputs`` (the file's path and sha256).  Two
+runs whose manifests agree up to ``wall_time_s`` wrote identical bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,29 +32,7 @@ from .montecarlo import simulate_sinr
 from .pzf import argmin_mean_inverse_sinr, optimal_m
 from .rate import rate_profile, sinr_ccdf
 
-__all__ = ["RunManifest", "main"]
-
-
-# --------------------------------------------------------------------------
-# Run manifests
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance sidecar for one CLI output file.
-
-    Two runs with identical manifests (up to ``wall_time_s``) produce
-    byte-identical output files; the sha256 makes that checkable.
-    """
-
-    command: list[str]
-    parameters: dict
-    version: str
-    seed: int | None
-    wall_time_s: float
-    outputs: list[dict] = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+__all__ = ["main"]
 
 
 def _fmt(x: float) -> str:
@@ -60,32 +40,25 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _write_output(
-    text: str,
-    out_path: str | None,
-    *,
-    argv: list[str],
-    args: argparse.Namespace,
-    seed: int | None,
-    started: float,
-) -> None:
-    if out_path is None:
+def _write_output(text: str, args: argparse.Namespace, argv: list[str], seed: int | None,
+                  started: float) -> None:
+    """Write ``text`` to stdout, or to ``--out`` with its manifest sidecar."""
+    if args.out is None:
         sys.stdout.write(text)
         return
     data = text.encode("utf-8")
-    with open(out_path, "wb") as fh:
+    with open(args.out, "wb") as fh:
         fh.write(data)
-    params = {k: v for k, v in vars(args).items() if k != "func"}
-    manifest = RunManifest(
-        command=list(argv),
-        parameters=params,
-        version=__version__,
-        seed=seed,
-        wall_time_s=round(time.perf_counter() - started, 3),
-        outputs=[{"path": out_path, "sha256": hashlib.sha256(data).hexdigest()}],
-    )
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-        fh.write(manifest.to_json())
+    manifest = {
+        "command": argv,
+        "parameters": {k: v for k, v in vars(args).items() if k != "func"},
+        "version": __version__,
+        "seed": seed,
+        "wall_time_s": round(time.perf_counter() - started, 3),
+        "outputs": [{"path": args.out, "sha256": hashlib.sha256(data).hexdigest()}],
+    }
+    with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -99,17 +72,21 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 # --------------------------------------------------------------------------
 # Argument plumbing
 
-_CONFIG_FILE_KEYS = {
-    "lam": float,
-    "alpha": float,
-    "sigma2": float,
-    "nt": int,
-    "nr": int,
-    "m": int,
-}
+# The network parameters, as flags and as config-file keys:
+# (name, type, default, help).  Defaults lose to the file, the file to flags.
+_NETWORK = (
+    ("nt", int, None, "transmit antennas / streams per BS"),
+    ("nr", int, None, "receive antennas per user"),
+    ("alpha", float, 4.0, "path-loss exponent"),
+    ("sigma2", float, 0.0, "noise power"),
+    ("lam", float, 1.0, "BS density per unit area"),
+    ("m", int, None, "PZF cancellation order: null the m-1 nearest interferers "
+                     "(default: optimal-split rule)"),
+)
 
 
 def _read_config_file(path: str) -> dict:
+    kinds = {name: kind for name, kind, _, _ in _NETWORK}
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -120,40 +97,30 @@ def _read_config_file(path: str) -> dict:
             key, value = key.strip().lower(), value.strip()
             if not sep or not key or not value:
                 raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            if key not in _CONFIG_FILE_KEYS:
+            if key not in kinds:
                 raise ConfigError(
                     f"{path}:{lineno}: unknown key {key!r} "
-                    f"(known: {', '.join(sorted(_CONFIG_FILE_KEYS))})"
+                    f"(known: {', '.join(sorted(kinds))})"
                 )
             try:
-                values[key] = _CONFIG_FILE_KEYS[key](value)
+                values[key] = kinds[key](value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return values
 
 
 def _resolve_network(args: argparse.Namespace) -> tuple[NetworkConfig, int | None]:
-    """Merge flags over an optional config file, then apply defaults."""
-    file_vals = _read_config_file(args.config) if args.config else {}
-
-    def pick(name, fallback):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        return file_vals.get(name, fallback)
-
-    n_t, n_r = pick("nt", None), pick("nr", None)
-    if n_t is None or n_r is None:
+    """Merge flags over an optional config file over the defaults."""
+    values = {name: default for name, _, default, _ in _NETWORK}
+    if args.config:
+        values.update(_read_config_file(args.config))
+    values.update((name, getattr(args, name)) for name in values
+                  if getattr(args, name) is not None)
+    if values["nt"] is None or values["nr"] is None:
         raise ConfigError("--nt and --nr are required (as flags or config-file keys)")
-    config = NetworkConfig(
-        lam=float(pick("lam", 1.0)),
-        alpha=float(pick("alpha", 4.0)),
-        sigma2=float(pick("sigma2", 0.0)),
-        n_t=int(n_t),
-        n_r=int(n_r),
-    )
-    m = pick("m", None)
-    return config, (int(m) if m is not None else None)
+    config = NetworkConfig(lam=values["lam"], alpha=values["alpha"], sigma2=values["sigma2"],
+                           n_t=values["nt"], n_r=values["nr"])
+    return config, values["m"]
 
 
 # Most thresholds one --zdb grid may hold.
@@ -233,7 +200,7 @@ def _coverage_estimate(samples, z: float) -> tuple[float, float]:
     return float(hits.mean()), se
 
 
-def cmd_coverage(args: argparse.Namespace, argv: list[str], started: float) -> int:
+def cmd_coverage(args: argparse.Namespace) -> tuple[str, int | None, None]:
     config, m = _resolve_network(args)
     # Built for both methods, so an order the receiver cannot take fails
     # even on an empty grid.
@@ -252,10 +219,7 @@ def cmd_coverage(args: argparse.Namespace, argv: list[str], started: float) -> i
         for z_db, z in grid:
             mc, se = _coverage_estimate(samples, z)
             rows.append([_fmt(z_db), _fmt(z), _fmt(mc), "mc", _fmt(1.96 * se)])
-    seed = args.seed if args.method == "mc" else None
-    _write_output(_csv_text(header, rows), args.out,
-                  argv=argv, args=args, seed=seed, started=started)
-    return 0
+    return _csv_text(header, rows), args.seed if args.method == "mc" else None, None
 
 
 def _quantile_label(q: float) -> str:
@@ -265,7 +229,7 @@ def _quantile_label(q: float) -> str:
     return f"q{whole:0>2}{dot}{frac}"
 
 
-def cmd_rate(args: argparse.Namespace, argv: list[str], started: float) -> int:
+def cmd_rate(args: argparse.Namespace) -> tuple[str, None, None]:
     config, m = _resolve_network(args)
     quantiles = _parse_float_list(args.quantiles, "--quantiles")
     labels = [_quantile_label(q) for q in quantiles]
@@ -274,29 +238,18 @@ def cmd_rate(args: argparse.Namespace, argv: list[str], started: float) -> int:
     profile = rate_profile(config, args.rx, args.scheme, m=m, quantiles=quantiles,
                            convention=args.convention)
     qvals = {label: profile.quantiles[q] for label, q in zip(labels, quantiles)}
-
     if args.format == "json":
-        payload: dict = {"mean_rate": profile.mean_rate}
-        payload.update(qvals)
-        payload.update({
-            "scheme": args.scheme,
-            "receiver": args.rx,
-            "n_t": config.n_t,
-            "n_r": config.n_r,
-            "m": profile.m,
-        })
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        header = ["scheme", "receiver", "n_t", "n_r", "m", "mean_rate", *qvals]
-        row = [args.scheme, args.rx, str(config.n_t), str(config.n_r),
-               "" if profile.m is None else str(profile.m), _fmt(profile.mean_rate),
-               *(_fmt(v) for v in qvals.values())]
-        text = _csv_text(header, [row])
-    _write_output(text, args.out, argv=argv, args=args, seed=None, started=started)
-    return 0
+        payload = {"mean_rate": profile.mean_rate, **qvals, "scheme": args.scheme,
+                   "receiver": args.rx, "n_t": config.n_t, "n_r": config.n_r, "m": profile.m}
+        return json.dumps(payload, indent=2) + "\n", None, None
+    header = ["scheme", "receiver", "n_t", "n_r", "m", "mean_rate", *qvals]
+    row = [args.scheme, args.rx, str(config.n_t), str(config.n_r),
+           "" if profile.m is None else str(profile.m), _fmt(profile.mean_rate),
+           *(_fmt(v) for v in qvals.values())]
+    return _csv_text(header, [row]), None, None
 
 
-def cmd_optimal_m(args: argparse.Namespace, argv: list[str], started: float) -> int:
+def cmd_optimal_m(args: argparse.Namespace) -> tuple[str, None, None]:
     n_ts = _parse_int_list(args.nt, "--nt")
     n_rs = _parse_int_list(args.nr, "--nr")
     alphas = _parse_float_list(args.alpha, "--alpha")
@@ -324,12 +277,10 @@ def cmd_optimal_m(args: argparse.Namespace, argv: list[str], started: float) -> 
                         "|".join(str(v) for v in m_argmin),
                         "ok",
                     ])
-    _write_output(_csv_text(header, rows), args.out,
-                  argv=argv, args=args, seed=None, started=started)
-    return 0
+    return _csv_text(header, rows), None, None
 
 
-def cmd_validate(args: argparse.Namespace, argv: list[str], started: float) -> int:
+def cmd_validate(args: argparse.Namespace) -> tuple[str, int, str | None]:
     config, m = _resolve_network(args)
     receivers = ("pzf", "mmse") if args.rx == "both" else (args.rx,)
     grid = _parse_zdb_range(args.zdb)
@@ -358,28 +309,18 @@ def cmd_validate(args: argparse.Namespace, argv: list[str], started: float) -> i
                 receiver, _fmt(z_db), _fmt(z), _fmt(exact), _fmt(mc),
                 _fmt(se), _fmt(score),
             ])
-    _write_output(_csv_text(header, rows), args.out,
-                  argv=argv, args=args, seed=args.seed, started=started)
-    if worst > 4.0:
-        print(f"validation FAILED: worst |z-score| = {worst:.2f} > 4", file=sys.stderr)
-        return 1
-    return 0
+    failure = f"validation FAILED: worst |z-score| = {worst:.2f} > 4" if worst > 4.0 else None
+    return _csv_text(header, rows), args.seed, failure
 
 
 # --------------------------------------------------------------------------
 # Parser
 
 def _add_network_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nt", type=int, help="transmit antennas / streams per BS")
-    parser.add_argument("--nr", type=int, help="receive antennas per user")
-    parser.add_argument("--alpha", type=float, help="path-loss exponent (default 4)")
-    parser.add_argument("--sigma2", type=float, help="noise power (default 0)")
-    parser.add_argument("--lam", type=float, help="BS density per unit area (default 1)")
-    parser.add_argument(
-        "--m", type=int,
-        help="PZF cancellation order: null the m-1 nearest interferers "
-             "(default: optimal-split rule)",
-    )
+    # No flag default: an absent flag leaves the value to the file or the table.
+    for name, kind, default, text in _NETWORK:
+        parser.add_argument(f"--{name}", type=kind,
+                            help=text if default is None else f"{text} (default {default:g})")
     parser.add_argument("--config", metavar="FILE",
                         help="key=value parameter file; flags override it")
     parser.add_argument("--out", metavar="PATH",
@@ -479,14 +420,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    argv = _merge_range_values(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = _merge_range_values(list(sys.argv[1:]) if argv is None else list(argv))
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
-        return args.func(args, argv, started)
+        text, seed, failure = args.func(args)
+        _write_output(text, args, argv, seed, started)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -496,6 +439,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

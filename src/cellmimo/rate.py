@@ -130,12 +130,17 @@ def _sinr_quantile(
     already known to be ``ccdf_seen``: the smallest one where the CCDF is at
     most 1 - q, and the largest below it where it is above 1 - q (or 0).
     Only when no known CCDF is at most 1 - q is the bracket [0, 4^k]
-    widened until the CCDF falls there.
+    widened until the CCDF falls there.  No threshold costs a second law
+    call, and z = 0, where the CCDF is 1, costs none.
     """
     target = 1.0 - q  # CCDF value at the quantile threshold
+    known = dict(zip(z_seen.tolist(), ccdf_seen.tolist()))
+    known[0.0] = 1.0
 
     def shifted(z: float) -> float:
-        return coverage_fn(z) - target
+        if z not in known:
+            known[z] = coverage_fn(z)
+        return known[z] - target
 
     past = ccdf_seen <= target
     if past.any():

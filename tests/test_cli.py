@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 
 from cellmimo import cli
 from cellmimo.errors import ConfigError, NumericError
+from cellmimo.geometry import NetworkConfig
 
 
 def _run(capsys, argv):
@@ -200,6 +204,75 @@ def test_config_file_errors(tmp_path, capsys):
     code, out = _run(capsys, ["coverage", "--rx", "mmse", "--config", str(bad),
                               "--zdb", "0:0:1"])
     assert code == 2 and "unknown key" in out.err
+    bad.write_text("nt = 2.5\n")
+    code, out = _run(capsys, ["coverage", "--rx", "mmse", "--config", str(bad),
+                              "--zdb", "0:0:1"])
+    assert code == 2 and "bad value" in out.err
+
+
+def test_every_config_file_key_reaches_the_run(tmp_path, capsys, monkeypatch):
+    # Every value differs from its default; flags then beat each key.
+    runs = []
+    monkeypatch.setattr(cli, "sinr_ccdf",
+                        lambda config, rx, m=None: runs.append((config, m)) or np.zeros_like)
+    config = tmp_path / "cell.cfg"
+    config.write_text("nt = 2\nnr = 8\nalpha = 3.5\nsigma2 = 0.5\nlam = 0.25\nm = 3\n")
+    argv = ["coverage", "--rx", "pzf", "--config", str(config), "--zdb", "0:0:1"]
+    assert _run(capsys, argv)[0] == 0
+    assert runs.pop() == (NetworkConfig(lam=0.25, alpha=3.5, sigma2=0.5, n_t=2, n_r=8), 3)
+    flags = ["--nt", "1", "--nr", "6", "--alpha", "3", "--sigma2", "2", "--lam", "4", "--m", "2"]
+    assert _run(capsys, argv + flags)[0] == 0
+    assert runs.pop() == (NetworkConfig(lam=4.0, alpha=3.0, sigma2=2.0, n_t=1, n_r=6), 2)
+
+
+@pytest.mark.parametrize("argv, seed", [
+    (["coverage", "--rx", "pzf", "--nt", "1", "--nr", "4", "--m", "2", "--zdb", "0:5:5"], None),
+    (["coverage", "--rx", "mmse", "--nt", "2", "--nr", "4", "--zdb", "0:5:5",
+      "--method", "mc", "--trials", "512", "--seed", "7"], 7),
+    (["rate", "--rx", "mmse", "--nt", "1", "--nr", "2", "--format", "json"], None),
+    (["optimal-m", "--nt", "1", "--nr", "4"], None),
+    (["validate", "--rx", "mmse", "--nt", "1", "--nr", "2", "--zdb", "0:0:1",
+      "--trials", "512", "--seed", "5"], 5),
+])
+def test_manifest_layout(argv, seed, tmp_path, capsys):
+    out_path = tmp_path / "result.txt"
+    argv = argv + ["--out", str(out_path)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == ""
+    text = (tmp_path / "result.txt.manifest.json").read_text()
+    manifest = json.loads(text)
+    # Sorted keys, a 2-space indent and a trailing newline.
+    assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    assert set(manifest) == {"command", "parameters", "version", "seed", "wall_time_s",
+                             "outputs"}
+    assert manifest["command"] == argv
+    assert manifest["seed"] == seed
+    assert manifest["wall_time_s"] >= 0.0
+    digest = hashlib.sha256(out_path.read_bytes()).hexdigest()
+    assert manifest["outputs"] == [{"path": str(out_path), "sha256": digest}]
+    assert manifest["parameters"]["command"] == argv[0]
+    assert "func" not in manifest["parameters"]
+
+
+def test_failed_runs_leave_the_next_command_unchanged(tmp_path, capsys, monkeypatch):
+    # One process parses every command with one parser: an argparse exit
+    # and a configuration error leave the next run as a fresh process has it.
+    good = ["rate", "--rx", "mmse", "--nt", "2", "--nr", "4", "--quantiles", "0.5"]
+    fresh = subprocess.run([sys.executable, "-m", "cellmimo.cli", *good], capture_output=True,
+                           text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("power = 3\n")
+    with pytest.raises(SystemExit) as err:
+        cli.main(["validate", "--nt", "1", "--nr", "2", "--trials", "128", "--threads", "0"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert _run(capsys, good) == (0, (fresh.stdout, ""))
+    code, out = _run(capsys, ["coverage", "--rx", "mmse", "--config", str(bad),
+                              "--nt", "3", "--zdb", "0:0:1"])
+    assert code == 2 and "unknown key" in out.err
+    assert _run(capsys, good) == (0, (fresh.stdout, ""))
 
 
 def test_exit_codes(capsys, tmp_path, monkeypatch):

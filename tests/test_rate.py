@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from cellmimo import rate
 from cellmimo.errors import ConfigError, NumericError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.pzf import coverage_pzf, default_m
@@ -95,6 +96,32 @@ def test_quantile_bracket_widens_past_the_rate_cut():
     q = 1.0 - 1e-9
     value = rate_profile(_config(1, 4), "mmse", "sst", quantiles=(q,)).quantiles[q]
     assert ccdf(2.0**value - 1.0) == pytest.approx(1.0 - q, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("receiver,m,sigma2", [
+    ("pzf", 2, 0.0), ("pzf", 2, 1.0), ("mmse", None, 0.0), ("mmse", None, 1.0),
+])
+def test_quantile_polish_calls_the_law_once_per_new_threshold(monkeypatch, receiver, m, sigma2):
+    """brentq starts from the bracket's ends, whose CCDF the rate integral
+    already computed (or z = 0, where it is 1), and the widened bracket of
+    a level past the rate cut reuses its last end: no scalar law call
+    repeats a threshold any earlier call evaluated, or asks for z = 0."""
+    name = "coverage_pzf" if receiver == "pzf" else "coverage_mmse"
+    law = getattr(rate, name)
+    arrays, scalars = [], []
+
+    def counted(config, z, *rest):
+        (scalars if np.ndim(z) == 0 else arrays).append(z)
+        return law(config, z, *rest)
+
+    monkeypatch.setattr(rate, name, counted)
+    rate_profile(_config(1, 4, sigma2=sigma2), receiver, "sst", m=m,
+                 quantiles=(0.05, 0.5, 0.8, 1.0 - 1e-9))
+    seen = set(np.concatenate(arrays).tolist()) | {0.0}
+    assert scalars
+    for z in map(float, scalars):
+        assert z not in seen, z
+        seen.add(z)
 
 
 def test_quantiles_increase_with_level():

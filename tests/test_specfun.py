@@ -462,15 +462,31 @@ def _noise_limited_laws(lam, z):
     return coverage_mmse(config, z), coverage_pzf(config, z, 1)
 
 
-@pytest.mark.parametrize("lam", [1e-20, 1e-40, 1e-60, 1e-80, 1e-120])
+@pytest.mark.parametrize("lam", [1e-20, 1e-40, 1e-60, 1e-80, 1e-120, 1e-200, 1e-300])
 def test_noisy_laws_keep_every_noise_order(lam):
     """At vanishing intensity both laws approach the noise-only leading
-    term pi lam Gamma(d + 1/2) / Gamma(d) (n_t sigma2 z)^(-1/2).  The terms
-    of high noise order carry it although their radial moment underflows."""
+    term pi lam Gamma(d + 2/alpha) / Gamma(d) (n_t sigma2 z)^(-2/alpha), with
+    d = n_r for MMSE and d = delta + 1 for PZF.  The terms of high noise
+    order carry it although their radial moment underflows.  The cells:
+    MMSE 1x4 and PZF 1x4 m=1 at alpha 4, and PZF 1x4 m=2 (d = 3), 1x4 m=4
+    (d = 1) and 2x8 m=2 (d = 5) at alpha 3 and 4, down to lam = 1e-120; at
+    lam = 1e-200 and 1e-300 the three PZF cells at alpha 2.05, where the
+    noise scale (pi lam)^(-alpha/2) stays finite."""
     z = 1e3
-    lead = math.pi * lam * math.gamma(4.5) / math.gamma(4.0) / math.sqrt(z)
-    for value in _noise_limited_laws(lam, z):
-        assert value == pytest.approx(lead, rel=1e-10, abs=0.0)
+
+    def lead(d, alpha, n_t):
+        return math.pi * lam * math.gamma(d + 2.0 / alpha) / math.gamma(d) * (
+            n_t * z) ** (-2.0 / alpha)
+
+    if lam >= 1e-120:
+        for value in _noise_limited_laws(lam, z):
+            assert value == pytest.approx(lead(4, 4.0, 1), rel=1e-10, abs=0.0)
+    for alpha in (3.0, 4.0) if lam >= 1e-120 else (2.05,):
+        for n_t, n_r, m in ((1, 4, 2), (1, 4, 4), (2, 8, 2)):
+            config = NetworkConfig(lam=lam, alpha=alpha, sigma2=1.0, n_t=n_t, n_r=n_r)
+            want = lead(n_r - m * n_t + 1, alpha, n_t)
+            assert coverage_pzf(config, z, m) == pytest.approx(want, rel=1e-10, abs=0.0), (
+                alpha, n_t, n_r, m)
 
 
 _BOUND_LAMS = [1e-5, 1e-8, 1e-12, 1e-20, 1e-40, 1e-60, 1e-80, 1e-120]
