@@ -280,18 +280,28 @@ def _log_kernel_table(n_t: int, alpha: float, x: np.ndarray, orders: int, step: 
     to 1e4.  It is also free of cancellation, and log1p of it keeps log F
     accurate where F is close to 1 (for b > 0 it would cancel where F is
     small).  On the reflected side the PZF orders share c = a_j - b_j =
-    n_t + 2/α, so one :func:`_log_reflected` call serves them all; each
-    MMSE order has a c and a call of its own.
+    n_t + 2/α, so one :func:`_log_reflected` call serves every order past
+    the same switch point; each MMSE order has a c and a call of its own.
+    No order is computed on the other side of its switch point.
     """
     s = 2.0 / alpha
     bs = [j - s for j in range(orders + 1)]
-    limits = np.array([_QUAD_Z_MAX] + [_direct_limit(n_t + step * j) for j in range(1, orders + 1)])
+    limits = [_QUAD_Z_MAX] + [_direct_limit(n_t + step * j) for j in range(1, orders + 1)]
     out = np.empty((orders + 1, x.size))
-    # Reflected side first: its work arrays never coexist with the loop's.
-    far = np.flatnonzero(x > limits.min())
-    if far.size:
-        logs = (_log_reflected(n_t, bs, n_t + s, x[far]) if step else
-                np.concatenate([_log_reflected(n_t, [b], n_t - b, x[far]) for b in bs]))
+    # Reflected side first, so that its work arrays never coexist with the
+    # loop's.  The switch points fall with j, so for PZF the x between one
+    # switch point and the next higher one need every order from the first
+    # with the lower point on.
+    if step:
+        for j in [0] + [j for j in range(1, orders + 1) if limits[j] < limits[j - 1]]:
+            beyond = np.flatnonzero((x > limits[j]) & (x <= (limits[j - 1] if j else np.inf)))
+            if beyond.size:
+                out[j:, beyond] = _log_reflected(n_t + j, bs[j:], n_t + s, x[beyond])
+    elif x.max(initial=0.0) > min(limits):
+        for j, b in enumerate(bs):
+            beyond = np.flatnonzero(x > limits[j])
+            if beyond.size:
+                out[j, beyond] = _log_reflected(n_t, [b], n_t - b, x[beyond])[0]
     rows = np.flatnonzero(x <= _QUAD_Z_MAX)
     t, c = _panel_nodes(-s)
     for start in range(0, rows.size, _QUAD_ROWS):
@@ -303,15 +313,16 @@ def _log_kernel_table(n_t: int, alpha: float, x: np.ndarray, orders: int, step: 
                 sub = blk[x[blk] <= limits[1]]
                 y = _reciprocal(x[sub], t[:_SHARED_NODES])
                 p = _power(y, n_t + step)
-            elif step:
-                p *= y
+            else:
+                if limits[j] < limits[j - 1]:  # the rows past this order's switch point leave
+                    keep = x[sub] <= limits[j]
+                    sub, y, p = sub[keep], y[keep], p[keep]
+                if step:
+                    p *= y
             t_j, c_j = _panel_nodes(b)
             origin = _power(_reciprocal(x[sub], t_j[_SHARED_NODES:]), n_t + step * j)
             out[j, sub] = np.log(_euler_sum(b, c_j, p, origin))
         y = p = None  # kept into the next block, they made the heap shrink and regrow
-    # The reflected side takes each order beyond its own switch point.
-    if far.size:
-        out[:, far] = np.where(x[far] > limits[:, None], logs, out[:, far])
     return out
 
 

@@ -142,6 +142,31 @@ def test_optimal_m_table(capsys):
     assert table[("2", "10")][4] == "2"
     assert table[("1", "2")][4] == "1"
     assert table[("2", "2")][6] == "infeasible"
+    # The last column is the rate argmax over the delta >= 1 splits: it
+    # agrees with m_star at 1x10 and takes the abstract's m = 3 at 2x10.
+    assert rows[0][-1] == "m_rate"
+    assert table[("1", "10")][7] == "5"
+    assert table[("2", "10")][7] == "3"
+    assert table[("1", "2")][7] == "1"
+    assert table[("2", "2")][7] == ""
+
+
+def test_optimal_m_leaves_m_rate_empty_where_a_rate_fails(capsys):
+    # From alpha about 19 the m = 1 rate integral still sees the CCDF above
+    # its 1e-8 cut at t = 256, and from about 71 the range of the m >= 2
+    # integral overflows; each raises NumericError.  The rows keep their
+    # closed-form columns and the command its exit code.
+    code, out = _run(capsys, [
+        "optimal-m", "--nt", "1,2", "--nr", "10", "--alpha", "18,40,80", "--sigma2", "0",
+    ])
+    assert code == 0
+    rows = _parse_csv(out.out)
+    table = {(r[0], r[2]): r[4:] for r in rows[1:]}
+    assert table[("1", "18")] == ["8", "8", "ok", "9"]
+    assert table[("2", "18")] == ["4", "4", "ok", "4"]
+    for alpha in ("40", "80"):
+        assert table[("1", alpha)] == ["9", "9", "ok", ""]
+        assert table[("2", alpha)] == ["4", "4", "ok", ""]
 
 
 def test_optimal_m_without_noise_ignores_the_intensity(capsys):

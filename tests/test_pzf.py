@@ -17,11 +17,15 @@ Independent oracles used here:
   distance ratio u, with breakpoints at z^(-1/alpha) 2^k.
 * For delta <= 6 the conditional law is checked against its partition sum
   taken term by term over every set partition of {1..k}.
+* The rate weight x E_u[1 / (u^alpha + x)] is checked against mpmath: the
+  closed form F(1, 2/alpha; 1 + 2/alpha; -1/x) at m = 2, and quadrature
+  in log u^2 with breakpoints around the knee otherwise.
 """
 
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -31,6 +35,7 @@ from cellmimo.errors import ConfigError, NumericError, SizeGuardError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.pzf import (
     _conditional_coverage_u,
+    _ratio_weight,
     _split_delta,
     argmin_mean_inverse_sinr,
     coverage_pzf,
@@ -186,6 +191,30 @@ def test_tail_slope_with_underflowing_kernels():
     config = _config(1, 11)
     lo, hi = coverage_pzf(config, 2.0**112, 1), coverage_pzf(config, 2.0**128, 1)
     assert math.log2(hi / lo) / 16.0 == pytest.approx(-0.5, abs=1e-4)
+
+
+def _mpmath_ratio_weight(log_x, alpha, m):
+    """x E_u[1 / (u^alpha + x)], u^2 ~ Beta(1, m - 1), at 40 digits (at
+    30, the quadrature is off by 5e-9 at alpha 2.05, x = e^-80)."""
+    with mp.workdps(40):
+        a, t = mp.mpf(alpha) / 2, mp.mpf(log_x)
+        if m == 2:
+            return mp.hyp2f1(1, 1 / a, 1 + 1 / a, -mp.exp(-t))
+        # In r = log u^2 the integrand steps down from e^r at the knee t/a.
+        knee = t / a
+        cuts = [knee + d for d in (-40, -10, -3, 0, 3, 10, 30, 100, 300) if knee + d < -8]
+        return mp.quad(lambda r: (m - 1) * (-mp.expm1(r)) ** (m - 2) * mp.exp(r)
+                       / (1 + mp.exp(a * r - t)), [-mp.inf] + cuts + [-8, -4, -1, -0.25, 0])
+
+
+@pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 8.0])
+@pytest.mark.parametrize("m", [2, 3, 8, 20])
+def test_ratio_weight_matches_mpmath(alpha, m):
+    log_x = np.array([-80.0, -30.0, -5.0, 0.0, 5.0, 30.0, 120.0])
+    got = _ratio_weight(log_x, alpha, m)
+    for t, value in zip(log_x, got):
+        expected = float(_mpmath_ratio_weight(t, alpha, m))
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0), t
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Ergodic rate, rate quantiles, and the transmission-scheme conventions.
 
 The ergodic rate's fixed Gauss-Kronrod rule is checked against adaptive
-scipy ``quad`` at 1e-11 relative, over the same truncated range.
+scipy ``quad`` at 1e-11 relative, over the same truncated range.  The PZF
+m >= 2 mean, an integral over the kernel argument, is checked against
+adaptive scipy ``quad`` of the coverage law over log(1 + z), untruncated.
 """
 
 import math
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from cellmimo import rate
+from cellmimo import pzf, rate
 from cellmimo.errors import ConfigError, NumericError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.pzf import coverage_pzf, default_m
@@ -171,7 +173,12 @@ def test_ergodic_rate_matches_adaptive_quad(scheme, n_t, n_r, receiver, m, alpha
     # Every sst case has n_t = 1, so both schemes' streams see config's law.
     config = _config(n_t, n_r, alpha=alpha, sigma2=sigma2)
     streams = n_t if scheme == "sm" else 1
-    quad_rate = streams * _quad_rate(sinr_ccdf(config, receiver, m=m))
+    ccdf = sinr_ccdf(config, receiver, m=m)
+    quad_rate = streams * _quad_rate(ccdf)
+    # The rate integral over log2(1 + z), for every law, with the same cut.
+    assert streams * ergodic_rate(ccdf) == pytest.approx(quad_rate, rel=1e-9, abs=0.0)
+    # rate_profile's mean: the same integral for MMSE and PZF at m = 1, the
+    # uncut integral over the kernel argument for PZF at m >= 2.
     mean = _mean_rate(config, receiver, scheme, m=m)
     assert mean == pytest.approx(quad_rate, rel=1e-9, abs=0.0)
 
@@ -191,6 +198,74 @@ def test_ergodic_rate_coverage_calls():
     ergodic_rate(lambda z: calls.append(z.size) or ccdf(z))
     assert sum(calls) <= 120
     assert len(calls) == 7
+
+
+@pytest.mark.parametrize("n_r,m,bound", [(4, 2, 1752), (8, 4, 2010)])
+def test_pzf_mean_takes_a_tenth_of_the_law_points(monkeypatch, n_r, m, bound):
+    # A tenth of the 17520 and 20100 points the rate integral over
+    # log2(1 + z) took, a u-average at each of its nodes.
+    law = pzf._conditional_law
+    points = []
+
+    def counted(n_t, alpha, x, *rest):
+        points.append(x.size)
+        return law(n_t, alpha, x, *rest)
+
+    monkeypatch.setattr(pzf, "_conditional_law", counted)
+    mean = _mean_rate(_config(1, n_r), "pzf", "sst", m=m)
+    assert mean > 0.0
+    assert 0 < sum(points) <= bound
+
+
+@pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0, 6.0, 8.0])
+def test_pzf_mean_over_the_domain(alpha):
+    """Zero noise, and unit noise at intensities from 1e-300 to 1e300, over
+    shapes from delta = 0 to delta = 14: the mean is finite, >= 0 and at
+    most the zero-noise mean, or the one expected ConfigError, where the
+    noise scale overflows (lam 1e-300, alpha >= 2.5).  Among them is the
+    noise-dominated corner 1x4 m=2 at alpha 2.05, lam 1e-300, where kappa
+    is 9.8e306 and the law turns at x ~ 1e-307."""
+    for n_t, n_r, m in ((1, 4, 2), (1, 4, 4), (1, 16, 2), (1, 16, 8), (2, 4, 2), (8, 16, 2)):
+        quiet = _mean_rate(_config(n_t, n_r, alpha=alpha), "pzf", "sst", m=m)
+        assert math.isfinite(quiet) and quiet > 0.0
+        for lam in (1e-300, 1e-40, 1e-6, 1.0, 1e6, 1e300):
+            config = _config(n_t, n_r, alpha=alpha, sigma2=1.0, lam=lam)
+            if lam == 1e-300 and alpha >= 2.5:
+                with pytest.raises(ConfigError, match="overflows"):
+                    _mean_rate(config, "pzf", "sst", m=m)
+                continue
+            mean = _mean_rate(config, "pzf", "sst", m=m)
+            assert math.isfinite(mean) and 0.0 <= mean <= quiet * (1.0 + 1e-12), (n_t, n_r, m, lam)
+
+
+def _untruncated_quad_rate(config, m):
+    """Adaptive quad of the coverage law over y = log(1 + z) up to y = 200,
+    in bit/s/Hz.  On the grid below the law at z = e^200 is at most
+    6.1 e^(-400/alpha), so the tail beyond, below that times
+    alpha / (2 ln 2) by the bound ergodic_rate states, is under 1e-20."""
+    val, err = integrate.quad(lambda y: coverage_pzf(config, math.expm1(y), m), 0.0, 200.0,
+                              epsabs=0.0, epsrel=1e-11, limit=2000)
+    assert err <= 1e-11 * val
+    return val / math.log(2.0)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 8.0])
+def test_pzf_mean_matches_untruncated_adaptive_quad(alpha):
+    # m >= 2 takes the integral over the kernel argument, within 1e-10.
+    # m = 1 takes the rate integral over log2(1 + z), whose cut where the
+    # CCDF falls below 1e-8 leaves out at most 1e-8 alpha / (2 ln 2).
+    for sigma2 in (0.0, 1.0):
+        for n_t, n_r in ((1, 4), (1, 8), (2, 8)):
+            for m in range(1, n_r // n_t + 1):
+                config = _config(n_t, n_r, alpha=alpha, sigma2=sigma2)
+                expected = _untruncated_quad_rate(config, m)
+                got = _mean_rate(config, "pzf", "sm", m=m) / n_t
+                where = (sigma2, n_t, n_r, m)
+                if m == 1:
+                    assert 0.0 <= expected - got <= 1e-8 * alpha / (2.0 * math.log(2.0)), where
+                else:
+                    assert got == pytest.approx(expected, rel=1e-10, abs=0.0), where
 
 
 @pytest.mark.parametrize("n_r,m", [(10, 1), (12, 3)])
@@ -215,7 +290,8 @@ _SPLIT_RULE_MISSES = {
 @pytest.mark.slow
 def test_abstract_split_rule_matches_the_rate_argmax():
     # ceil((1 - 2/alpha)(n_r/n_t - 1/2)), clipped to the delta >= 1 orders,
-    # is the per-stream ergodic-rate argmax on 77 of these 81 cells.
+    # is the argmax of the per-stream mean rate of rate_profile on 77 of
+    # these 81 cells.
     misses = {}
     for n_t in (1, 2, 3):
         for n_r in range(4, 13):
@@ -223,8 +299,7 @@ def test_abstract_split_rule_matches_the_rate_argmax():
                 config = _config(n_t, n_r, alpha=alpha)
                 m_max = (n_r - 1) // n_t
                 rule = min(max(math.ceil((1.0 - 2.0 / alpha) * (n_r / n_t - 0.5)), 1), m_max)
-                rates = {m: ergodic_rate(lambda z, m=m: coverage_pzf(config, z, m))
-                         for m in range(1, m_max + 1)}
+                rates = {m: _mean_rate(config, "pzf", "sm", m=m) / n_t for m in range(1, m_max + 1)}
                 best = max(rates, key=rates.get)
                 if best != rule:
                     misses[n_t, n_r, alpha] = (rule, best, rates[best] - rates[rule])

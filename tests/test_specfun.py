@@ -305,6 +305,19 @@ def test_theta_equals_lambda_at_order_zero():
                 assert np.array_equal(row, rows[0]), (alpha, n_t)
 
 
+@pytest.mark.parametrize("n_t", [1, 20])
+def test_each_kernel_order_is_its_own_tables_row(n_t):
+    """Each order takes the panel rule only up to its own switch point and
+    the 1/z identity only beyond it, so row j of a 20-order PZF table is
+    bit for bit row j of the table that stops at order j.  At n_t = 20
+    the orders j <= 8 switch at 1e4 and the others at 4."""
+    x = np.concatenate([_SWITCH_X, 10.0 ** np.linspace(-3.0, 6.0, 61)])
+    table = specfun._log_kernel_table(n_t, 4.0, x, 20, 1)
+    for order in range(21):
+        np.testing.assert_array_equal(table[order],
+                                      specfun._log_kernel_table(n_t, 4.0, x, order, 1)[order])
+
+
 @pytest.mark.parametrize("alpha", [2.01, 4.0, 1000.0])
 @pytest.mark.parametrize("a", [1, 28, 29, 40])
 def test_log_kernels_match_mpmath_at_the_switch_points(a, alpha):
