@@ -34,7 +34,6 @@ from .pzf import (
 )
 from .rate import (
     RateProfile,
-    ergodic_rate,
     rate_profile,
     sinr_ccdf,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "coverage_mmse",
     "coverage_pzf",
     "default_m",
-    "ergodic_rate",
     "mean_inverse_sinr",
     "optimal_m",
     "rate_profile",

@@ -284,8 +284,9 @@ def cmd_optimal_m(args: argparse.Namespace) -> tuple[str, None, None]:
 def _rate_argmax(config: NetworkConfig) -> str:
     """The split m with delta >= 1 of the largest PZF mean rate, or "" where
     one of those splits has no rate: the law's size guard excludes it, or
-    its rate integral fails (from alpha about 19 the CCDF at m = 1 is still
-    above the integral's 1e-8 cut at t = 256)."""
+    its rate integral fails (at zero noise from alpha about 51, where the
+    tail of the m = 1 law above the largest float x may hold more than
+    1e-12 of the mean)."""
     try:
         rates = [rate_profile(config, "pzf", "sm", m=m, quantiles=()).mean_rate
                  for m in range(1, _feasible_m_range(config) + 1)]

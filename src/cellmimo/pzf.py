@@ -18,9 +18,10 @@ integrates it on panels graded toward u = 0 with the package's one
 adaptive rule, the G7/K15 bisection :func:`cellmimo.specfun._kronrod`.
 Receiver noise enters only through the noise scale
 :func:`cellmimo.geometry._noise_scale`, which is 0 without noise.  The
-PZF mean rate at m >= 2 reads the same conditional law at u = 1 against
-the weight E_u[1 / (u^alpha + x)] of :func:`_ratio_weight`, a fixed rule
-that needs no law call (see :func:`cellmimo.rate.rate_profile`).
+PZF mean rate reads the same conditional law at u = 1 against the weight
+E_u[1 / (u^alpha + x)] of :func:`_ratio_weight`, 1 / (1 + x) at m = 1 and
+a fixed rule that needs no law call at m >= 2 (see
+:func:`cellmimo.rate.rate_profile`).
 
 The mean inverse SINR in closed form and the optimal-split rule derived
 from it live here too, with the one rule that picks the order a run of
@@ -191,8 +192,11 @@ def _ratio_weight(t: np.ndarray, alpha: float, m: int) -> np.ndarray:
     5e-14 relative for m in {2, 3, 8, 20}, alpha from 2.05 to 8 and t from
     -80 to 120, and within 4e-14 at alpha 2.01, 20 and 60.  Every factor
     lies in [0, 1], so nothing overflows; the terms in e^r underflow only
-    where the weight is below the smallest float.
+    where the weight is below the smallest float.  At m = 1 u is 1, and
+    the weight is x / (1 + x) = expit(t).
     """
+    if m == 1:
+        return _sp.expit(t)
     a = 0.5 * alpha
     above = np.concatenate([_WEIGHT_KNEE, _WEIGHT_RISE]) / a
     below = np.concatenate([_WEIGHT_FIXED, np.maximum(-above, _WEIGHT_FIXED[0]), [0.0]])

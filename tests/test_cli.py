@@ -152,21 +152,44 @@ def test_optimal_m_table(capsys):
 
 
 def test_optimal_m_leaves_m_rate_empty_where_a_rate_fails(capsys):
-    # From alpha about 19 the m = 1 rate integral still sees the CCDF above
-    # its 1e-8 cut at t = 256, and from about 71 the range of the m >= 2
-    # integral overflows; each raises NumericError.  The rows keep their
-    # closed-form columns and the command its exit code.
+    # From alpha about 35.5 at m = 1 the rate integral's top x is clipped
+    # to the float range, e^708.8; the zero-noise law at m = 1 falls like
+    # x^(-2/alpha) only, so from alpha about 51 the tail above that top may
+    # hold more than 1e-12 of the mean, and the integral raises
+    # NumericError.  The rows keep their closed-form columns and the
+    # command its exit code.
     code, out = _run(capsys, [
-        "optimal-m", "--nt", "1,2", "--nr", "10", "--alpha", "18,40,80", "--sigma2", "0",
+        "optimal-m", "--nt", "1,2", "--nr", "10", "--alpha", "18,30,40,80", "--sigma2", "0",
     ])
     assert code == 0
     rows = _parse_csv(out.out)
     table = {(r[0], r[2]): r[4:] for r in rows[1:]}
     assert table[("1", "18")] == ["8", "8", "ok", "9"]
     assert table[("2", "18")] == ["4", "4", "ok", "4"]
-    for alpha in ("40", "80"):
-        assert table[("1", alpha)] == ["9", "9", "ok", ""]
-        assert table[("2", alpha)] == ["4", "4", "ok", ""]
+    for alpha in ("30", "40"):
+        assert table[("1", alpha)] == ["9", "9", "ok", "9"]
+        assert table[("2", alpha)] == ["4", "4", "ok", "4"]
+    assert table[("1", "80")] == ["9", "9", "ok", ""]
+    assert table[("2", "80")] == ["4", "4", "ok", ""]
+
+
+@pytest.mark.parametrize("argv", [
+    # At alpha 20 the m = 1 law falls like z^-0.1 only; the rate integral
+    # over log2(1 + z) found the CCDF above its 1e-8 cut at t = 256 there
+    # and exited 3.
+    ["--rx", "mmse", "--nt", "1", "--nr", "10", "--alpha", "20"],
+    ["--rx", "pzf", "--m", "1", "--nt", "1", "--nr", "10", "--alpha", "20"],
+    # With noise, past the alpha where the top of the panels is clipped to
+    # the float range (35.5 at m = 1, 71 at m >= 2).
+    ["--rx", "mmse", "--nt", "1", "--nr", "4", "--alpha", "40", "--sigma2", "1", "--lam", "0.2"],
+    ["--rx", "pzf", "--m", "2", "--nt", "1", "--nr", "4", "--alpha", "80", "--sigma2", "1",
+     "--lam", "0.01"],
+])
+def test_rate_at_large_alpha(argv, capsys):
+    code, out = _run(capsys, ["rate", *argv])
+    assert code == 0, out.err
+    mean = float(_parse_csv(out.out)[1][5])
+    assert 0.0 < mean < 100.0
 
 
 def test_optimal_m_without_noise_ignores_the_intensity(capsys):
@@ -334,7 +357,7 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         code, out = _run(capsys, argv)
         assert code == 2, argv
     # 3: numeric failure.
-    monkeypatch.setattr("cellmimo.rate.ergodic_rate", lambda *a, **k: (_ for _ in ()).throw(
+    monkeypatch.setattr("cellmimo.rate._mean_rate", lambda *a, **k: (_ for _ in ()).throw(
         NumericError("forced")))
     code, out = _run(capsys, ["rate", "--rx", "mmse", "--nt", "1", "--nr", "2"])
     assert code == 3

@@ -30,7 +30,7 @@ from cellmimo.montecarlo import (
 )
 from cellmimo.mmse import coverage_mmse
 from cellmimo.pzf import coverage_pzf
-from cellmimo.rate import ergodic_rate, sinr_ccdf
+from cellmimo.rate import rate_profile
 from reference_receivers import (
     _manual_realization,
     _replay_reference,
@@ -390,7 +390,7 @@ def test_density_invariance_without_noise():
 def test_estimate_rate_matches_analytic():
     config = _config(2, 4)
     mc, se = _mean_and_se(np.log2(1.0 + simulate_sinr(config, "mmse", 4096, 5)["mmse"]))
-    exact = ergodic_rate(sinr_ccdf(config, "mmse"))  # per-stream
+    exact = rate_profile(config, "mmse", "sm", quantiles=()).mean_rate / config.n_t  # per stream
     assert abs(mc - exact) <= 4.0 * se
 
 

@@ -1,22 +1,22 @@
 """Ergodic rate, rate quantiles, and the transmission-scheme conventions.
 
-The ergodic rate's fixed Gauss-Kronrod rule is checked against adaptive
-scipy ``quad`` at 1e-11 relative, over the same truncated range.  The PZF
-m >= 2 mean, an integral over the kernel argument, is checked against
-adaptive scipy ``quad`` of the coverage law over log(1 + z), untruncated.
+Every mean, one integral over the kernel argument, is checked against
+adaptive scipy ``quad`` of the coverage law over log z, untruncated, at
+1e-10 relative: MMSE and PZF at every m, with and without noise, down to
+the noise-dominated corners and up to alpha 20.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from cellmimo import pzf, rate
 from cellmimo.errors import ConfigError, NumericError
-from cellmimo.geometry import NetworkConfig
+from cellmimo.geometry import NetworkConfig, _noise_scale
 from cellmimo.pzf import coverage_pzf, default_m
-from cellmimo.rate import ergodic_rate, rate_profile, sinr_ccdf
+from cellmimo.rate import rate_profile, sinr_ccdf
 
 
 def _config(n_t, n_r, alpha=4.0, sigma2=0.0, lam=1.0):
@@ -47,7 +47,7 @@ def test_quantile_reference_values():
     profile = rate_profile(_config(1, 4), "mmse", "sm")
     assert profile.quantiles[0.05] == pytest.approx(1.1232536234238606, rel=1e-6)
     assert profile.quantiles[0.8] == pytest.approx(7.115094562212235, rel=1e-6)
-    assert profile.mean_rate == pytest.approx(4.865878385240726, rel=1e-7)
+    assert profile.mean_rate == pytest.approx(4.86587838695147, rel=1e-7)
     assert (profile.scheme, profile.receiver, profile.m) == ("sm", "mmse", None)
 
 
@@ -92,8 +92,8 @@ def test_quantile_is_coverage_inverse():
 
 
 def test_quantile_bracket_widens_past_the_rate_cut():
-    # The CCDF level 1e-9 lies below the rate integral's 1e-8 cut, so no
-    # value the integral computed brackets the quantile.
+    # The CCDF level 1e-9 lies below the CCDF at the largest of the 16
+    # bracket thresholds, so the bracket widens upward.
     ccdf = sinr_ccdf(_config(1, 4), "mmse")
     q = 1.0 - 1e-9
     value = rate_profile(_config(1, 4), "mmse", "sst", quantiles=(q,)).quantiles[q]
@@ -104,10 +104,10 @@ def test_quantile_bracket_widens_past_the_rate_cut():
     ("pzf", 2, 0.0), ("pzf", 2, 1.0), ("mmse", None, 0.0), ("mmse", None, 1.0),
 ])
 def test_quantile_polish_calls_the_law_once_per_new_threshold(monkeypatch, receiver, m, sigma2):
-    """brentq starts from the bracket's ends, whose CCDF the rate integral
-    already computed (or z = 0, where it is 1), and the widened bracket of
-    a level past the rate cut reuses its last end: no scalar law call
-    repeats a threshold any earlier call evaluated, or asks for z = 0."""
+    """brentq starts from the bracket's ends, whose CCDF the bracket's law
+    call already computed, and the widened bracket of a level past the
+    bracket reuses its last end: no scalar law call repeats a threshold
+    any earlier call evaluated, or asks for z = 0."""
     name = "coverage_pzf" if receiver == "pzf" else "coverage_mmse"
     law = getattr(rate, name)
     arrays, scalars = [], []
@@ -126,6 +126,39 @@ def test_quantile_polish_calls_the_law_once_per_new_threshold(monkeypatch, recei
         seen.add(z)
 
 
+@pytest.mark.parametrize("lam", [1e-200, 1e-300])
+def test_quantiles_of_tiny_thresholds(lam):
+    # The noise scale is 1e205 or 1e307, so the CCDF falls from 1 to 0 near
+    # z = 1e-205 or 1e-307, far below the 16 bracket thresholds: the
+    # bracket widens downward, and brentq solves in log z.
+    config = _config(1, 4, alpha=2.05, sigma2=1.0, lam=lam)
+    value = rate_profile(config, "pzf", "sst", m=2, quantiles=(0.05,)).quantiles[0.05]
+    assert value > 0.0
+    z = math.expm1(value * math.log(2.0))
+    assert coverage_pzf(config, z, 2) == pytest.approx(0.95, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-20, 1.0, 1e50])
+def test_quantile_bracket_widens_both_ways(scale):
+    # The CCDF exp(-z / scale) has its median at z = scale ln 2, below,
+    # inside or above the 16 bracket thresholds.
+    z = rate._BRACKET_Z
+
+    def ccdf(v):
+        return np.exp(-v / scale)
+
+    got = rate._sinr_quantile(ccdf, 0.5, z, ccdf(z))
+    assert got == pytest.approx(scale * math.log(2.0), rel=1e-12, abs=0.0)
+
+
+def test_quantile_bracket_stops_at_its_range():
+    z = rate._BRACKET_Z
+    with pytest.raises(NumericError, match="decays too slowly"):
+        rate._sinr_quantile(lambda v: 1.0, 0.5, z, np.ones(z.size))
+    with pytest.raises(NumericError, match="near z = 0"):
+        rate._sinr_quantile(lambda v: 0.0, 0.5, z, np.zeros(z.size))
+
+
 def test_quantiles_increase_with_level():
     levels = [0.05, 0.3, 0.6, 0.9]
     profile = rate_profile(_config(1, 4), "mmse", "sst", quantiles=levels)
@@ -134,29 +167,40 @@ def test_quantiles_increase_with_level():
 
 
 def test_ergodic_rate_exponential_oracle():
-    # For CCDF exp(-z), E[log2(1+Z)] = e * E1(1) / ln 2 (exponential integral).
-    from scipy.special import exp1
-
-    got = ergodic_rate(lambda z: np.exp(-z))
-    assert got == pytest.approx(math.e * exp1(1.0) / math.log(2.0), rel=1e-8)
+    # For CCDF exp(-z), E[log2(1+Z)] = e * E1(1) / ln 2 (exponential
+    # integral), whatever the path-loss exponent and noise scale that place
+    # the rule's panels.
+    expected = math.e * special.exp1(1.0) / math.log(2.0)
+    for alpha, kappa in ((2.05, 0.0), (4.0, 0.0), (4.0, 1e6), (20.0, 0.0)):
+        got = rate._mean_rate(lambda x: np.exp(-x), alpha, kappa, 1)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0), (alpha, kappa)
 
 
 def test_ergodic_rate_rejects_slow_decay():
-    with pytest.raises(NumericError):
-        ergodic_rate(lambda z: np.ones_like(z))
+    # A law that does not fall leaves out more above the top cut than the
+    # mean may lose.
+    with pytest.raises(NumericError, match="tail"):
+        rate._mean_rate(np.ones_like, 4.0, 0.0, 1)
 
 
-def _quad_rate(ccdf):
-    """Adaptive quad over t = log2(1 + z) up to the first power of two
-    where the CCDF is below 1e-8, the cut the rule makes too."""
-    t_hi = 1.0
-    while ccdf(2.0**t_hi - 1.0) >= 1e-8:
-        t_hi *= 2.0
-    val, err = integrate.quad(
-        lambda t: ccdf(2.0**t - 1.0), 0.0, t_hi, epsabs=0.0, epsrel=1e-11, limit=500
-    )
-    assert err <= 1e-11 * val
-    return val
+def _untruncated_quad_rate(config, receiver, m):
+    """Per-stream mean rate in bit/s/Hz by adaptive quad of the CCDF over
+    v = log z, ∫ C(e^v) expit(v) dv / ln 2, split at the noise knee
+    v = -log(1 + kappa) and at z = 1, from 60 below the knee to
+    v = min(60 alpha, 700).  The head left out is below e^-60 / (1 + kappa);
+    the laws fall like z^(-2/alpha) or faster, so the tail is below
+    C(e^top) alpha / 2, and C(e^top) is at most about e^-70 here."""
+    ccdf = sinr_ccdf(config, receiver, m=m)
+    knee = -math.log1p(_noise_scale(config))
+    top = min(60.0 * config.alpha, 700.0)
+    total, error = 0.0, 0.0
+    for lo, hi in ((knee - 60.0, knee), (knee, 0.0), (0.0, top)):
+        if hi > lo:
+            val, err = integrate.quad(lambda v: ccdf(math.exp(v)) * special.expit(v), lo, hi,
+                                      epsabs=0.0, epsrel=1e-12, limit=2000)
+            total, error = total + val, error + err
+    assert error <= 1e-11 * total
+    return total / math.log(2.0)
 
 
 @pytest.mark.parametrize("scheme,n_t,n_r,receiver,m,alpha,sigma2", [
@@ -173,31 +217,53 @@ def test_ergodic_rate_matches_adaptive_quad(scheme, n_t, n_r, receiver, m, alpha
     # Every sst case has n_t = 1, so both schemes' streams see config's law.
     config = _config(n_t, n_r, alpha=alpha, sigma2=sigma2)
     streams = n_t if scheme == "sm" else 1
-    ccdf = sinr_ccdf(config, receiver, m=m)
-    quad_rate = streams * _quad_rate(ccdf)
-    # The rate integral over log2(1 + z), for every law, with the same cut.
-    assert streams * ergodic_rate(ccdf) == pytest.approx(quad_rate, rel=1e-9, abs=0.0)
-    # rate_profile's mean: the same integral for MMSE and PZF at m = 1, the
-    # uncut integral over the kernel argument for PZF at m >= 2.
+    expected = streams * _untruncated_quad_rate(config, receiver, m)
     mean = _mean_rate(config, receiver, scheme, m=m)
-    assert mean == pytest.approx(quad_rate, rel=1e-9, abs=0.0)
+    assert mean == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("n_t,n_r,receiver,m,alpha,sigma2,lam", [
+    (1, 4, "mmse", None, 4.0, 0.0, 1.0),
+    (4, 16, "mmse", None, 8.0, 1.0, 1.0),
+    (1, 16, "pzf", 8, 2.05, 0.0, 1.0),
+    # Noise-dominated: the noise knee lies near z = 1e-40 or 1e-307, far
+    # below the interference knee z = 1.
+    (1, 4, "mmse", None, 2.05, 1.0, 1e-40),
+    (1, 4, "pzf", 1, 2.05, 1.0, 1e-40),
+    pytest.param(1, 4, "pzf", 2, 2.05, 1.0, 1e-40, marks=pytest.mark.slow),
+    pytest.param(1, 4, "pzf", 2, 2.05, 1.0, 1e-300, marks=pytest.mark.slow),
+    # A law that falls like z^-0.1 only.
+    (1, 10, "mmse", None, 20.0, 0.0, 1.0),
+    (1, 10, "pzf", 1, 20.0, 0.0, 1.0),
+    (1, 10, "pzf", 5, 20.0, 0.0, 1.0),
+    # The top of the panels clipped to the float range, x = e^708.8.
+    (1, 4, "mmse", None, 40.0, 1.0, 0.2),
+    (1, 4, "pzf", 1, 40.0, 1.0, 0.2),
+])
+def test_mean_rate_matches_untruncated_adaptive_quad(n_t, n_r, receiver, m, alpha, sigma2, lam):
+    config = _config(n_t, n_r, alpha=alpha, sigma2=sigma2, lam=lam)
+    expected = _untruncated_quad_rate(config, receiver, m)
+    got = _mean_rate(config, receiver, "sm", m=m) / n_t
+    assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
 
 
 def test_ergodic_rate_raises_at_the_bisection_cap():
     # No panel that holds the jump ever meets the G7/K15 bound.
     with pytest.raises(NumericError, match="bisections"):
-        ergodic_rate(lambda z: np.where(z < 10.0, 1.0, 0.0))
+        rate._mean_rate(lambda x: np.where(x < 10.0, 1.0, 0.0), 4.0, 0.0, 1)
 
 
 def test_ergodic_rate_coverage_calls():
-    # 7 panels of 15 nodes plus a CCDF check at each panel end; adaptive
-    # quad with the t-cut doubling took 193 points.  Each panel's nodes and
-    # its end are one call.
-    ccdf = sinr_ccdf(_config(1, 4), "pzf", m=2)
+    # One law call per round of the bisection; here one round does: the
+    # nodes of the 20 panels and the top end, 301 points.  The rate
+    # integral over log2(1 + z) took 7 calls and 112 points here, to 1e-9
+    # absolute per panel and cut where the CCDF fell below 1e-8; this one
+    # is uncut and runs to 1e-11 of the mean.
+    ccdf = sinr_ccdf(_config(1, 4), "pzf", m=1)
     calls = []
-    ergodic_rate(lambda z: calls.append(z.size) or ccdf(z))
-    assert sum(calls) <= 120
-    assert len(calls) == 7
+    mean = rate._mean_rate(lambda x: calls.append(x.size) or ccdf(x), 4.0, 0.0, 1)
+    assert mean > 0.0
+    assert calls == [20 * 15 + 1]
 
 
 @pytest.mark.parametrize("n_r,m,bound", [(4, 2, 1752), (8, 4, 2010)])
@@ -217,64 +283,52 @@ def test_pzf_mean_takes_a_tenth_of_the_law_points(monkeypatch, n_r, m, bound):
     assert 0 < sum(points) <= bound
 
 
-@pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0, 6.0, 8.0])
+@pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0, 6.0, 8.0, 40.0])
 def test_pzf_mean_over_the_domain(alpha):
     """Zero noise, and unit noise at intensities from 1e-300 to 1e300, over
-    shapes from delta = 0 to delta = 14: the mean is finite, >= 0 and at
-    most the zero-noise mean, or the one expected ConfigError, where the
-    noise scale overflows (lam 1e-300, alpha >= 2.5).  Among them is the
-    noise-dominated corner 1x4 m=2 at alpha 2.05, lam 1e-300, where kappa
-    is 9.8e306 and the law turns at x ~ 1e-307."""
-    for n_t, n_r, m in ((1, 4, 2), (1, 4, 4), (1, 16, 2), (1, 16, 8), (2, 4, 2), (8, 16, 2)):
-        quiet = _mean_rate(_config(n_t, n_r, alpha=alpha), "pzf", "sst", m=m)
+    PZF shapes from delta = 0 to delta = 14, PZF at m = 1 and MMSE: the
+    mean is finite, >= 0 and at most the zero-noise mean, or the one
+    expected ConfigError, where the noise scale overflows (lam 1e-300 from
+    alpha 2.5, lam 1e-40 at alpha 40).  Among them is the noise-dominated
+    corner 1x4 m=2 at alpha 2.05, lam 1e-300, where kappa is 9.8e306 and
+    the law turns at x ~ 1e-307; at alpha 40 the top of the panels is
+    clipped to the float range."""
+    for n_t, n_r, m in ((1, 4, 2), (1, 4, 4), (1, 16, 2), (1, 16, 8), (2, 4, 2), (8, 16, 2),
+                        (1, 4, 1), (1, 16, 1), (1, 4, None), (1, 16, None)):
+        receiver = "mmse" if m is None else "pzf"
+        quiet = _mean_rate(_config(n_t, n_r, alpha=alpha), receiver, "sst", m=m)
         assert math.isfinite(quiet) and quiet > 0.0
         for lam in (1e-300, 1e-40, 1e-6, 1.0, 1e6, 1e300):
             config = _config(n_t, n_r, alpha=alpha, sigma2=1.0, lam=lam)
-            if lam == 1e-300 and alpha >= 2.5:
+            if lam == 1e-300 and alpha >= 2.5 or lam == 1e-40 and alpha == 40.0:
                 with pytest.raises(ConfigError, match="overflows"):
-                    _mean_rate(config, "pzf", "sst", m=m)
+                    _mean_rate(config, receiver, "sst", m=m)
                 continue
-            mean = _mean_rate(config, "pzf", "sst", m=m)
-            assert math.isfinite(mean) and 0.0 <= mean <= quiet * (1.0 + 1e-12), (n_t, n_r, m, lam)
-
-
-def _untruncated_quad_rate(config, m):
-    """Adaptive quad of the coverage law over y = log(1 + z) up to y = 200,
-    in bit/s/Hz.  On the grid below the law at z = e^200 is at most
-    6.1 e^(-400/alpha), so the tail beyond, below that times
-    alpha / (2 ln 2) by the bound ergodic_rate states, is under 1e-20."""
-    val, err = integrate.quad(lambda y: coverage_pzf(config, math.expm1(y), m), 0.0, 200.0,
-                              epsabs=0.0, epsrel=1e-11, limit=2000)
-    assert err <= 1e-11 * val
-    return val / math.log(2.0)
+            mean = _mean_rate(config, receiver, "sst", m=m)
+            assert math.isfinite(mean) and 0.0 <= mean <= quiet * (1.0 + 1e-12), (n_r, m, lam)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 8.0])
 def test_pzf_mean_matches_untruncated_adaptive_quad(alpha):
-    # m >= 2 takes the integral over the kernel argument, within 1e-10.
-    # m = 1 takes the rate integral over log2(1 + z), whose cut where the
-    # CCDF falls below 1e-8 leaves out at most 1e-8 alpha / (2 ln 2).
+    # Every feasible m, and MMSE on the same shapes, within 1e-10.
     for sigma2 in (0.0, 1.0):
         for n_t, n_r in ((1, 4), (1, 8), (2, 8)):
-            for m in range(1, n_r // n_t + 1):
+            for m in [None, *range(1, n_r // n_t + 1)]:
+                receiver = "mmse" if m is None else "pzf"
                 config = _config(n_t, n_r, alpha=alpha, sigma2=sigma2)
-                expected = _untruncated_quad_rate(config, m)
-                got = _mean_rate(config, "pzf", "sm", m=m) / n_t
-                where = (sigma2, n_t, n_r, m)
-                if m == 1:
-                    assert 0.0 <= expected - got <= 1e-8 * alpha / (2.0 * math.log(2.0)), where
-                else:
-                    assert got == pytest.approx(expected, rel=1e-10, abs=0.0), where
+                expected = _untruncated_quad_rate(config, receiver, m)
+                got = _mean_rate(config, receiver, "sm", m=m) / n_t
+                assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (sigma2, n_t, n_r, m)
 
 
 @pytest.mark.parametrize("n_r,m", [(10, 1), (12, 3)])
 def test_pzf_rate_with_far_tail_is_warning_free(n_r, m):
-    # The cut reaches t = 128, where higher-order kernels are far below
-    # the smallest float64; the suite turns any RuntimeWarning into an error.
-    config = _config(1, n_r, alpha=5.0)
-    rate = ergodic_rate(sinr_ccdf(config, "pzf", m=m))
-    assert 0.0 < rate < 20.0
+    # The top cut reaches x = e^100 (m = 1) or e^50, where higher-order
+    # kernels are far below the smallest float64; the suite turns any
+    # RuntimeWarning into an error.
+    mean = _mean_rate(_config(1, n_r, alpha=5.0), "pzf", "sst", m=m)
+    assert 0.0 < mean < 20.0
 
 
 # The abstract's split rule against the rate-optimal split, as
