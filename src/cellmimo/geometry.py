@@ -20,10 +20,13 @@ from .errors import ConfigError
 
 __all__ = ["NetworkConfig"]
 
-# Thresholds per law call, which bounds the laws' work arrays: the noisy
-# MMSE 4x16 law at 10000 thresholds peaked at 151 MB of numpy allocations
-# in one call and at 18 MB in blocks of 1024, in about the same time
-# (11.2 s against 10.4 s).
+# Thresholds per law call, which bounds the laws' work arrays, above all
+# the PZF distance-ratio average's nodes (15 per panel, several panels per
+# threshold): at 10000 thresholds the PZF 1x12 m = 3 law peaked at 38.1 MB
+# of numpy allocations in one call and at 5.6 MB in blocks of 1024 without
+# noise, and at 38.4 against 7.1 MB at sigma2 1.  The noisy MMSE 4x16 law,
+# whose table :func:`cellmimo.specfun._conditional_law` blocks itself,
+# peaked at 4.0 against 2.7 MB.
 _THRESHOLD_BLOCK = 1024
 
 

@@ -137,8 +137,9 @@ def _simulate_chunk(
     if want_mmse:
         cov = np.zeros((n_trials, n_r, n_r), dtype=np.complex128)
         cov += noise * np.eye(n_r)
-        own = h0 @ h0.conj().transpose(0, 2, 1) - h[:, :, None] * h.conj()[:, None, :]
-        cov += serve_gain[:, None, None] * own
+        # The serving station's cross streams 1..n_t-1, as one product.
+        cross = h0[:, :, 1:]
+        cov += serve_gain[:, None, None] * (cross @ cross.conj().transpose(0, 2, 1))
 
     v = _pzf_filters(h0, None) if pzf_m is not None and m == 1 else None
     i_pzf = np.zeros(n_trials)

@@ -13,14 +13,14 @@ finite sum over the set partitions of {1..k}, k <= delta (the
 composite-derivative expansion of the interference functional), and, with
 receiver noise, over the noise order.  That conditional law is the one
 both receivers share, :func:`cellmimo.specfun._conditional_law`, at the
-kernel argument x = z u^alpha; this module supplies its inputs and
-integrates it on panels graded toward u = 0 with the package's one
-adaptive rule, the G7/K15 bisection :func:`cellmimo.specfun._kronrod`.
-Receiver noise enters only through the noise scale
-:func:`cellmimo.geometry._noise_scale`, which is 0 without noise.  The
-PZF mean rate reads the same conditional law at u = 1 against the weight
-E_u[1 / (u^alpha + x)] of :func:`_ratio_weight`, 1 / (1 + x) at m = 1 and
-a fixed rule that needs no law call at m >= 2 (see
+kernel argument x = z u^alpha.  One factory, :func:`_law`, supplies its
+inputs and guards its size; the coverage integrates that law on panels
+graded toward u = 0 with the package's one adaptive rule, the G7/K15
+bisection :func:`cellmimo.specfun._kronrod`.  Receiver noise enters only
+through the noise scale :func:`cellmimo.geometry._noise_scale`, which is
+0 without noise.  The PZF mean rate reads the same law against the
+weight E_u[1 / (u^alpha + x)] of :func:`_ratio_weight`, 1 / (1 + x) at
+m = 1 and a fixed rule that needs no law call at m >= 2 (see
 :func:`cellmimo.rate.rate_profile`).
 
 The mean inverse SINR in closed form and the optimal-split rule derived
@@ -32,6 +32,7 @@ factories and the simulator share.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 from scipy import special as _sp
@@ -81,45 +82,30 @@ def _split_delta(n_t: int, n_r: int, m: int) -> int:
     return int(delta)
 
 
-def _conditional_coverage_u(
-    n_t: int, m: int, delta: int, alpha: float, z, kappa: float, u: np.ndarray
-) -> np.ndarray:
-    """Coverage conditioned on u = r/R (the inverse distance ratio), at z
-    and u broadcast against each other.
+def _law(config: NetworkConfig, m: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The PZF conditional law L(x) of split m, on a 1-d x >= 0, the kernel
+    argument x = z u^alpha at the distance ratio u = r/R.
 
-    u has entries in (0, 1] and κ is
-    :func:`cellmimo.geometry._noise_scale`.  It is the shared conditional
-    law :func:`cellmimo.specfun._conditional_law` at x = z u^alpha with the
-    step-1 kernels and the own-cell polynomial 1.  Its g_j is
-    |c_j| lambda_j x^j / (j! lambda0), c_j = (n_t)_j (-s)_j / (1 - s)_j,
-    s = 2/alpha: (-s)_j / (1 - s)_j telescopes to -s / (j - s), so
-    |c_j| / j! = C(n_t + j - 1, j) 2 / (alpha j - 2), and the sign of c_j
-    cancels the partition sign (-1)^blocks of the composite-derivative
-    expansion.  Where u^alpha is below the smallest normal float, x is
-    formed as exp(log z + alpha log u): u^alpha would lose its bits or
-    underflow to 0 there, while x itself may still be a normal float.
-    """
-    z, u = np.broadcast_arrays(np.asarray(z, dtype=float), u)
-    u_alpha = u**alpha
-    x = z * u_alpha
-    deep = u_alpha < np.finfo(float).tiny
-    with np.errstate(divide="ignore"):  # log 0 = -inf at z = 0 gives x = 0
-        x[deep] = np.exp(np.log(z[deep]) + alpha * np.log(u[deep]))
-    law = _conditional_law(n_t, alpha, x.ravel(), kappa, delta, 1, np.eye(delta + 1, 1), m)
-    return law.reshape(x.shape)
-
-
-def _law_delta(config: NetworkConfig, m: int) -> int:
-    """:func:`_split_delta` of a split the law takes: delta above 20 or
+    It is the shared conditional law :func:`cellmimo.specfun._conditional_law`
+    with the step-1 kernels and the own-cell polynomial 1, at the noise
+    scale κ of :func:`cellmimo.geometry._noise_scale`; at m = 1 (u = 1) it
+    is the coverage itself.  Its g_j is |c_j| lambda_j x^j / (j! lambda0),
+    c_j = (n_t)_j (-s)_j / (1 - s)_j, s = 2/alpha: (-s)_j / (1 - s)_j
+    telescopes to -s / (j - s), so |c_j| / j! = C(n_t + j - 1, j)
+    2 / (alpha j - 2), and the sign of c_j cancels the partition sign
+    (-1)^blocks of the composite-derivative expansion.  delta above 20 or
     n_t + delta (the kernels' largest first parameter) above 40 raises
-    SizeGuardError."""
+    SizeGuardError here, before any call.
+    """
     delta = _split_delta(config.n_t, config.n_r, m)
     if delta > _MAX_DELTA or config.n_t + delta > _MAX_A:
         raise SizeGuardError(
             f"delta={delta} or n_t + delta={config.n_t + delta} exceeds the analytic-law guard "
             f"({_MAX_DELTA} or {_MAX_A}); use the Monte Carlo estimator for larger arrays"
         )
-    return delta
+    n_t, m, alpha, kappa = config.n_t, int(m), config.alpha, _noise_scale(config)
+    own = np.eye(delta + 1, 1)
+    return lambda x: _conditional_law(n_t, alpha, x, kappa, delta, 1, own, m)
 
 
 def coverage_pzf(config: NetworkConfig, z, m: int) -> float | np.ndarray:
@@ -128,27 +114,27 @@ def coverage_pzf(config: NetworkConfig, z, m: int) -> float | np.ndarray:
     ``z`` is a threshold or an array of them, each finite and >= 0; the
     result is a float for a scalar and an array of z's shape otherwise.
     An average over the inverse distance ratio u = r/R (degenerate at 1 for
-    m = 1, where no interferer is cancelled) of the conditional law.  The
-    average takes the panels [2^-(k+1), 2^-k] down to below
-    (z (1 + kappa))^(-1/alpha)/4, kappa the noise scale, and one panel from
-    0 to there, each by the G7/K15 rule: a panel's K15 value is kept when
-    it is within 1e-10 times that z's current coverage estimate of its G7
-    value, and the panel is bisected otherwise; 12 rounds of bisection
-    without that raise NumericError.  So small coverages are as accurate
-    as large ones.  The panels of all thresholds are evaluated together,
-    round by round.  Receiver noise enters only through the combination
-    z n_t sigma2 (pi lam)^(-alpha/2); with sigma2 = 0 the law is
-    scale-free and the base-station intensity drops out entirely.  ``m``
-    is the cancellation order (the m - 1 nearest interferers are nulled).
-    delta above 20 or n_t + delta (the kernels' largest first parameter)
-    above 40 raises SizeGuardError.
+    m = 1, where no interferer is cancelled) of the conditional law
+    :func:`_law` at x = z u^alpha.  The average takes the panels
+    [2^-(k+1), 2^-k] down to below (z (1 + kappa))^(-1/alpha)/4, kappa the
+    noise scale, and one panel from 0 to there, each by the G7/K15 rule: a
+    panel's K15 value is kept when it is within 1e-10 times that z's
+    current coverage estimate of its G7 value, and the panel is bisected
+    otherwise; 12 rounds of bisection without that raise NumericError.
+    So small coverages are as accurate as large ones.  The panels of all
+    thresholds are evaluated together, round by round.  Receiver noise
+    enters only through the combination z n_t sigma2 (pi lam)^(-alpha/2);
+    with sigma2 = 0 the law is scale-free and the base-station intensity
+    drops out entirely.  ``m`` is the cancellation order (the m - 1
+    nearest interferers are nulled).  delta above 20 or n_t + delta (the
+    kernels' largest first parameter) above 40 raises SizeGuardError.
     """
-    delta = _law_delta(config, m)
-    n_t, m, alpha, kappa = config.n_t, int(m), config.alpha, _noise_scale(config)
+    law = _law(config, m)
+    if m == 1:
+        return _over_thresholds(z, law)
+    m, alpha, kappa = int(m), config.alpha, _noise_scale(config)
 
-    def law(z: np.ndarray) -> np.ndarray:
-        if m == 1:
-            return _conditional_coverage_u(n_t, m, delta, alpha, z, kappa, np.ones(1))
+    def average(z: np.ndarray) -> np.ndarray:
         # The conditional law turns from ~1 to its decay where x = z u^alpha
         # passes 1, at u ~ z^(-1/alpha), or, where noise dominates (its
         # factor exp(-c), c ~ kappa x for x <= 1), at u ~ (kappa z)^(-1/alpha):
@@ -161,13 +147,21 @@ def coverage_pzf(config: NetworkConfig, z, m: int) -> float | np.ndarray:
         owner = np.repeat(np.arange(z.size), [e.size - 1 for e in edges])
 
         def integrand(u: np.ndarray, k: np.ndarray) -> np.ndarray:
-            density = 2.0 * (m - 1) * u * (1.0 - u * u) ** (m - 2)
-            return density * _conditional_coverage_u(n_t, m, delta, alpha, z[k], kappa, u)
+            # Where u^alpha is below the smallest normal float, x is formed
+            # as exp(log z + alpha log u): u^alpha would lose its bits or
+            # underflow to 0 there, while x itself may still be a normal
+            # float.  log 0 = -inf at z = 0 gives x = 0.
+            u_alpha = u**alpha
+            x = z[k] * u_alpha
+            deep = u_alpha < np.finfo(float).tiny
+            with np.errstate(divide="ignore"):
+                x[deep] = np.exp(np.log(z[k[deep]]) + alpha * np.log(u[deep]))
+            return 2.0 * (m - 1) * u * (1.0 - u * u) ** (m - 2) * law(x)
 
         return _kronrod(integrand, np.concatenate([e[:-1] for e in edges]),
-                        np.concatenate([e[1:] for e in edges]), owner, 0.0, _RATIO_TOL)
+                        np.concatenate([e[1:] for e in edges]), owner, _RATIO_TOL)
 
-    return _over_thresholds(z, law)
+    return _over_thresholds(z, average)
 
 
 def _ratio_weight(t: np.ndarray, alpha: float, m: int) -> np.ndarray:

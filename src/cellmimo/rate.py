@@ -4,10 +4,11 @@ The per-stream ergodic rate E[log2(1 + SINR)] of every receiver takes one
 route (:func:`_mean_rate`): one integral over the kernel argument x of the
 conditional law at u = 1 against the distance-ratio weight
 :func:`cellmimo.pzf._ratio_weight`, by the package's one adaptive rule,
-the G7/K15 bisection :func:`cellmimo.specfun._kronrod`.  For MMSE and for
-PZF at m = 1 the law at u = 1 is the CCDF itself.  The integral needs no
-u-average per node and has no CCDF floor; both of its cuts are bounded
-relative to the mean.
+the G7/K15 bisection :func:`cellmimo.specfun._kronrod`.  For PZF the law
+is :func:`cellmimo.pzf._law`, the one factory that the PZF coverage
+averages too; for MMSE it is the CCDF itself, as it is for PZF at m = 1.
+The integral needs no u-average per node and has no CCDF floor; both of
+its cuts are bounded relative to the mean.
 
 Rate quantiles invert the CCDF at a fixed probability: brentq solves in
 log z, in a bracket taken from one law call on 16 fixed thresholds.
@@ -39,7 +40,7 @@ from scipy import optimize as _optimize
 from .errors import ConfigError, NumericError
 from .geometry import NetworkConfig, _noise_scale
 from .mmse import coverage_mmse
-from .pzf import _conditional_coverage_u, _law_delta, _ratio_weight, _receiver_order, coverage_pzf
+from .pzf import _law, _ratio_weight, _receiver_order, coverage_pzf
 from .specfun import _kronrod, _kronrod_nodes
 
 __all__ = [
@@ -158,7 +159,7 @@ def _mean_rate(
     nodes = _kronrod_nodes(edges[:-1], edges[1:]).ravel()
     values = law(np.exp(a * np.append(nodes, top)))
     first = (values[:-1] * _ratio_weight(a * nodes, alpha, m)).reshape(panels, -1)
-    total = _kronrod(integrand, edges[:-1], edges[1:], np.zeros(panels, int), 0.0, _MEAN_TOL, first)
+    total = _kronrod(integrand, edges[:-1], edges[1:], np.zeros(panels, int), _MEAN_TOL, first)
     mean = a * total[0] / math.log(2.0)
     if not values[-1] * alpha / (2.0 * m) <= _CUT_TOL * math.log(2.0) * mean:
         raise NumericError(f"rate integral: the tail above x = e^{a * top:.6g}, where the law is "
@@ -167,13 +168,11 @@ def _mean_rate(
     return mean
 
 
-def _sinr_quantile(
-    coverage_fn: Callable[[float], float], q: float, z_seen: np.ndarray, ccdf_seen: np.ndarray
-) -> float:
+def _sinr_quantile(coverage_fn: Callable[[float], float], q: float, ccdf_seen: np.ndarray) -> float:
     """SINR threshold z_q with P[SINR <= z_q] = q, by brentq in log z.
 
-    The bracket comes from the positive thresholds ``z_seen`` where the
-    CCDF is already known to be ``ccdf_seen``: the smallest one where the
+    The bracket comes from the thresholds _BRACKET_Z, where the CCDF is
+    already known to be ``ccdf_seen``: the smallest one where the
     CCDF is at most 1 - q, and the largest below it where it is above
     1 - q.  Where no known threshold has such a neighbour, the bracket
     widens, by factors of 4, 16, 256, ... in z, up to 2^256 or down to
@@ -181,7 +180,7 @@ def _sinr_quantile(
     threshold costs a second law call.
     """
     target = 1.0 - q  # CCDF value at the quantile threshold
-    v_seen = np.log(z_seen)
+    v_seen = np.log(_BRACKET_Z)
     known = dict(zip(v_seen.tolist(), ccdf_seen.tolist()))
 
     def shifted(v: float) -> float:
@@ -227,7 +226,7 @@ def rate_profile(
 
     The per-stream mean of every receiver is :func:`_mean_rate`, the
     integral over the kernel argument x of the law at u = 1: the CCDF for
-    MMSE, the PZF conditional law at every m.  It is cut at
+    MMSE, :func:`cellmimo.pzf._law` for PZF at every m.  It is cut at
     s = x^(2/alpha) = e^-40 s_c below the noise knee
     s_c = (1 + kappa)^(-2/alpha), kappa the noise scale, and at e^40 (MMSE
     and PZF at m = 1) or e^20 (PZF at m >= 2) above s = 1, or lower, at
@@ -235,7 +234,8 @@ def rate_profile(
     the mean, and the tail below 1e-12 of it, or NumericError.  The
     quantiles are bracketed by one law call at t = log2(1 + z) = 2^-4,
     2^-3.5, ..., 2^3.5, and solved in log z.  With quantiles=() that call
-    is not made.
+    is not made.  A level at or below 2^-54, where 1 - q rounds to 1,
+    raises ConfigError.
     """
     if scheme not in _SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {_SCHEMES}")
@@ -243,24 +243,20 @@ def rate_profile(
         raise ConfigError(f"unknown convention {convention!r}; expected one of {_CONVENTIONS}")
     if any(not 0.0 < q < 1.0 for q in quantiles):
         raise ConfigError(f"quantile levels must lie in (0, 1), got {quantiles!r}")
+    if any(1.0 - q == 1.0 for q in quantiles):
+        # No CCDF value can cross a target 1 - q that rounds to 1.
+        raise ConfigError(f"quantile levels must exceed 2^-54 (about 5.6e-17), or 1 - q rounds "
+                          f"to 1; got {quantiles!r}")
     n_t = int(config.n_t)
     stream = config if scheme == "sm" else replace(config, n_t=1)
     m = _receiver_order(stream, (receiver,), m)
     ccdf = sinr_ccdf(stream, receiver, m=m)
-    kappa = _noise_scale(stream)
-    if m is None:
-        law = ccdf
-    else:
-        delta = _law_delta(stream, m)
-
-        def law(x: np.ndarray) -> np.ndarray:
-            return _conditional_coverage_u(stream.n_t, m, delta, stream.alpha, x, kappa, np.ones(1))
-
-    mean = _mean_rate(law, stream.alpha, kappa, m or 1)
+    law = ccdf if m is None else _law(stream, m)
+    mean = _mean_rate(law, stream.alpha, _noise_scale(stream), m or 1)
     rates = {}
     if quantiles:
         bracket = ccdf(_BRACKET_Z)
-        rates = {q: math.log1p(_sinr_quantile(ccdf, q, _BRACKET_Z, bracket)) / math.log(2.0)
+        rates = {q: math.log1p(_sinr_quantile(ccdf, q, bracket)) / math.log(2.0)
                  for q in quantiles}
     if scheme == "sm":
         mean = n_t * mean

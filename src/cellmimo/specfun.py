@@ -559,7 +559,7 @@ def _kronrod_nodes(lo, hi) -> np.ndarray:
     return 0.5 * (hi + lo) + 0.5 * (hi - lo) * _KRONROD_NODES
 
 
-def _kronrod(f, lo, hi, owner, atol: float, rtol: float, fx=None) -> np.ndarray:
+def _kronrod(f, lo, hi, owner, rtol: float, fx=None) -> np.ndarray:
     """Integrals of f over the panels [lo_i, hi_i] of the 1-d arrays lo and
     hi, summed per owner, by G7/K15 bisection of all panels at once.
 
@@ -568,9 +568,9 @@ def _kronrod(f, lo, hi, owner, atol: float, rtol: float, fx=None) -> np.ndarray:
     owners of their panels and returns f there.  Each round evaluates the
     15 Kronrod nodes of every pending panel in one call of f (``fx``, of
     shape (panels, 15), gives the first round's values instead).  A panel's
-    K15 value is kept when |K15 - G7| <= atol + rtol |I|, I the owner's
-    current estimate (its kept values plus the K15 values of its pending
-    panels), and the other panels are bisected.  Raises NumericError if a
+    K15 value is kept when |K15 - G7| <= rtol |I|, I the owner's current
+    estimate (its kept values plus the K15 values of its pending panels),
+    and the other panels are bisected.  Raises NumericError if a
     panel is pending after _BISECTIONS rounds of bisection.
     """
     owners = int(owner.max()) + 1
@@ -582,7 +582,7 @@ def _kronrod(f, lo, hi, owner, atol: float, rtol: float, fx=None) -> np.ndarray:
         half = 0.5 * (hi - lo)
         k15 = half * (fx @ _WK15)
         estimate = total + np.bincount(owner, k15, owners)
-        done = np.abs(k15 - half * (fx[:, 1::2] @ _WG7)) <= atol + rtol * np.abs(estimate[owner])
+        done = np.abs(k15 - half * (fx[:, 1::2] @ _WG7)) <= rtol * np.abs(estimate[owner])
         total += np.bincount(owner[done], k15[done], owners)
         lo, hi, owner = lo[~done], hi[~done], owner[~done]
         if not lo.size:

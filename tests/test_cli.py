@@ -353,6 +353,8 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
         ["validate", "--rx", "mmse", "--nt", "1", "--nr", "1", "--zdb", "4000:4000:1"],
         ["optimal-m", "--nt", "nan", "--nr", "4"],
         ["optimal-m", "--nt", "1", "--nr", "inf"],
+        # A quantile level so small that 1 - q rounds to 1.
+        ["rate", "--rx", "mmse", "--nt", "1", "--nr", "4", "--quantiles", "1e-300"],
     ):
         code, out = _run(capsys, argv)
         assert code == 2, argv

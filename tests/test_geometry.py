@@ -17,7 +17,7 @@ from scipy import integrate, special, stats
 from cellmimo.errors import ConfigError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.montecarlo import _chunk_geometry, simulate_sinr
-from cellmimo.pzf import _conditional_coverage_u, _split_delta, coverage_pzf, mean_inverse_sinr
+from cellmimo.pzf import _law, _split_delta, coverage_pzf, mean_inverse_sinr
 
 
 def _pdf_serving_distance(r, lam):
@@ -125,9 +125,10 @@ def test_beta_pdf_normalizes_and_matches_mean(m):
     # coverage_pzf is the mean over beta of the coverage conditioned on
     # u = 1/beta; its Gauss-Legendre rule in u must match quadrature in beta.
     config = NetworkConfig(lam=1.0, alpha=4.0, sigma2=0.0, n_t=1, n_r=m + 1)
+    law = _law(config, m)
 
     def conditional(b):
-        return _conditional_coverage_u(1, m, 1, 4.0, 1.0, 0.0, np.array([1.0 / b]))[0]
+        return law(1.0 * np.array([1.0 / b]) ** 4.0)[0]
 
     mean, _ = integrate.quad(
         lambda b: _pdf_beta(b, m) * conditional(b), 1.0, np.inf,

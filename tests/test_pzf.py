@@ -34,9 +34,8 @@ from cellmimo import pzf, specfun
 from cellmimo.errors import ConfigError, NumericError, SizeGuardError
 from cellmimo.geometry import NetworkConfig
 from cellmimo.pzf import (
-    _conditional_coverage_u,
+    _law,
     _ratio_weight,
-    _split_delta,
     argmin_mean_inverse_sinr,
     coverage_pzf,
     mean_inverse_sinr,
@@ -144,10 +143,10 @@ def test_matches_laplace_derivative_oracle():
 def _adaptive_u_average(n_t, n_r, m, alpha, z):
     """Zero-noise coverage by adaptive quad over u = r/R, breaking the range
     at z^(-1/alpha) 2^k, where the conditional law turns over and decays."""
-    delta = _split_delta(n_t, n_r, m)
+    law = _law(_config(n_t, n_r, alpha=alpha), m)
 
     def integrand(u):
-        conditional = _conditional_coverage_u(n_t, m, delta, alpha, z, 0.0, np.array([u]))[0]
+        conditional = law(z * np.array([u]) ** alpha)[0]
         return 2.0 * (m - 1) * u * (1.0 - u * u) ** (m - 2) * conditional
 
     knee = z ** (-1.0 / alpha)
@@ -223,7 +222,8 @@ def test_ratio_weight_matches_mpmath(alpha, m):
 def test_conditional_coverage_monotone_in_interferer_distance():
     # u = r/R = 1/beta: the nearest uncancelled interferer recedes as u falls.
     u = 1.0 / np.array([1.0, 1.5, 2.0, 8.0])
-    values = _conditional_coverage_u(1, 2, 2, 4.0, 1.0, 0.0, u)
+    law = _law(_config(1, 4), 2)
+    values = law(1.0 * u**4.0)
     assert all(a < b for a, b in zip(values, values[1:]))
     assert values[-1] == pytest.approx(1.0, abs=1e-6)
 
@@ -275,7 +275,10 @@ def test_conditional_coverage_matches_partition_sum(n_t, m):
     for delta, alpha in ((6, 3.7), (3, 2.5)):
         for z in (0.2, 3.0, 1e4):
             for noise in (0.0, 0.7):
-                got = _conditional_coverage_u(n_t, m, delta, alpha, z, noise / z, u)
+                # lam = 1/pi makes the noise scale n_t sigma2 = noise / z.
+                config = _config(n_t, m * n_t + delta, alpha=alpha, sigma2=noise / z / n_t,
+                                 lam=1.0 / math.pi)
+                got = _law(config, m)(z * u**alpha)
                 expected = [_partition_sum(n_t, m, delta, alpha, z, noise, v) for v in u]
                 assert got == pytest.approx(expected, rel=1e-13, abs=0.0), (delta, z, noise)
 

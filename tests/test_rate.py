@@ -147,16 +147,16 @@ def test_quantile_bracket_widens_both_ways(scale):
     def ccdf(v):
         return np.exp(-v / scale)
 
-    got = rate._sinr_quantile(ccdf, 0.5, z, ccdf(z))
+    got = rate._sinr_quantile(ccdf, 0.5, ccdf(z))
     assert got == pytest.approx(scale * math.log(2.0), rel=1e-12, abs=0.0)
 
 
 def test_quantile_bracket_stops_at_its_range():
     z = rate._BRACKET_Z
     with pytest.raises(NumericError, match="decays too slowly"):
-        rate._sinr_quantile(lambda v: 1.0, 0.5, z, np.ones(z.size))
+        rate._sinr_quantile(lambda v: 1.0, 0.5, np.ones(z.size))
     with pytest.raises(NumericError, match="near z = 0"):
-        rate._sinr_quantile(lambda v: 0.0, 0.5, z, np.zeros(z.size))
+        rate._sinr_quantile(lambda v: 0.0, 0.5, np.zeros(z.size))
 
 
 def test_quantiles_increase_with_level():
@@ -364,6 +364,70 @@ def test_abstract_split_rule_matches_the_rate_argmax():
         assert gap == pytest.approx(expected[2], rel=0.01), (cell, misses[cell])
 
 
+# The abstract's other three claims, on a grid fixed in advance: n_r in
+# {4, 8}, n_t = 1..n_r, alpha in {3, 4}, no noise, sm, the default m, and
+# the 0.05 level.  Rows are (receiver, n_r, alpha).
+_CLAIM_ROWS = [(rx, n_r, alpha) for rx in ("mmse", "pzf") for n_r in (4, 8) for alpha in (3.0, 4.0)]
+# Findings, pinned by name.  (a) PZF 8x8 at alpha 4: the sum-rate
+# increments up to the argmax n_t = 5 do not shrink, as the default m
+# falls 4, 2, 1, 1 over n_t = 1..4.
+_INCREMENT_MISSES = {("pzf", 8, 4.0): (2.223, 0.811, 1.006, 0.402)}
+# (c) The PZF q05 rises at one step on two rows: (n_t, q05 at n_t - 1, at n_t).
+_PZF_EDGE_RISES = {(8, 3.0): (2, 1.019, 1.060), (8, 4.0): (3, 1.593, 1.636)}
+# (c) The MMSE q05 spread (max - min) / min over n_t = 1..n_r, per row.
+_MMSE_EDGE_SPREAD = {(4, 3.0): 0.0914, (4, 4.0): 0.2151, (8, 3.0): 0.0464, (8, 4.0): 0.0771}
+
+
+@pytest.fixture(scope="module")
+def claim_rows():
+    """Sum rates and q05 of each claim row, as arrays over n_t = 1..n_r."""
+    rows = {}
+    for receiver, n_r, alpha in _CLAIM_ROWS:
+        profiles = [rate_profile(_config(n_t, n_r, alpha=alpha), receiver, "sm", quantiles=(0.05,))
+                    for n_t in range(1, n_r + 1)]
+        rows[receiver, n_r, alpha] = (np.array([p.mean_rate for p in profiles]),
+                                      np.array([p.quantiles[0.05] for p in profiles]))
+    return rows
+
+
+def test_abstract_full_multiplexing_is_never_rate_optimal(claim_rows):
+    # (b) Serving n_t = n_r streams never maximizes the sum rate.
+    for row, (means, _) in claim_rows.items():
+        assert means.argmax() + 1 < row[1], (row, means)
+
+
+def test_abstract_more_streams_pay_with_diminishing_returns(claim_rows):
+    # (a) Up to the argmax, each added stream raises the sum rate by less
+    # than the one before; on 7 of the 8 rows.
+    misses = {}
+    for row, (means, _) in claim_rows.items():
+        steps = np.diff(means[:means.argmax() + 1])
+        assert (steps > 0.0).all(), (row, steps)
+        if not (np.diff(steps) < 0.0).all():
+            misses[row] = steps
+    assert misses.keys() == _INCREMENT_MISSES.keys(), misses
+    for row, steps in misses.items():
+        assert steps == pytest.approx(_INCREMENT_MISSES[row], abs=1e-3), row
+
+
+def test_abstract_mmse_cell_edge_is_flat_while_pzf_falls(claim_rows):
+    # (c) The PZF q05 falls by 90 % or more from n_t = 1 to n_r, and falls
+    # at every step but two; the MMSE q05 moves by at most 21.5 % of its
+    # smallest value.
+    for (receiver, n_r, alpha), (_, edge) in claim_rows.items():
+        if receiver == "pzf":
+            assert edge[-1] <= 0.1 * edge[0], (n_r, alpha, edge)
+            rises = [(i + 2, edge[i], edge[i + 1]) for i in np.flatnonzero(np.diff(edge) >= 0.0)]
+            pinned = _PZF_EDGE_RISES.get((n_r, alpha))
+            assert len(rises) == (pinned is not None), (n_r, alpha, rises)
+            if pinned:
+                assert rises[0][0] == pinned[0]
+                assert rises[0][1:] == pytest.approx(pinned[1:], abs=1e-3), (n_r, alpha)
+        else:
+            spread = (edge.max() - edge.min()) / edge.min()
+            assert spread == pytest.approx(_MMSE_EDGE_SPREAD[n_r, alpha], abs=1e-4), (n_r, alpha)
+
+
 def test_default_split_rule():
     assert default_m(_config(1, 4)) == 2
     assert default_m(_config(1, 10)) == 5
@@ -392,6 +456,11 @@ def test_rate_quantile_validation():
         rate_profile(config, "mmse", "tdma")
     with pytest.raises(ConfigError):
         rate_profile(config, "mmse", "sm", quantiles=(0.0,))
+    # 1 - q rounds to 1 at and below 2^-54, so no CCDF value can cross it.
+    for q in (1e-300, 1e-17, 2.0**-54):
+        with pytest.raises(ConfigError, match="2\\^-54"):
+            rate_profile(config, "mmse", "sm", quantiles=(q,))
+    assert rate_profile(config, "mmse", "sm", quantiles=(1e-16,)).quantiles[1e-16] > 0.0
     with pytest.raises(ConfigError):
         rate_profile(config, "mmse", "sm", convention="median")
 
