@@ -14,14 +14,15 @@ composite-derivative expansion of the interference functional), and, with
 receiver noise, over the noise order.  That conditional law is the one
 both receivers share, :func:`cellmimo.specfun._conditional_law`, at the
 kernel argument x = z u^alpha.  One factory, :func:`_law`, supplies its
-inputs and guards its size; the coverage integrates that law on panels
-graded toward u = 0 with the package's one adaptive rule, the G7/K15
-bisection :func:`cellmimo.specfun._kronrod`.  Receiver noise enters only
-through the noise scale :func:`cellmimo.geometry._noise_scale`, which is
-0 without noise.  The PZF mean rate reads the same law against the
-weight E_u[1 / (u^alpha + x)] of :func:`_ratio_weight`, 1 / (1 + x) at
-m = 1 and a fixed rule that needs no law call at m >= 2 (see
-:func:`cellmimo.rate.rate_profile`).
+inputs and guards its size.  One average over u, :func:`_ratio_average`,
+takes it on panels graded toward u = 0 with the package's one adaptive
+rule, the G7/K15 bisection :func:`cellmimo.specfun._kronrod`.  Receiver
+noise enters only through the noise scale
+:func:`cellmimo.geometry._noise_scale`, which is 0 without noise.  The
+PZF mean rate reads the same law against the weight
+E_u[1 / (u^alpha + x)] of :func:`_ratio_weight`: 1 / (1 + x) at m = 1,
+and at m >= 2 the same average, of 1 / (1 + y) in place of the law, with
+no law call (see :func:`cellmimo.rate.rate_profile`).
 
 The mean inverse SINR in closed form and the optimal-split rule derived
 from it live here too, with the one rule that picks the order a run of
@@ -39,7 +40,7 @@ from scipy import special as _sp
 
 from .errors import ConfigError, SizeGuardError
 from .geometry import NetworkConfig, _is_int, _noise_scale, _over_thresholds
-from .specfun import _MAX_A, _WK15, _conditional_law, _kronrod, _kronrod_nodes
+from .specfun import _MAX_A, _conditional_law, _kronrod
 
 __all__ = [
     "coverage_pzf",
@@ -49,21 +50,12 @@ __all__ = [
     "argmin_mean_inverse_sinr",
 ]
 
-# Distance-ratio average: each panel's G7/K15 bound, relative to the coverage.
+# Distance-ratio average: each panel's G7/K15 bound, relative to the average.
 _RATIO_TOL = 1e-10
 
 # The law is checked up to this many surplus dimensions; beyond it, use the
 # Monte Carlo estimator.
 _MAX_DELTA = 20
-
-# The rate weight's fixed rule (:func:`_ratio_weight`), in r = log v: fixed
-# edges (the left tail e^r and the turn of (1 - v)^(m-2) at v = 1), edges
-# on both sides of the knee in units of 1/a, near it and then far from it,
-# and the rows per block.  The first fixed edge is the cut below the knee.
-_WEIGHT_FIXED = np.array([-40.0, -20.0, -8.0, -3.0, -1.0])
-_WEIGHT_KNEE = np.array([1.5, 5.0])
-_WEIGHT_RISE = np.array([20.0, 80.0, 640.0])
-_WEIGHT_ROWS = 64
 
 
 def _split_delta(n_t: int, n_r: int, m: int) -> int:
@@ -113,55 +105,51 @@ def coverage_pzf(config: NetworkConfig, z, m: int) -> float | np.ndarray:
 
     ``z`` is a threshold or an array of them, each finite and >= 0; the
     result is a float for a scalar and an array of z's shape otherwise.
-    An average over the inverse distance ratio u = r/R (degenerate at 1 for
-    m = 1, where no interferer is cancelled) of the conditional law
-    :func:`_law` at x = z u^alpha.  The average takes the panels
-    [2^-(k+1), 2^-k] down to below (z (1 + kappa))^(-1/alpha)/4, kappa the
-    noise scale, and one panel from 0 to there, each by the G7/K15 rule: a
-    panel's K15 value is kept when it is within 1e-10 times that z's
-    current coverage estimate of its G7 value, and the panel is bisected
-    otherwise; 12 rounds of bisection without that raise NumericError.
-    So small coverages are as accurate as large ones.  The panels of all
-    thresholds are evaluated together, round by round.  Receiver noise
-    enters only through the combination z n_t sigma2 (pi lam)^(-alpha/2);
-    with sigma2 = 0 the law is scale-free and the base-station intensity
-    drops out entirely.  ``m`` is the cancellation order (the m - 1
-    nearest interferers are nulled).  delta above 20 or n_t + delta (the
-    kernels' largest first parameter) above 40 raises SizeGuardError.
+    ``m`` is the cancellation order (the m - 1 nearest interferers are
+    nulled).  The conditional law :func:`_law` at x = z where m = 1 (u = 1),
+    and otherwise its average :func:`_ratio_average` over u = r/R.  With
+    sigma2 = 0 the law is scale-free and the base-station intensity drops
+    out.  delta above 20 or n_t + delta above 40 raises SizeGuardError.
     """
     law = _law(config, m)
     if m == 1:
         return _over_thresholds(z, law)
-    m, alpha, kappa = int(m), config.alpha, _noise_scale(config)
+    alpha, kappa = config.alpha, _noise_scale(config)
+    return _over_thresholds(z, lambda z: _ratio_average(law, np.log(z), alpha, int(m), kappa))
 
-    def average(z: np.ndarray) -> np.ndarray:
-        # The conditional law turns from ~1 to its decay where x = z u^alpha
-        # passes 1, at u ~ z^(-1/alpha), or, where noise dominates (its
-        # factor exp(-c), c ~ kappa x for x <= 1), at u ~ (kappa z)^(-1/alpha):
-        # the panels halve down to a quarter of (z (1 + kappa))^(-1/alpha),
-        # so every node sits where the integrand varies.  Summed as logs,
-        # z (1 + kappa) cannot overflow.
-        log2_noise = math.log2(1.0 + kappa)
-        edges = [np.append(0.0, 2.0 ** -np.arange(p, -1.0, -1.0)) for p in
-                 (max(1, math.floor(2.0 + (math.log2(v) + log2_noise) / alpha) + 1) for v in z)]
-        owner = np.repeat(np.arange(z.size), [e.size - 1 for e in edges])
 
-        def integrand(u: np.ndarray, k: np.ndarray) -> np.ndarray:
-            # Where u^alpha is below the smallest normal float, x is formed
-            # as exp(log z + alpha log u): u^alpha would lose its bits or
-            # underflow to 0 there, while x itself may still be a normal
-            # float.  log 0 = -inf at z = 0 gives x = 0.
-            u_alpha = u**alpha
-            x = z[k] * u_alpha
-            deep = u_alpha < np.finfo(float).tiny
-            with np.errstate(divide="ignore"):
-                x[deep] = np.exp(np.log(z[k[deep]]) + alpha * np.log(u[deep]))
-            return 2.0 * (m - 1) * u * (1.0 - u * u) ** (m - 2) * law(x)
+def _ratio_average(f: Callable[[np.ndarray], np.ndarray], log_z: np.ndarray, alpha: float,
+                   m: int, kappa: float) -> np.ndarray:
+    """E_u[f(z u^alpha)], u^2 ~ Beta(1, m - 1), m >= 2, for each entry of
+    the 1-d log z.
 
-        return _kronrod(integrand, np.concatenate([e[:-1] for e in edges]),
-                        np.concatenate([e[1:] for e in edges]), owner, _RATIO_TOL)
+    ``f``, a law on a 1-d array of arguments >= 0, turns toward its decay
+    where its argument passes 1, or 1/kappa with the noise scale kappa: so
+    at u ~ (z (1 + kappa))^(-1/alpha).  Each z takes the panels
+    [2^-(k+1), 2^-k] down to below a quarter of that, and one from 0 to
+    there; the G7/K15 bisection :func:`cellmimo.specfun._kronrod` takes
+    all of them together, to 1e-10 of each z's average per panel, so small
+    averages are as accurate as large ones.  The argument is
+    exp(log z + alpha log u), which keeps its bits where u^alpha
+    underflows; the rate weight passes a log z whose e^(log z) overflows.
+    """
+    # Summed as logs, z (1 + kappa) cannot overflow.
+    log2_knee = log_z / math.log(2.0) + math.log2(1.0 + kappa)
+    panels = np.maximum(1, np.floor(2.0 + log2_knee / alpha) + 1).astype(int) + 1
+    owner = np.repeat(np.arange(log_z.size), panels)
+    # Panel k of a z's `panels` ends at 2^(k + 1 - panels) and starts at
+    # half that, or at 0 for k = 0.
+    k = np.arange(owner.size) - np.repeat(np.cumsum(panels) - panels, panels)
+    hi = 2.0 ** (k + 1 - panels[owner])
+    lo = np.where(k > 0, 0.5 * hi, 0.0)
 
-    return _over_thresholds(z, average)
+    def integrand(u: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        # x overflows only where z does: for the rate weight, whose f is 0 there.
+        with np.errstate(over="ignore"):
+            x = np.exp(log_z[owner] + alpha * np.log(u))
+        return 2.0 * (m - 1) * u * (1.0 - u * u) ** (m - 2) * f(x)
+
+    return _kronrod(integrand, lo, hi, owner, _RATIO_TOL)
 
 
 def _ratio_weight(t: np.ndarray, alpha: float, m: int) -> np.ndarray:
@@ -169,52 +157,14 @@ def _ratio_weight(t: np.ndarray, alpha: float, m: int) -> np.ndarray:
     which the conditional law at argument x enters the PZF mean rate (see
     :func:`cellmimo.rate.rate_profile`), times x.
 
-    With v = u^2 ~ Beta(1, m - 1) and r = log v it is
-
-        (m - 1) ∫_-inf^0 (1 - e^r)^(m-2) e^r expit(t - a r) dr,    a = alpha/2,
-
-    a step of width 1/a at the knee r_c = t/a, from e^r below it to 1 above.
-    One fixed rule takes it, the 15 Kronrod nodes and weights of
-    :func:`cellmimo.specfun._kronrod` on each panel.  Its edges move away
-    from the step in multiples of 1/a, up to 640/a: down from min(r_c, 0)
-    to the cut and, where r_c < 0, up from r_c to v = 1.  Fixed edges add
-    the left tail and the turn of (1 - v)^(m-2) toward v = 1, and the
-    panels that clipping leaves with zero width are dropped.  The
-    integrand is at most (m - 1) e^r and the weight at least half the mass
-    of v below min(e^r_c, 1), so the cut 40 below min(r_c, 0) leaves out
-    less than 2 (m - 1) e^-40 of it.  Against mpmath the rule is within
-    5e-14 relative for m in {2, 3, 8, 20}, alpha from 2.05 to 8 and t from
-    -80 to 120, and within 4e-14 at alpha 2.01, 20 and 60.  Every factor
-    lies in [0, 1], so nothing overflows; the terms in e^r underflow only
-    where the weight is below the smallest float.  At m = 1 u is 1, and
-    the weight is x / (1 + x) = expit(t).
+    At m = 1 u is 1, and it is x / (1 + x) = expit(t).  Otherwise, as
+    x / (u^alpha + x) = 1 / (1 + u^alpha / x), it is the coverage's average
+    :func:`_ratio_average` of y -> 1 / (1 + y) at log z = -t, without
+    noise.  Against mpmath it is within 3.1e-14 relative for m in
+    {2, 3, 8, 20}, alpha 2.05 to 8 and t from -80 to 120, and 9.8e-12 at
+    alpha 20, m 20, t = -5, inside the average's 1e-10 bound per panel.
     """
-    if m == 1:
-        return _sp.expit(t)
-    a = 0.5 * alpha
-    above = np.concatenate([_WEIGHT_KNEE, _WEIGHT_RISE]) / a
-    below = np.concatenate([_WEIGHT_FIXED, np.maximum(-above, _WEIGHT_FIXED[0]), [0.0]])
-    out = np.empty(t.size)
-    for start in range(0, t.size, _WEIGHT_ROWS):
-        # Edges as offsets d = r - r_c from the knee, clipped to r <= 0.
-        # expit(t - a r) is expit(-a d): with q = e^(-a |d|), q / (1 + q)
-        # above the knee and 1 / (1 + q) below it.
-        knee = t[start:start + _WEIGHT_ROWS, None] / a
-        top = -np.maximum(knee, 0.0)
-        edges = np.sort(np.concatenate([top + below, np.minimum(above, -knee),
-                                        np.maximum(_WEIGHT_FIXED - knee, top), -knee], axis=1))
-        lo, hi = edges[:, :-1], edges[:, 1:]
-        keep = hi > lo
-        rows = np.nonzero(keep)[0]
-        d = _kronrod_nodes(lo[keep], hi[keep])
-        r = knee[rows] + d
-        q = np.exp(-a * np.abs(d))
-        f = np.exp(r) * np.where(d > 0.0, q, 1.0) / (1.0 + q)
-        if m > 2:
-            f *= (-np.expm1(r)) ** (m - 2)
-        panels = 0.5 * (hi[keep] - lo[keep]) * (f @ _WK15)
-        out[start:start + knee.shape[0]] = np.bincount(rows, panels, minlength=knee.shape[0])
-    return (m - 1) * out
+    return _sp.expit(t) if m == 1 else _ratio_average(lambda y: 1 / (1 + y), -t, alpha, m, 0.0)
 
 
 def mean_inverse_sinr(config: NetworkConfig, m: int) -> float:
@@ -230,15 +180,27 @@ def mean_inverse_sinr(config: NetworkConfig, m: int) -> float:
         n_t Gamma(1+s) / delta * [Gamma(m+1) / ((s-1) Gamma(m+s)) + sigma2 (pi lam)^-s]
 
     for every alpha > 2.  Infinite when delta = n_r - m*n_t is zero (the
-    inverse signal gain then has a divergent mean); raises for infeasible
-    splits.
+    inverse signal gain then has a divergent mean), and where the value
+    passes the float range; raises for infeasible splits.
     """
-    delta = _split_delta(config.n_t, config.n_r, m)
-    if delta == 0:
-        return math.inf
+    _split_delta(config.n_t, config.n_r, m)
+    # inf at delta = 0 (the log holds -log 0) and past the float range.
+    with np.errstate(divide="ignore", over="ignore"):
+        return float(np.exp(_log_mean_inverse_sinr(config, m)[-1]))
+
+
+def _log_mean_inverse_sinr(config: NetworkConfig, m_max: int) -> np.ndarray:
+    """log :func:`mean_inverse_sinr` at m = 1..m_max, each with delta >= 0.
+    Gamma(1+s) Gamma(m+1) / Gamma(m+s) = m! / ((1+s)(2+s)...(m-1+s)) is
+    summed term by term: log-gamma differences lose every digit at large s.
+    """
     s = config.alpha / 2.0
-    interference = config.n_t * math.exp(_sp.gammaln(m + 1.0) - _sp.gammaln(m + s)) / (s - 1.0)
-    return math.gamma(1.0 + s) / delta * (interference + _noise_scale(config))
+    m = np.arange(1.0, m_max + 1.0)
+    interference = np.cumsum(np.log(m) - np.log(s + m - 1.0)) + math.log(
+        config.n_t * (s / (s - 1.0)))
+    kappa = _noise_scale(config)
+    noise = _sp.gammaln(1.0 + s) + math.log(kappa) if kappa else -math.inf
+    return np.logaddexp(interference, noise) - np.log(config.n_r - m * config.n_t)
 
 
 def _feasible_m_range(config: NetworkConfig) -> int:
@@ -313,10 +275,8 @@ def _receiver_order(config: NetworkConfig, receivers: tuple, m: int | None) -> i
 
 
 def argmin_mean_inverse_sinr(config: NetworkConfig) -> tuple[int, ...]:
-    """All m minimizing the exact mean inverse SINR (ties included)."""
+    """All m minimizing the exact mean inverse SINR (ties included), as
+    logs, which rank values past the float range too."""
     m_max = _feasible_m_range(config)
-    values = [mean_inverse_sinr(config, m) for m in range(1, m_max + 1)]
-    best = min(values)
-    return tuple(
-        m for m, v in zip(range(1, m_max + 1), values) if v <= best * (1.0 + 1e-12)
-    )
+    values = _log_mean_inverse_sinr(config, m_max)
+    return tuple(int(m) for m in np.flatnonzero(values <= values.min() + math.log1p(1e-12)) + 1)

@@ -113,10 +113,11 @@ def _mean_rate(
 
         R = (1 / ln 2) ∫_0^∞ L(x) w(x) dx,    w(x) = E_u[1 / (u^alpha + x)],
 
-    u^2 ~ Beta(1, m - 1), w from :func:`cellmimo.pzf._ratio_weight`, which
-    takes no law call.  At m = 1 u is 1, so L is the CCDF and
-    w(x) = 1 / (1 + x).  In log s, s = x^(2/alpha), the panels grow by a
-    factor 1.6 from 1/4 wide away from two knees, the noise knee
+    u^2 ~ Beta(1, m - 1), w from :func:`cellmimo.pzf._ratio_weight`, the
+    PZF coverage's average over u, which takes no law call.  At m = 1 u
+    is 1, so L is the CCDF and w(x) = 1 / (1 + x).  In log s,
+    s = x^(2/alpha), the panels grow by a factor 1.6 from 1/4 wide away
+    from two knees, the noise knee
     s_c = (1 + kappa)^(-2/alpha) and s = 1, from lo = log s_c - 40 to
     top = 40 above s = 1 at m = 1 and 20 above it at m >= 2, or where
     that x would pass the largest float (alpha above about 35.5 at m = 1,

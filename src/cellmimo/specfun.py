@@ -238,6 +238,11 @@ def _log_reflected(a: int, bs: list[float], c: float, z: np.ndarray) -> np.ndarr
         n = math.floor(b)
         f = b - n
         m = a + k - 1 - n
+        if m < 0 or f == 1.0:
+            # b = j - 2/α rounded to the integer j (or -2/α to -0): 2/α is
+            # below half an ulp, and Γ(a - b) at that b has a pole.
+            raise NumericError(f"kernel parameter b={b!r} lost 2/alpha to rounding; alpha is "
+                               f"too large for the 1/z identity")
         ratio = math.factorial(m) / math.factorial(a + k - 1)  # m! / Γ(a + k), correctly rounded
         ratio *= math.prod((i - f) / i for i in range(1, m + 1))
         g.append(math.gamma(1.0 + b) * math.gamma(1.0 - f) * ratio)
@@ -364,33 +369,42 @@ def _radial_trapezoid(q: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
     # smaller of the two one-term roots, φ' <= 0 and the root lies within
     # log 2 to the left; φ' is concave and decreasing there, so Newton
     # steps approach the root monotonically from the right.
-    log_q = np.log(q)
-    t = np.minimum(log_q, (log_q - np.log(s) - np.log(b)) / s)
-    for _ in range(_RADIAL_NEWTON_STEPS):
+    # Where e^(st) overflows (b below about e^-709 q/s), or a tail cut's
+    # expm1 does, the mode or a cut comes out inf or NaN: checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_q = np.log(q)
+        t = np.minimum(log_q, (log_q - np.log(s) - np.log(b)) / s)
+        for _ in range(_RADIAL_NEWTON_STEPS):
+            e1, e2 = np.exp(t), b * np.exp(s * t)
+            dt = (q - e1 - s * e2) / (e1 + s * s * e2)
+            t += dt
+            if np.all(np.abs(dt) <= 1e-14 * (1.0 + np.abs(t))):
+                break
         e1, e2 = np.exp(t), b * np.exp(s * t)
-        dt = (q - e1 - s * e2) / (e1 + s * s * e2)
-        t += dt
-        if np.all(np.abs(dt) <= 1e-14 * (1.0 + np.abs(t))):
-            break
-    e1, e2 = np.exp(t), b * np.exp(s * t)
-    width = 1.0 / np.sqrt(e1 + s * s * e2)  # (-φ''(t*))^(-1/2)
-    log_peak = q * t - e1 - e2
-    # The step resolves the peak and stays well inside the strip
-    # |Im t| < π/(2s) in which exp(-b e^(st)) still decays.
-    step = np.minimum(_RADIAL_STEP * width, _RADIAL_STRIP_STEP / s)
-    # Node k sits at x = k step from the mode and holds exp(ψ(x)), relative
-    # to the peak, with ψ(x) = q x - e1 expm1(x) - e2 expm1(s x).  Right of
-    # the mode φ''' < 0 gives ψ(x) <= -x²/(2 width²), and left of it
-    # q = e1 + s e2 >= e1 + e2 gives ψ(x) <= q (x + 1): both bounds start the
-    # Newton steps toward a cut.  The first node is even, so the half
-    # rule's nodes are the even ones.
-    right = _radial_cut(q, e1, e2, s, math.sqrt(2.0 * _RADIAL_TAIL) * width)
-    left = _radial_cut(q, e1, e2, s, -(1.0 + _RADIAL_TAIL / q))
-    first = 2.0 * np.floor(0.5 * np.ceil(left / step))
+        width = 1.0 / np.sqrt(e1 + s * s * e2)  # (-φ''(t*))^(-1/2)
+        log_peak = q * t - e1 - e2
+        # The step resolves the peak and stays well inside the strip
+        # |Im t| < π/(2s) in which exp(-b e^(st)) still decays.
+        step = np.minimum(_RADIAL_STEP * width, _RADIAL_STRIP_STEP / s)
+        # Node k sits at x = k step from the mode and holds exp(ψ(x)), relative
+        # to the peak, with ψ(x) = q x - e1 expm1(x) - e2 expm1(s x).  Right of
+        # the mode φ''' < 0 gives ψ(x) <= -x²/(2 width²), and left of it
+        # q = e1 + s e2 >= e1 + e2 gives ψ(x) <= q (x + 1): both bounds start the
+        # Newton steps toward a cut.  The first node is even, so the half
+        # rule's nodes are the even ones.
+        right = _radial_cut(q, e1, e2, s, math.sqrt(2.0 * _RADIAL_TAIL) * width)
+        left = _radial_cut(q, e1, e2, s, -(1.0 + _RADIAL_TAIL / q))
+        first = 2.0 * np.floor(0.5 * np.ceil(left / step))
+        # Each row has its own node count; a row's nodes past it sit at
+        # x = -inf, which holds exactly 0.
+        count = np.ceil(right / step) - first + 1.0
+    if not np.isfinite(count).all():
+        bad = int(np.argmin(np.isfinite(count)))
+        raise NumericError(
+            f"radial moment rule found no finite mode or tail cut for p={q[bad] - 1.0:.6g}, "
+            f"b={b[bad]:.6g}, alpha={2.0 * s:.6g}"
+        )
     fine, coarse = np.zeros_like(q), np.zeros_like(q)
-    # Each row has its own node count; a row's nodes past it sit at
-    # x = -inf, which holds exactly 0.
-    count = np.ceil(right / step) - first + 1.0
     # Rows are blocked in their given order, so that (rows x largest count)
     # stays within _RADIAL_CELLS (a single row may exceed it).  Blocks of
     # rows sorted by count measured no faster.

@@ -173,6 +173,15 @@ def test_optimal_m_leaves_m_rate_empty_where_a_rate_fails(capsys):
     assert table[("2", "80")] == ["4", "4", "ok", ""]
 
 
+def test_optimal_m_past_the_float_range_of_gamma(capsys):
+    # Gamma(1 + alpha/2) overflows from alpha about 341.25; the mean inverse
+    # SINR is ranked in logs, and m_rate stays empty (the rate integral
+    # fails at this alpha).
+    code, out = _run(capsys, ["optimal-m", "--nt", "1", "--nr", "4", "--alpha", "400"])
+    assert code == 0
+    assert _parse_csv(out.out)[1][4:] == ["3", "3", "ok", ""]
+
+
 @pytest.mark.parametrize("argv", [
     # At alpha 20 the m = 1 law falls like z^-0.1 only; the rate integral
     # over log2(1 + z) found the CCDF above its 1e-8 cut at t = 256 there
@@ -358,7 +367,16 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     ):
         code, out = _run(capsys, argv)
         assert code == 2, argv
-    # 3: numeric failure.
+    # 3: numeric failure.  The radial moment's mode overflows where the
+    # noise term b e^(st) has a subnormal b; the kernels' 1/z identity has
+    # a pole where 1 - 2/alpha rounds to 1.
+    for argv in (
+        ["rate", "--rx", "mmse", "--nt", "1", "--nr", "4", "--alpha", "300", "--sigma2", "1"],
+        ["rate", "--rx", "mmse", "--nt", "1", "--nr", "4", "--alpha", "1e300"],
+        ["rate", "--rx", "pzf", "--nt", "1", "--nr", "4", "--m", "2", "--alpha", "1e300"],
+    ):
+        code, out = _run(capsys, argv)
+        assert code == 3 and "numeric failure" in out.err, argv
     monkeypatch.setattr("cellmimo.rate._mean_rate", lambda *a, **k: (_ for _ in ()).throw(
         NumericError("forced")))
     code, out = _run(capsys, ["rate", "--rx", "mmse", "--nt", "1", "--nr", "2"])
@@ -369,6 +387,26 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
                               "--m", "1", "--zdb", "0:0:1",
                               "--out", str(tmp_path / "no" / "dir" / "x.csv")])
     assert code == 4
+
+
+def test_main_returns_an_exit_code_over_the_parameter_range(capsys):
+    # 270 runs over the extremes of every network parameter: each one
+    # returns 0, 2 (configuration) or 3 (numeric failure) and raises
+    # nothing, no RuntimeWarning either.
+    commands = (["coverage", "--rx", "pzf", "--zdb", "0:10:5"],
+                ["coverage", "--rx", "mmse", "--zdb", "0:10:5"],
+                ["rate", "--rx", "pzf"], ["rate", "--rx", "mmse"], ["optimal-m"])
+    codes = []
+    for alpha in ("2.0001", "3", "400", "1e5", "1e17", "1e300"):
+        for lam in ("1e-300", "1", "1e300"):
+            for sigma2 in ("0", "1", "1e300"):
+                for command in commands:
+                    argv = command + ["--nt", "1", "--nr", "4", "--alpha", alpha, "--lam", lam,
+                                      "--sigma2", sigma2]
+                    code, out = _run(capsys, argv)
+                    assert code in (0, 2, 3), (argv, out.err)
+                    codes.append(code)
+    assert len(codes) == 270
 
 
 @pytest.mark.parametrize("zdb", ["0:1e8:1", "-1e308:1e308:1"])

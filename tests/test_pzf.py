@@ -421,6 +421,22 @@ def test_mean_inverse_sinr_values():
         mean_inverse_sinr(config, 11)
 
 
+def test_mean_inverse_sinr_past_the_float_range_of_gamma():
+    # Gamma(1 + alpha/2) overflows from alpha about 341.25, while
+    # Gamma(1+s) Gamma(m+1) / Gamma(m+s) stays moderate; values checked in
+    # mpmath.
+    quiet = _config(1, 4, alpha=400.0)
+    values = [mean_inverse_sinr(quiet, m) for m in (1, 2, 3)]
+    assert values == pytest.approx([1.0 / 597.0, 1.0 / 39999.0, 1.0 / 1346633.0], rel=1e-12)
+    assert argmin_mean_inverse_sinr(quiet) == (3,)
+    # With noise every value is about 1e354: past the float range, so inf,
+    # yet ranked by its log (the largest delta wins).
+    noisy = _config(1, 4, alpha=400.0, sigma2=1.0, lam=0.4)
+    assert [mean_inverse_sinr(noisy, m) for m in (1, 2, 3)] == [math.inf] * 3
+    assert argmin_mean_inverse_sinr(noisy) == (1,)
+    assert optimal_m(noisy) == 1
+
+
 @pytest.mark.parametrize("n_t,n_r,m,alpha", [
     (1, 6, 2, 3.0),
     (2, 7, 1, 3.0),

@@ -236,6 +236,9 @@ def test_ergodic_rate_matches_adaptive_quad(scheme, n_t, n_r, receiver, m, alpha
     (1, 10, "mmse", None, 20.0, 0.0, 1.0),
     (1, 10, "pzf", 1, 20.0, 0.0, 1.0),
     (1, 10, "pzf", 5, 20.0, 0.0, 1.0),
+    # Where the distance-ratio weight is least accurate: many nulled
+    # interferers and a steep path loss.
+    (1, 24, "pzf", 20, 20.0, 0.0, 1.0),
     # The top of the panels clipped to the float range, x = e^708.8.
     (1, 4, "mmse", None, 40.0, 1.0, 0.2),
     (1, 4, "pzf", 1, 40.0, 1.0, 0.2),
