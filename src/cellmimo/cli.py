@@ -172,6 +172,13 @@ def _parse_int_list(spec: str, flag: str) -> list[int]:
     return [int(v) for v in values]
 
 
+def _int_or_list(spec: str) -> int | list[int]:
+    """``rate --nt``: one int, as the other commands take it, or several,
+    comma-separated, as a list."""
+    values = [int(p) for p in spec.split(",")]
+    return values[0] if len(values) == 1 else values
+
+
 def _merge_range_values(argv: list[str]) -> list[str]:
     # Let `--zdb -5:20:1` work even though the value starts with a dash.
     merged: list[str] = []
@@ -230,23 +237,31 @@ def _quantile_label(q: float) -> str:
 
 
 def cmd_rate(args: argparse.Namespace) -> tuple[str, None, None]:
-    config, m = _resolve_network(args)
+    # --nt may be a list here: one profile per n_t, each with the other
+    # parameters as resolved for a single run.
+    n_ts = args.nt if isinstance(args.nt, list) else [args.nt]
     quantiles = _parse_float_list(args.quantiles, "--quantiles")
     labels = [_quantile_label(q) for q in quantiles]
     if len(set(labels)) < len(labels):
         raise ConfigError(f"--quantiles {args.quantiles!r} gives two levels one column name")
-    profile = rate_profile(config, args.rx, args.scheme, m=m, quantiles=quantiles,
-                           convention=args.convention)
-    qvals = {label: profile.quantiles[q] for label, q in zip(labels, quantiles)}
+    payloads, rows = [], []
+    for n_t in n_ts:
+        config, m = _resolve_network(argparse.Namespace(**{**vars(args), "nt": n_t}))
+        profile = rate_profile(config, args.rx, args.scheme, m=m, quantiles=quantiles,
+                               convention=args.convention)
+        qvals = {label: profile.quantiles[q] for label, q in zip(labels, quantiles)}
+        payloads.append({"mean_rate": profile.mean_rate, **qvals, "scheme": args.scheme,
+                         "receiver": args.rx, "n_t": config.n_t, "n_r": config.n_r,
+                         "m": profile.m})
+        rows.append([args.scheme, args.rx, str(config.n_t), str(config.n_r),
+                     "" if profile.m is None else str(profile.m), _fmt(profile.mean_rate),
+                     *(_fmt(v) for v in qvals.values())])
     if args.format == "json":
-        payload = {"mean_rate": profile.mean_rate, **qvals, "scheme": args.scheme,
-                   "receiver": args.rx, "n_t": config.n_t, "n_r": config.n_r, "m": profile.m}
-        return json.dumps(payload, indent=2) + "\n", None, None
-    header = ["scheme", "receiver", "n_t", "n_r", "m", "mean_rate", *qvals]
-    row = [args.scheme, args.rx, str(config.n_t), str(config.n_r),
-           "" if profile.m is None else str(profile.m), _fmt(profile.mean_rate),
-           *(_fmt(v) for v in qvals.values())]
-    return _csv_text(header, [row]), None, None
+        # One object for one n_t, a list of them for several.
+        text = json.dumps(payloads[0] if len(payloads) == 1 else payloads, indent=2)
+        return text + "\n", None, None
+    header = ["scheme", "receiver", "n_t", "n_r", "m", "mean_rate", *labels]
+    return _csv_text(header, rows), None, None
 
 
 def cmd_optimal_m(args: argparse.Namespace) -> tuple[str, None, None]:
@@ -331,9 +346,11 @@ def cmd_validate(args: argparse.Namespace) -> tuple[str, int, str | None]:
 # --------------------------------------------------------------------------
 # Parser
 
-def _add_network_flags(parser: argparse.ArgumentParser) -> None:
+def _add_network_flags(parser: argparse.ArgumentParser, nt_list: bool = False) -> None:
     # No flag default: an absent flag leaves the value to the file or the table.
     for name, kind, default, text in _NETWORK:
+        if name == "nt" and nt_list:
+            kind, text = _int_or_list, f"{text}, or a comma-separated list, one row each"
         parser.add_argument(f"--{name}", type=kind,
                             help=text if default is None else f"{text} (default {default:g})")
     parser.add_argument("--config", metavar="FILE",
@@ -390,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     rate_p = sub.add_parser(
         "rate", help="mean sum rate and rate quantiles for one configuration",
     )
-    _add_network_flags(rate_p)
+    _add_network_flags(rate_p, nt_list=True)
     rate_p.add_argument("--rx", choices=("pzf", "mmse"), required=True,
                         help="receiver type")
     rate_p.add_argument("--scheme", choices=("sm", "sst"), default="sm",

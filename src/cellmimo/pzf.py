@@ -33,6 +33,7 @@ factories and the simulator share.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -50,8 +51,11 @@ __all__ = [
     "argmin_mean_inverse_sinr",
 ]
 
-# Distance-ratio average: each panel's G7/K15 bound, relative to the average.
+# Distance-ratio average: each panel's G7/K15 bound, relative to the
+# average, and the log of the bound on the law beyond which its panels are
+# left out: 15 below the smallest float's half, e^-745.13.
 _RATIO_TOL = 1e-10
+_LOG_DEAD = 760.0
 
 # The law is checked up to this many surplus dimensions; beyond it, use the
 # Monte Carlo estimator.
@@ -132,14 +136,31 @@ def _ratio_average(f: Callable[[np.ndarray], np.ndarray], log_z: np.ndarray, alp
     averages are as accurate as large ones.  The argument is
     exp(log z + alpha log u), which keeps its bits where u^alpha
     underflows; the rate weight passes a log z whose e^(log z) overflows.
+
+    With noise, f is the PZF law of :func:`_law` or reads it, and the
+    panels wholly above the u where that law is 0 are left out: they hold
+    exact zeros.  Dropping the interference and the e^-y of its average
+    over the serving area y ~ Gamma(m, 1) bounds the law by
+    E_y[Q(delta + 1, kappa x y^s)] <= C (kappa x)^(-m/s), s = alpha/2 and
+    C = sum_{k<=delta} Gamma(m/s + k) / (k! Gamma(m) s), which it meets
+    to 1e-13 at alpha 2.05.  At delta = 20, the largest the law takes, the
+    bound is below e^-760 from log x = (s/m)(log C + 760) - log kappa on,
+    where every term of the law's sum underflows to 0.
     """
     # Summed as logs, z (1 + kappa) cannot overflow.
     log2_knee = log_z / math.log(2.0) + math.log2(1.0 + kappa)
     panels = np.maximum(1, np.floor(2.0 + log2_knee / alpha) + 1).astype(int) + 1
-    owner = np.repeat(np.arange(log_z.size), panels)
+    live = panels
+    if kappa > 0.0:
+        log_cut = _log_dead(alpha, m) - math.log(kappa)
+        # Panel k starts at u = 2^(k - panels), so z u^alpha passes the cut
+        # from k = panels + (log_cut - log z) / (alpha log 2) on.
+        cut = np.ceil(panels + (log_cut - log_z) / (alpha * math.log(2.0)))
+        live = np.clip(cut, 1, panels).astype(int)
+    owner = np.repeat(np.arange(log_z.size), live)
     # Panel k of a z's `panels` ends at 2^(k + 1 - panels) and starts at
-    # half that, or at 0 for k = 0.
-    k = np.arange(owner.size) - np.repeat(np.cumsum(panels) - panels, panels)
+    # half that, or at 0 for k = 0; the first `live` of them are taken.
+    k = np.arange(owner.size) - np.repeat(np.cumsum(live) - live, live)
     hi = 2.0 ** (k + 1 - panels[owner])
     lo = np.where(k > 0, 0.5 * hi, 0.0)
 
@@ -149,7 +170,16 @@ def _ratio_average(f: Callable[[np.ndarray], np.ndarray], log_z: np.ndarray, alp
             x = np.exp(log_z[owner] + alpha * np.log(u))
         return 2.0 * (m - 1) * u * (1.0 - u * u) ** (m - 2) * f(x)
 
-    return _kronrod(integrand, lo, hi, owner, _RATIO_TOL)
+    return _kronrod(integrand, lo, hi, owner, _RATIO_TOL)[0]
+
+
+@lru_cache(maxsize=128)
+def _log_dead(alpha: float, m: int) -> float:
+    """log(kappa x) from which the bound of :func:`_ratio_average` puts the
+    PZF law of split m below e^-760, at any delta <= 20."""
+    s, j = 0.5 * alpha, np.arange(_MAX_DELTA + 1)
+    log_c = _sp.logsumexp(_sp.gammaln(m / s + j) - _sp.gammaln(j + 1.0)) - _sp.gammaln(m)
+    return s / m * (log_c - math.log(s) + _LOG_DEAD)
 
 
 def _ratio_weight(t: np.ndarray, alpha: float, m: int) -> np.ndarray:

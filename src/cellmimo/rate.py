@@ -10,8 +10,11 @@ averages too; for MMSE it is the CCDF itself, as it is for PZF at m = 1.
 The integral needs no u-average per node and has no CCDF floor; both of
 its cuts are bounded relative to the mean.
 
-Rate quantiles invert the CCDF at a fixed probability: brentq solves in
-log z, in a bracket taken from one law call on 16 fixed thresholds.
+Rate quantiles invert the CCDF at a fixed probability, read from the law
+values the mean already holds: :func:`_interpolant` turns them into a
+piecewise barycentric interpolant of log L, checked at every panel edge,
+and every level is solved on it in log z, through the PZF u-average at
+m >= 2, with no further law call inside the mean's panels.
 :func:`rate_profile` summarizes both for one of two transmission schemes,
 and is the one place that reads a scheme:
 
@@ -35,13 +38,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize as _optimize
 
 from .errors import ConfigError, NumericError
 from .geometry import NetworkConfig, _noise_scale
 from .mmse import coverage_mmse
-from .pzf import _law, _ratio_weight, _receiver_order, coverage_pzf
-from .specfun import _kronrod, _kronrod_nodes
+from .pzf import _law, _ratio_average, _ratio_weight, _receiver_order, coverage_pzf
+from .specfun import _KRONROD_NODES, _kronrod, _kronrod_nodes
 
 __all__ = [
     "RateProfile",
@@ -62,11 +64,25 @@ _KNEE_STEPS = 0.25 * np.cumsum(1.6 ** np.arange(10))
 _MEAN_TOL = 1e-11
 _CUT_TOL = 1e-12
 _LOG_X_MAX = math.log(np.finfo(float).max) - 1.0
-# The thresholds whose CCDF brackets the quantiles, t = log2(1 + z) from
-# 2^-4 to 2^3.5 in steps of a factor sqrt(2); past them the bracket widens
-# by a first step of log 4 in log z, doubled at each step, within
+# The law's interpolant on the mean's panels: the barycentric weights of
+# the 15 Kronrod nodes on [-1, 1], scaled to a largest of 1, the Lagrange
+# basis of those nodes at the panel edges -1 and 1, the bound on the
+# difference of two estimates of log L at an edge, and how often a panel
+# that misses it is halved.
+_BARY_W = 1.0 / np.prod(np.subtract.outer(_KRONROD_NODES, _KRONROD_NODES)
+                        + np.eye(_KRONROD_NODES.size), axis=1)
+_BARY_W /= np.abs(_BARY_W).max()
+_EDGE_BASIS = (_BARY_W / np.subtract.outer([-1.0, 1.0], _KRONROD_NODES)).T
+_EDGE_BASIS /= _EDGE_BASIS.sum(axis=0)
+_READ_TOL = 2e-13
+_HALVINGS = 4
+# Quantiles: the solve's absolute bound in log z and its step cap; where
+# the CCDF the mean's panels give does not bracket a level, the bracket
+# widens by a first step of log 4 in log z, doubled at each step, within
 # _LOG_Z_RANGE.
-_BRACKET_Z = 2.0 ** (2.0 ** (0.5 * np.arange(-8, 8))) - 1.0
+_QUANTILE_XTOL = 1e-15
+_QUANTILE_STEPS = 100
+_EPS = np.finfo(float).eps
 _LOG_WIDEN = math.log(4.0)
 _LOG_Z_RANGE = (-744.0, 256.0 * math.log(2.0))
 
@@ -102,7 +118,7 @@ def sinr_ccdf(config: NetworkConfig, receiver: str, m: int | None = None) -> Cal
 
 def _mean_rate(
     law: Callable[[np.ndarray], np.ndarray], alpha: float, kappa: float, m: int
-) -> float:
+) -> tuple[float, tuple]:
     """Per-stream mean rate E[log2(1 + SINR)] in bits/s/Hz, as one integral
     over the kernel argument x.
 
@@ -139,6 +155,9 @@ def _mean_rate(
       L(top) is 0; at zero noise the law at m = 1 fails this check from
       alpha about 49 (MMSE 1x10) to 51 (PZF m = 1), where the top is
       clipped.
+
+    Returns the mean and what the quantiles read the law from: the panels
+    the rule kept, as (lo, hi, L at their Kronrod nodes, L at the top).
     """
     a = 0.5 * alpha
     noise = -math.log1p(kappa) / a
@@ -153,58 +172,166 @@ def _mean_rate(
                             steps[np.abs(steps) <= np.abs(steps - noise)], [lo, top]])
     edges = np.unique(np.clip(edges, lo, top))
 
-    def integrand(log_s: np.ndarray, _owner=None) -> np.ndarray:
-        return law(np.exp(a * log_s)) * _ratio_weight(a * log_s, alpha, m)
-
     panels = edges.size - 1
     nodes = _kronrod_nodes(edges[:-1], edges[1:]).ravel()
     values = law(np.exp(a * np.append(nodes, top)))
+    seen = [values[:-1]]
+
+    def integrand(log_s: np.ndarray, _owner=None) -> np.ndarray:
+        seen.append(law(np.exp(a * log_s)))
+        return seen[-1] * _ratio_weight(a * log_s, alpha, m)
+
     first = (values[:-1] * _ratio_weight(a * nodes, alpha, m)).reshape(panels, -1)
-    total = _kronrod(integrand, edges[:-1], edges[1:], np.zeros(panels, int), _MEAN_TOL, first)
+    total, lo_k, hi_k, rows = _kronrod(integrand, edges[:-1], edges[1:], np.zeros(panels, int),
+                                       _MEAN_TOL, first)
     mean = a * total[0] / math.log(2.0)
     if not values[-1] * alpha / (2.0 * m) <= _CUT_TOL * math.log(2.0) * mean:
         raise NumericError(f"rate integral: the tail above x = e^{a * top:.6g}, where the law is "
                            f"{values[-1]:.3g}, may hold more than {_CUT_TOL:g} of the mean "
                            f"{mean:.6g}")
-    return mean
+    return mean, (lo_k, hi_k, np.concatenate(seen).reshape(-1, _KRONROD_NODES.size)[rows],
+                  values[-1])
 
 
-def _sinr_quantile(coverage_fn: Callable[[float], float], q: float, ccdf_seen: np.ndarray) -> float:
-    """SINR threshold z_q with P[SINR <= z_q] = q, by brentq in log z.
+def _interpolant(law: Callable[[np.ndarray], np.ndarray], a: float, lo: np.ndarray,
+                 hi: np.ndarray, values: np.ndarray, at_top: float):
+    """The law L read from its values at the 15 Kronrod nodes of the panels
+    [lo_i, hi_i] in log s, s = x^(1/a), which tile [lo_0, top]: on each
+    panel the degree-14 barycentric interpolant of log L through them
+    (Berrut and Trefethen, SIAM Review 46, 2004).
 
-    The bracket comes from the thresholds _BRACKET_Z, where the CCDF is
-    already known to be ``ccdf_seen``: the smallest one where the
-    CCDF is at most 1 - q, and the largest below it where it is above
-    1 - q.  Where no known threshold has such a neighbour, the bracket
-    widens, by factors of 4, 16, 256, ... in z, up to 2^256 or down to
-    e^-744, near the smallest float, until the CCDF crosses 1 - q.  No
-    threshold costs a second law call.
+    Each panel's interpolant is carried to its two edges, where the
+    interpolation error of these nodes peaks, and checked there against an
+    independent value: its neighbour's interpolant at the shared edge, 0
+    (L = 1) at the head cut lo_0, and the law's own L(top), ``at_top``, at
+    the top.  Where that value is not finite, beside a panel where the law
+    is 0 at a node or below a top where L = 0, the law at the edge is read
+    instead, in one law call per round; an edge where it is 0 misses.
+    Panels that miss by more than 2e-13 (1 + |log L|) are halved, their
+    halves' nodes in one law call, and all are checked again, at most
+    _HALVINGS times.
+
+    Returns the read, a function of a 1-d x >= 0, and every node's log x
+    and law value, in increasing x.  The read is 1 below the panels, the
+    interpolant on them, and the law itself above them, on a panel where
+    the law is 0 at a node, and on one still missing the check.
     """
-    target = 1.0 - q  # CCDF value at the quantile threshold
-    v_seen = np.log(_BRACKET_Z)
-    known = dict(zip(v_seen.tolist(), ccdf_seen.tolist()))
+    log_top = math.log(at_top) if at_top > 0.0 else -math.inf
+    for level in range(_HALVINGS + 1):
+        order = np.argsort(lo)
+        lo, hi, values = lo[order], hi[order], values[order]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_v = np.log(values)
+            ends = np.einsum("pk,ke->pe", log_v, _EDGE_BASIS)
+            refs = np.stack([np.append(0.0, ends[:-1, 1]), np.append(ends[1:, 0], log_top)],
+                            axis=1)
+            live = np.isfinite(log_v).all(axis=1)
+            # A live panel's edge beside a dead one, or below a top where
+            # L = 0, is checked against the law there.
+            open_ = live[:, None] & ~np.isfinite(refs)
+            if open_.any():
+                refs[open_] = np.log(law(np.exp(a * np.stack([lo, hi], axis=1)[open_])))
+            # An edge where the law is 0 misses.
+            hit = np.isfinite(refs) & (np.abs(ends - refs) <= _READ_TOL * (1.0 - refs))
+        bad = live & ~hit.all(axis=1)
+        if level == _HALVINGS or not bad.any():
+            break
+        # The halves share the centre node as an edge.
+        mid = 0.5 * (lo[bad] + hi[bad])
+        halves = np.append(lo[bad], mid), np.append(mid, hi[bad])
+        new = law(np.exp(a * _kronrod_nodes(*halves).ravel())).reshape(mid.size * 2, -1)
+        lo, hi = np.append(lo[~bad], halves[0]), np.append(hi[~bad], halves[1])
+        values = np.concatenate([values[~bad], new])
+    dead, top = ~live | bad, hi[-1]
+    log_v[dead] = np.nan
 
-    def shifted(v: float) -> float:
-        if v not in known:
-            known[v] = coverage_fn(math.exp(v))
-        return known[v] - target
+    def read(x: np.ndarray) -> np.ndarray:
+        t = np.full(x.size, -np.inf)
+        np.log(x, out=t, where=x > 0.0)
+        t /= a
+        k = np.searchsorted(lo, t, side="right") - 1
+        np.clip(k, 0, lo.size - 1, out=k)
+        # Reference coordinates on [-1, 1]; a node hit exactly is moved off
+        # by 1e-300, where its weight outweighs the others by 1e280.
+        r = np.clip((2.0 * t - lo[k] - hi[k]) / (hi[k] - lo[k]), -1.0, 1.0)
+        d = r[:, None] - _KRONROD_NODES
+        d[d == 0.0] = 1e-300
+        weights = np.divide(_BARY_W, d, out=d)
+        out = np.exp(np.einsum("ij,ij->i", weights, log_v[k]) / weights.sum(axis=1))
+        out[t < lo[0]] = 1.0
+        direct = (t > top) | dead[k]
+        if direct.any():
+            out[direct] = law(x[direct])
+        return out
 
-    past = ccdf_seen <= target
-    hi = v_seen[past].min() if past.any() else v_seen.max()
-    before = v_seen[~past & (v_seen < hi)]
-    lo = before.max() if before.size else hi
+    return read, a * _kronrod_nodes(lo, hi).ravel(), values.ravel()
+
+
+def _sinr_quantiles(coverage: Callable[[np.ndarray], np.ndarray], levels: np.ndarray,
+                    v_seen: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """log z_q with P[SINR <= z_q] = q, for each q of the 1-d ``levels``.
+
+    ``coverage`` takes a 1-d log z and returns the CCDF there, and ``seen``
+    is its value at the increasing log z ``v_seen``.  Each level's bracket
+    is the smallest of those where the CCDF is at most 1 - q, and the
+    largest below it where it is above 1 - q.  Where no point of v_seen has
+    such a neighbour, the bracket widens, by factors of 4, 16, 256, ... in
+    z, up to 2^256 or down to e^-744, near the smallest float, until the
+    CCDF crosses 1 - q.  The levels are then solved together by
+    Chandrupatla's method (Advances in Engineering Software 28, 1997), one
+    coverage call per step, to 2 eps |log z| + 1e-15 in log z.
+    """
+    target = 1.0 - levels  # CCDF values at the quantile thresholds
+    i_lo, i_hi = np.empty(levels.size, int), np.empty(levels.size, int)
+    for i, t in enumerate(target):
+        past = seen <= t
+        i_hi[i] = np.flatnonzero(past)[0] if past.any() else v_seen.size - 1
+        before = np.flatnonzero(~past[:i_hi[i]])
+        i_lo[i] = before[-1] if before.size else i_hi[i]
+    lo, hi = v_seen[i_lo], v_seen[i_hi]
+    f_lo, f_hi = seen[i_lo] - target, seen[i_hi] - target
     bottom, top = _LOG_Z_RANGE
-    step = _LOG_WIDEN
-    while shifted(hi) > 0.0:
-        if hi == top:
+    step = np.full(levels.size, _LOG_WIDEN)
+    while (up := np.flatnonzero(f_hi > 0.0)).size:
+        if (hi[up] == top).any():
             raise NumericError("quantile bracket search ran away; CCDF decays too slowly")
-        lo, hi, step = hi, min(hi + step, top), 2.0 * step
-    step = _LOG_WIDEN
-    while shifted(lo) <= 0.0:
-        if lo == bottom:
+        lo[up], f_lo[up], hi[up] = hi[up], f_hi[up], np.minimum(hi[up] + step[up], top)
+        f_hi[up], step[up] = coverage(hi[up]) - target[up], 2.0 * step[up]
+    step[:] = _LOG_WIDEN
+    while (down := np.flatnonzero(f_lo <= 0.0)).size:
+        if (lo[down] == bottom).any():
             raise NumericError("quantile bracket search ran away; CCDF falls near z = 0")
-        lo, hi, step = max(lo - step, bottom), lo, 2.0 * step
-    return math.exp(_optimize.brentq(shifted, lo, hi, xtol=1e-12))
+        hi[down], f_hi[down] = lo[down], f_lo[down]
+        lo[down] = np.maximum(lo[down] - step[down], bottom)
+        f_lo[down], step[down] = coverage(lo[down]) - target[down], 2.0 * step[down]
+    # Chandrupatla: x1 is the newest point, [x1, x2] the bracket, x3 the
+    # point it dropped; t places the next point, by inverse quadratic
+    # interpolation where that is safe, else by bisection.
+    out, idx = np.empty(levels.size), np.arange(levels.size)
+    x1, f1, x2, f2 = hi, f_hi, lo, f_lo
+    t = np.full(levels.size, 0.5)
+    for _ in range(_QUANTILE_STEPS):
+        xt = x1 + t * (x2 - x1)
+        ft = coverage(xt) - target[idx]
+        same = np.sign(ft) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = xt, ft
+        near = np.abs(f1) < np.abs(f2)
+        xm, fm = np.where(near, x1, x2), np.where(near, f1, f2)
+        tl = (2.0 * _EPS * np.abs(xm) + _QUANTILE_XTOL) / np.abs(x2 - x1)
+        done = (tl > 0.5) | (fm == 0.0)
+        out[idx[done]] = xm[done]
+        if done.all():
+            return out
+        idx, x1, f1, x2, f2, x3, f3, tl = (v[~done] for v in (idx, x1, f1, x2, f2, x3, f3, tl))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
+                         f1 / (f2 - f1) * f3 / (f2 - f3)
+                         + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
+        t = np.clip(t, tl, 1.0 - tl)
+    raise NumericError(f"quantile solve did not converge in {_QUANTILE_STEPS} steps")
 
 
 def rate_profile(
@@ -232,11 +359,25 @@ def rate_profile(
     s_c = (1 + kappa)^(-2/alpha), kappa the noise scale, and at e^40 (MMSE
     and PZF at m = 1) or e^20 (PZF at m >= 2) above s = 1, or lower, at
     the largest float x.  The head the cuts leave out stays near e^-40 of
-    the mean, and the tail below 1e-12 of it, or NumericError.  The
-    quantiles are bracketed by one law call at t = log2(1 + z) = 2^-4,
-    2^-3.5, ..., 2^3.5, and solved in log z.  With quantiles=() that call
-    is not made.  A level at or below 2^-54, where 1 - q rounds to 1,
-    raises ConfigError.
+    the mean, and the tail below 1e-12 of it, or NumericError.
+
+    The quantiles read the law from the mean's own values at the Kronrod
+    nodes of its panels, through :func:`_interpolant`: a degree-14
+    barycentric interpolant of log L per panel.  At each panel edge, where
+    its error peaks, it must agree with the neighbour's (or with L = 1 at
+    the head cut, and with the law at the top and beside a panel where the
+    law is 0) to 2e-13 (1 + |log L|); a panel that misses is halved.  So
+    a level's threshold z is off by about that miss over the slope
+    |d log L / d log z|.  MMSE and PZF at m = 1 read
+    it as the CCDF; PZF at m >= 2 averages it over u as
+    :func:`cellmimo.pzf.coverage_pzf` averages the law.  Below the panels
+    the read is 1, above them the law itself.  The levels are bracketed by
+    the CCDF at the nodes (m = 1) or at the panels' centres (m >= 2) and
+    solved together in log z, to 2 eps |log z| + 1e-15; on a fixed grid of
+    receivers, splits, noise, path loss and levels they are within 2e-14
+    relative of brentq on the direct law.  With quantiles=() none of this
+    runs.  A level at or below 2^-54, where 1 - q rounds to 1, raises
+    ConfigError.
     """
     if scheme not in _SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {_SCHEMES}")
@@ -251,14 +392,24 @@ def rate_profile(
     n_t = int(config.n_t)
     stream = config if scheme == "sm" else replace(config, n_t=1)
     m = _receiver_order(stream, (receiver,), m)
-    ccdf = sinr_ccdf(stream, receiver, m=m)
-    law = ccdf if m is None else _law(stream, m)
-    mean = _mean_rate(law, stream.alpha, _noise_scale(stream), m or 1)
+    law = sinr_ccdf(stream, receiver) if m is None else _law(stream, m)
+    alpha, kappa = stream.alpha, _noise_scale(stream)
+    mean, panels = _mean_rate(law, alpha, kappa, m or 1)
     rates = {}
     if quantiles:
-        bracket = ccdf(_BRACKET_Z)
-        rates = {q: math.log1p(_sinr_quantile(ccdf, q, bracket)) / math.log(2.0)
-                 for q in quantiles}
+        read, v_seen, seen = _interpolant(law, 0.5 * alpha, *panels)
+
+        def coverage(log_z: np.ndarray) -> np.ndarray:
+            if (m or 1) == 1:
+                return read(np.exp(log_z))
+            return _ratio_average(read, log_z, alpha, m, kappa)
+
+        if (m or 1) > 1:
+            # The CCDF at the panels' centre nodes brackets the levels.
+            v_seen = v_seen[_KRONROD_NODES.size // 2::_KRONROD_NODES.size]
+            seen = coverage(v_seen)
+        z = np.exp(_sinr_quantiles(coverage, np.asarray(quantiles, dtype=float), v_seen, seen))
+        rates = {q: math.log1p(v) / math.log(2.0) for q, v in zip(quantiles, z.tolist())}
     if scheme == "sm":
         mean = n_t * mean
         if convention == "calibrated":

@@ -58,7 +58,10 @@ beyond that point.  The rule returns log J, so the laws keep every term
 whose J is below the smallest float64.  J is within 1e-11 relative of
 mpmath for 0 <= p <= 64 and 1e-18 <= b <= 1e4, and log J within 1e-11 at
 b = 1e8 and 1e30, where J underflows (tested at α = 2.05 to 6).  The laws
-pass b down to about 1e-17 at ordinary noise.
+pass b down to about 1e-17 at ordinary noise, and far below the smallest
+normal float at steep path loss (1e-323 for PZF 1x4 m = 2 at α = 100):
+b reaches the rule as log b, which keeps its bits there, and the rule
+forms b e^(α t/2) as exp(log b + α t/2).
 
 Both receivers average one conditional law over the Poisson field,
 :func:`_conditional_law`: a coefficient table of a polynomial power
@@ -349,38 +352,40 @@ def _monotone_g(a: int, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def _log_radial_moment(p: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
-    """log J(p, b) on the (p, b) grid of the 1-d p >= 0 and b >= 0: log Γ(p + 1)
-    where b = 0, and the trapezoid rule's log elsewhere, which stays finite
-    where J underflows.  Raises NumericError where the rule's error check
-    fails."""
-    out = np.repeat(_sp.gammaln(p + 1.0)[:, None], b.size, axis=1)
-    noisy = b > 0.0
+def _log_radial_moment(p: np.ndarray, log_b: np.ndarray, alpha: float) -> np.ndarray:
+    """log J(p, b) on the (p, log b) grid of the 1-d p >= 0 and log b: log
+    Γ(p + 1) where b = 0 (log b = -inf), and the trapezoid rule's log
+    elsewhere, which stays finite where J underflows.  b comes as its log,
+    so a b below the smallest normal float keeps its bits.  Raises
+    NumericError where the rule's error check fails."""
+    out = np.repeat(_sp.gammaln(p + 1.0)[:, None], log_b.size, axis=1)
+    noisy = log_b > -np.inf
     if noisy.any():
         log_j = _radial_trapezoid(np.repeat(p + 1.0, np.count_nonzero(noisy)),
-                                  np.tile(b[noisy], p.size), 0.5 * alpha)
+                                  np.tile(log_b[noisy], p.size), 0.5 * alpha)
         out[:, noisy] = log_j.reshape(p.size, -1)
     return out
 
 
-def _radial_trapezoid(q: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
-    """log J(q - 1, b) for b > 0, where φ(t) = q t - e^t - b e^(st)."""
+def _radial_trapezoid(q: np.ndarray, log_b: np.ndarray, s: float) -> np.ndarray:
+    """log J(q - 1, b) for b > 0, where φ(t) = q t - e^t - b e^(st), from
+    log b: the rule forms b e^(st) as exp(log b + s t)."""
     # Mode: the root of φ'(t) = q - e^t - s b e^(st).  Starting from the
     # smaller of the two one-term roots, φ' <= 0 and the root lies within
     # log 2 to the left; φ' is concave and decreasing there, so Newton
     # steps approach the root monotonically from the right.
-    # Where e^(st) overflows (b below about e^-709 q/s), or a tail cut's
-    # expm1 does, the mode or a cut comes out inf or NaN: checked below.
+    # Where a tail cut's expm1 overflows, the cut comes out inf or NaN:
+    # checked below.
     with np.errstate(over="ignore", invalid="ignore"):
         log_q = np.log(q)
-        t = np.minimum(log_q, (log_q - np.log(s) - np.log(b)) / s)
+        t = np.minimum(log_q, (log_q - np.log(s) - log_b) / s)
         for _ in range(_RADIAL_NEWTON_STEPS):
-            e1, e2 = np.exp(t), b * np.exp(s * t)
+            e1, e2 = np.exp(t), np.exp(log_b + s * t)
             dt = (q - e1 - s * e2) / (e1 + s * s * e2)
             t += dt
             if np.all(np.abs(dt) <= 1e-14 * (1.0 + np.abs(t))):
                 break
-        e1, e2 = np.exp(t), b * np.exp(s * t)
+        e1, e2 = np.exp(t), np.exp(log_b + s * t)
         width = 1.0 / np.sqrt(e1 + s * s * e2)  # (-φ''(t*))^(-1/2)
         log_peak = q * t - e1 - e2
         # The step resolves the peak and stays well inside the strip
@@ -402,7 +407,7 @@ def _radial_trapezoid(q: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
         bad = int(np.argmin(np.isfinite(count)))
         raise NumericError(
             f"radial moment rule found no finite mode or tail cut for p={q[bad] - 1.0:.6g}, "
-            f"b={b[bad]:.6g}, alpha={2.0 * s:.6g}"
+            f"log b={log_b[bad]:.6g}, alpha={2.0 * s:.6g}"
         )
     fine, coarse = np.zeros_like(q), np.zeros_like(q)
     # Rows are blocked in their given order, so that (rows x largest count)
@@ -435,7 +440,7 @@ def _radial_trapezoid(q: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
         bad = int(np.argmax(np.abs(fine - coarse) / fine))
         raise NumericError(
             f"radial moment rule did not resolve p={q[bad] - 1.0:.6g}, "
-            f"b={b[bad]:.6g}, alpha={2.0 * s:.6g}"
+            f"log b={log_b[bad]:.6g}, alpha={2.0 * s:.6g}"
         )
     return log_peak + np.log(step * fine)
 
@@ -498,8 +503,8 @@ def _law_terms(n_t: int, alpha: float, orders: int, step: int, top: int, m: int,
     return log_b, ell, q, p, -_sp.gammaln(q + 1.0) - _sp.gammaln(m)
 
 
-def _log_radial_lattice(p: np.ndarray, c: np.ndarray, alpha: float) -> np.ndarray:
-    """log J(p_i, c) on the (p, c) grid, for the radial orders p of the
+def _log_radial_lattice(p: np.ndarray, log_c: np.ndarray, alpha: float) -> np.ndarray:
+    """log J(p_i, c) on the (p, log c) grid, for the radial orders p of the
     noisy pairs of :func:`_law_terms`, whose last n entries are the top
     anti-diagonal ℓ + q = n - 1.  The rule takes only those; each lower
     point follows, in logs, from the two above it by the exact recurrence
@@ -510,9 +515,8 @@ def _log_radial_lattice(p: np.ndarray, c: np.ndarray, alpha: float) -> np.ndarra
     J, whose backward form adds only positive terms.
     """
     n = math.isqrt(2 * p.size)
-    diagonals = [_log_radial_moment(p[-n:], c, alpha)]
-    with np.errstate(divide="ignore"):  # c = 0 where x underflows
-        log_sc = np.log(0.5 * alpha) + np.log(c)
+    diagonals = [_log_radial_moment(p[-n:], log_c, alpha)]
+    log_sc = np.log(0.5 * alpha) + log_c
     log_order = np.log(p + 1.0)[:, None]
     for d in range(n - 2, -1, -1):
         above = diagonals[-1]
@@ -534,8 +538,8 @@ def _conditional_law(
     power table of ``first`` (own-cell coefficients along axis 0, one column
     or one per x) and g_j = B_j 2/(α j - 2) K_j x^j / K_0 for
     j <= ``orders`` (B_j of :func:`_law_terms`), J the radial moment and
-    c = κ x K_0^(-α/2).  The kernels come as logs, so no term is lost where
-    one underflows.  Without noise (κ = 0) only q = 0 occurs; with noise
+    c = κ x K_0^(-α/2).  The kernels and c come as logs, so no term is lost
+    where one underflows.  Without noise (κ = 0) only q = 0 occurs; with noise
     the moments come from :func:`_log_radial_lattice`.
     """
     n = len(first)
@@ -556,13 +560,17 @@ def _conditional_law(
         g[1:orders + 1] = np.exp(log_b[:, None] + log_k[1:] + j * log_x - log_k[0])
         table = _power_table(g, first[:, blk])
         if kappa > 0.0:
-            # x K_0^(-α/2) stays of order 1 at large x, so it is formed first.
-            c = kappa * (x[blk] * np.exp(-0.5 * alpha * log_k[0]))
-            log_radial = _log_radial_lattice(p, c, alpha)
+            # In logs, c keeps its bits where it is below the smallest
+            # normal float; it is -inf (c = 0) where x underflows.
+            log_c = math.log(kappa) + log_x - 0.5 * alpha * log_k[0]
+            log_radial = _log_radial_lattice(p, log_c, alpha)
         else:
-            c = np.zeros(1)
-            log_radial = _log_radial_moment(p, c, alpha)
-        radial = np.exp(log_radial + _sp.xlogy(q[:, None], c) + (log_w[:, None] - m * log_k[0]))
+            log_c = np.full(1, -np.inf)
+            log_radial = _log_radial_moment(p, log_c, alpha)
+        # c^q, 1 at q = 0 also where c = 0.
+        log_cq = np.multiply(q[:, None], log_c, out=np.zeros((q.size, log_c.size)),
+                             where=q[:, None] > 0)
+        radial = np.exp(log_radial + log_cq + (log_w[:, None] - m * log_k[0]))
         out[blk] = (table[ell, n - 1 - q] * radial).sum(axis=0)
     return out
 
@@ -573,7 +581,7 @@ def _kronrod_nodes(lo, hi) -> np.ndarray:
     return 0.5 * (hi + lo) + 0.5 * (hi - lo) * _KRONROD_NODES
 
 
-def _kronrod(f, lo, hi, owner, rtol: float, fx=None) -> np.ndarray:
+def _kronrod(f, lo, hi, owner, rtol: float, fx=None):
     """Integrals of f over the panels [lo_i, hi_i] of the 1-d arrays lo and
     hi, summed per owner, by G7/K15 bisection of all panels at once.
 
@@ -584,11 +592,14 @@ def _kronrod(f, lo, hi, owner, rtol: float, fx=None) -> np.ndarray:
     shape (panels, 15), gives the first round's values instead).  A panel's
     K15 value is kept when |K15 - G7| <= rtol |I|, I the owner's current
     estimate (its kept values plus the K15 values of its pending panels),
-    and the other panels are bisected.  Raises NumericError if a
-    panel is pending after _BISECTIONS rounds of bisection.
+    and the other panels are bisected.  Returns the sums and the kept
+    panels as (sums, lo, hi, row): row counts the panels in the order the
+    rounds evaluated them, the first round's from 0.  Raises NumericError
+    if a panel is pending after _BISECTIONS rounds of bisection.
     """
     owners = int(owner.max()) + 1
     total = np.zeros(owners)
+    kept, seen = [], 0
     for level in range(_BISECTIONS + 1):
         if level or fx is None:
             nodes = _kronrod_nodes(lo, hi)
@@ -598,9 +609,11 @@ def _kronrod(f, lo, hi, owner, rtol: float, fx=None) -> np.ndarray:
         estimate = total + np.bincount(owner, k15, owners)
         done = np.abs(k15 - half * (fx[:, 1::2] @ _WG7)) <= rtol * np.abs(estimate[owner])
         total += np.bincount(owner[done], k15[done], owners)
+        kept.append((lo[done], hi[done], seen + np.flatnonzero(done)))
+        seen += lo.size
         lo, hi, owner = lo[~done], hi[~done], owner[~done]
         if not lo.size:
-            return total
+            return (total, *map(np.concatenate, zip(*kept)))
         if level == _BISECTIONS:
             raise NumericError(f"G7/K15 rule did not converge on [{lo[0]:.6g}, {hi[0]:.6g}] "
                                f"after {_BISECTIONS} bisections")

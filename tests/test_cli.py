@@ -118,6 +118,37 @@ def test_rate_json_profile(capsys):
     assert json.loads(out.out)["m"] == 2
 
 
+def test_rate_takes_a_list_of_nt(tmp_path, capsys):
+    # One CSV row or JSON object per n_t, each the single-n_t run's own.
+    single = {}
+    for fmt in ("csv", "json"):
+        for n_t in ("1", "2"):
+            code, out = _run(capsys, ["rate", "--rx", "mmse", "--nt", n_t, "--nr", "4",
+                                      "--format", fmt])
+            assert code == 0
+            single[fmt, n_t] = out.out
+    code, out = _run(capsys, ["rate", "--rx", "mmse", "--nt", "1,2", "--nr", "4"])
+    assert code == 0
+    assert out.out == single["csv", "1"] + single["csv", "2"].split("\n", 1)[1]
+    code, out = _run(capsys, ["rate", "--rx", "mmse", "--nt", "1,2", "--nr", "4",
+                              "--format", "json"])
+    assert code == 0
+    assert json.loads(out.out) == [json.loads(single["json", n_t]) for n_t in ("1", "2")]
+    for bad in ("1,x", "1.0", "1e0"):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["rate", "--rx", "mmse", "--nt", bad, "--nr", "4"])
+        assert err.value.code == 2 and "--nt" in capsys.readouterr().err
+    # The manifest keeps a single n_t as the int the other commands write.
+    for spec, value in (("1", 1), ("1,2", [1, 2])):
+        out_path = tmp_path / "rate.csv"
+        argv = ["rate", "--rx", "mmse", "--nt", spec, "--nr", "4", "--out", str(out_path)]
+        assert _run(capsys, argv)[0] == 0
+        manifest = json.loads((tmp_path / "rate.csv.manifest.json").read_text())
+        assert manifest["parameters"]["nt"] == value
+        assert out_path.read_text() == (single["csv", "1"] if spec == "1" else
+                                        single["csv", "1"] + single["csv", "2"].split("\n", 1)[1])
+
+
 def test_rate_sst_equals_sm_single_stream(capsys):
     means = {}
     for scheme in ("sm", "sst"):
@@ -367,9 +398,9 @@ def test_exit_codes(capsys, tmp_path, monkeypatch):
     ):
         code, out = _run(capsys, argv)
         assert code == 2, argv
-    # 3: numeric failure.  The radial moment's mode overflows where the
-    # noise term b e^(st) has a subnormal b; the kernels' 1/z identity has
-    # a pole where 1 - 2/alpha rounds to 1.
+    # 3: numeric failure.  At alpha 300 the law is still 0.024 at the
+    # largest float x, so the rate integral's tail check fails; the
+    # kernels' 1/z identity has a pole where 1 - 2/alpha rounds to 1.
     for argv in (
         ["rate", "--rx", "mmse", "--nt", "1", "--nr", "4", "--alpha", "300", "--sigma2", "1"],
         ["rate", "--rx", "mmse", "--nt", "1", "--nr", "4", "--alpha", "1e300"],

@@ -122,7 +122,8 @@ def _partition_sum(config, z):
                     ) / math.prod(math.factorial(parts.count(p)) for p in set(parts))
                     ell = len(parts)
                     log_j = specfun._log_radial_moment(
-                        np.array([ell + 0.5 * alpha * v]), np.array([b]), alpha)[0, 0]
+                        np.array([ell + 0.5 * alpha * v]),
+                        np.array([math.log(b) if b > 0.0 else -math.inf]), alpha)[0, 0]
                     radial = (2.0**ell / theta[0] ** (ell + 1) * b**v / math.factorial(v)
                               * math.exp(log_j))
                     total += own * weight * radial

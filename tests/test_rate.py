@@ -10,11 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 
-from cellmimo import pzf, rate
+from cellmimo import mmse, pzf, rate
 from cellmimo.errors import ConfigError, NumericError
 from cellmimo.geometry import NetworkConfig, _noise_scale
+from cellmimo.mmse import coverage_mmse
 from cellmimo.pzf import coverage_pzf, default_m
 from cellmimo.rate import rate_profile, sinr_ccdf
 
@@ -92,8 +93,8 @@ def test_quantile_is_coverage_inverse():
 
 
 def test_quantile_bracket_widens_past_the_rate_cut():
-    # The CCDF level 1e-9 lies below the CCDF at the largest of the 16
-    # bracket thresholds, so the bracket widens upward.
+    # The CCDF level 1e-9 lies in the law's far tail, near the top of the
+    # mean's panels.
     ccdf = sinr_ccdf(_config(1, 4), "mmse")
     q = 1.0 - 1e-9
     value = rate_profile(_config(1, 4), "mmse", "sst", quantiles=(q,)).quantiles[q]
@@ -104,33 +105,44 @@ def test_quantile_bracket_widens_past_the_rate_cut():
     ("pzf", 2, 0.0), ("pzf", 2, 1.0), ("mmse", None, 0.0), ("mmse", None, 1.0),
 ])
 def test_quantile_polish_calls_the_law_once_per_new_threshold(monkeypatch, receiver, m, sigma2):
-    """brentq starts from the bracket's ends, whose CCDF the bracket's law
-    call already computed, and the widened bracket of a level past the
-    bracket reuses its last end: no scalar law call repeats a threshold
-    any earlier call evaluated, or asks for z = 0."""
-    name = "coverage_pzf" if receiver == "pzf" else "coverage_mmse"
-    law = getattr(rate, name)
-    arrays, scalars = [], []
+    """Every law call of a profile is the mean's, or a read above the
+    mean's panels, where the PZF m = 2 CCDF reaches the far-tail level
+    1e-9 (it falls like z^(-1/2) at alpha 4): the interpolant checks its
+    panels against each other and calls the law only to halve one, which
+    none of these needs.  No call of the mean repeats an argument any
+    earlier call evaluated, and no call asks for x = 0."""
+    module = pzf if receiver == "pzf" else mmse
+    law = module._conditional_law
+    calls = []
 
-    def counted(config, z, *rest):
-        (scalars if np.ndim(z) == 0 else arrays).append(z)
-        return law(config, z, *rest)
+    def counted(n_t, alpha, x, *rest):
+        calls.append(x.copy())
+        return law(n_t, alpha, x, *rest)
 
-    monkeypatch.setattr(rate, name, counted)
+    built = []
+    interpolant = rate._interpolant
+
+    def counted_build(law, a, lo, hi, values, at_top):
+        built.append((len(calls), a * hi.max()))
+        return interpolant(law, a, lo, hi, values, at_top)
+
+    monkeypatch.setattr(module, "_conditional_law", counted)
+    monkeypatch.setattr(rate, "_interpolant", counted_build)
     rate_profile(_config(1, 4, sigma2=sigma2), receiver, "sst", m=m,
                  quantiles=(0.05, 0.5, 0.8, 1.0 - 1e-9))
-    seen = set(np.concatenate(arrays).tolist()) | {0.0}
-    assert scalars
-    for z in map(float, scalars):
-        assert z not in seen, z
-        seen.add(z)
+    (count, top), = built
+    for x in calls[count:]:
+        assert (np.log(x) > top).all()
+    seen = np.concatenate(calls[:count])
+    assert np.unique(seen).size == seen.size
+    assert (np.concatenate(calls) > 0.0).all()
 
 
 @pytest.mark.parametrize("lam", [1e-200, 1e-300])
 def test_quantiles_of_tiny_thresholds(lam):
     # The noise scale is 1e205 or 1e307, so the CCDF falls from 1 to 0 near
-    # z = 1e-205 or 1e-307, far below the 16 bracket thresholds: the
-    # bracket widens downward, and brentq solves in log z.
+    # z = 1e-205 or 1e-307, where the mean's panels follow the noise knee,
+    # and the levels are solved in log z.
     config = _config(1, 4, alpha=2.05, sigma2=1.0, lam=lam)
     value = rate_profile(config, "pzf", "sst", m=2, quantiles=(0.05,)).quantiles[0.05]
     assert value > 0.0
@@ -138,25 +150,121 @@ def test_quantiles_of_tiny_thresholds(lam):
     assert coverage_pzf(config, z, 2) == pytest.approx(0.95, rel=1e-10, abs=0.0)
 
 
+# log z of the points whose CCDF the quantile solve is handed, in place of
+# the CCDF at the mean's nodes.
+_SEEN = np.linspace(-5.0, 5.0, 11)
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1e-20, 1.0, 1e50])
 def test_quantile_bracket_widens_both_ways(scale):
     # The CCDF exp(-z / scale) has its median at z = scale ln 2, below,
-    # inside or above the 16 bracket thresholds.
-    z = rate._BRACKET_Z
-
+    # inside or above the points handed to the solve.
     def ccdf(v):
-        return np.exp(-v / scale)
+        return np.exp(-np.exp(v) / scale)
 
-    got = rate._sinr_quantile(ccdf, 0.5, ccdf(z))
-    assert got == pytest.approx(scale * math.log(2.0), rel=1e-12, abs=0.0)
+    got = rate._sinr_quantiles(ccdf, np.array([0.5]), _SEEN, ccdf(_SEEN))
+    assert math.exp(got[0]) == pytest.approx(scale * math.log(2.0), rel=1e-12, abs=0.0)
 
 
 def test_quantile_bracket_stops_at_its_range():
-    z = rate._BRACKET_Z
     with pytest.raises(NumericError, match="decays too slowly"):
-        rate._sinr_quantile(lambda v: 1.0, 0.5, np.ones(z.size))
+        rate._sinr_quantiles(np.ones_like, np.array([0.5]), _SEEN, np.ones(_SEEN.size))
     with pytest.raises(NumericError, match="near z = 0"):
-        rate._sinr_quantile(lambda v: 0.0, 0.5, np.zeros(z.size))
+        rate._sinr_quantiles(np.zeros_like, np.array([0.5]), _SEEN, np.zeros(_SEEN.size))
+
+
+def _cut_law(x):
+    # A law with a noise-like cut-off, in t = log x: L = min(1, e^-t), times
+    # e^(-1e12 (t - 2.997)^2) past t = 2.997, which underflows to 0 within
+    # 3e-5 of it: between the last Kronrod node of the panel [2, 3] in t,
+    # 2.9957, and its edge.
+    t = np.log(np.maximum(x, 1e-300))
+    with np.errstate(over="ignore"):
+        return np.minimum(1.0, np.exp(-t - 1e12 * np.maximum(t - 2.997, 0.0) ** 2))
+
+
+def test_interpolant_checks_the_edge_beside_a_dead_panel():
+    # Panels [0, 1], ..., [3, 4] in t: the last holds zeros, and the one
+    # below it, smooth at its nodes, is checked at t = 3 against the law,
+    # which is 0 there; a read of its nodes alone would give e^-t up to t = 3.
+    lo, hi = np.arange(4.0), np.arange(1.0, 5.0)
+    values = _cut_law(np.exp(rate._kronrod_nodes(lo, hi)))
+    assert (values[2] > 0.0).all() and (values[3] == 0.0).any()
+    read, v_seen, seen = rate._interpolant(_cut_law, 1.0, lo, hi, values, 0.0)
+    t = np.linspace(-1.0, 5.0, 6001)
+    assert read(np.exp(t)) == pytest.approx(_cut_law(np.exp(t)), rel=1e-12, abs=0.0)
+    # Levels whose thresholds lie next to the cut-off, solved on the read.
+    targets = np.exp(-np.array([2.99, 2.9969, 2.9985]))
+    got = rate._sinr_quantiles(lambda v: read(np.exp(v)), 1.0 - targets, v_seen, seen)
+    expected = [optimize.brentq(lambda v: math.log(_cut_law(np.exp(v))) - math.log(c),
+                                2.9, 2.99702, xtol=1e-15, rtol=1e-15) for c in targets]
+    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+# The quantile grid, fixed in advance: every receiver and split below, with
+# and without noise, at three path-loss exponents and four levels.
+_QUANTILE_LEVELS = (0.05, 0.5, 0.8, 1.0 - 1e-9)
+_QUANTILE_SHAPES = [("pzf", 4, 1), ("pzf", 4, 2), ("pzf", 4, 3), ("pzf", 16, 8), ("mmse", 4, None)]
+
+
+@pytest.mark.parametrize("receiver,n_r,m", _QUANTILE_SHAPES)
+@pytest.mark.parametrize("sigma2", [0.0, 1.0])
+@pytest.mark.parametrize("alpha", [2.05, 4.0, 8.0])
+def test_quantiles_match_brentq_on_the_direct_law(receiver, n_r, m, sigma2, alpha):
+    # The profile reads its levels from the interpolant of the law; here
+    # brentq inverts coverage_pzf or coverage_mmse itself, in log z.
+    config = _config(1, n_r, alpha=alpha, sigma2=sigma2)
+    profile = rate_profile(config, receiver, "sst", m=m, quantiles=_QUANTILE_LEVELS)
+    for q in _QUANTILE_LEVELS:
+        def shifted(v):
+            z = math.exp(v)
+            ccdf = coverage_mmse(config, z) if m is None else coverage_pzf(config, z, m)
+            return ccdf - (1.0 - q)
+
+        lo, hi = -5.0, 5.0
+        while shifted(hi) > 0.0:
+            hi += 5.0
+        while shifted(lo) <= 0.0:
+            lo -= 5.0
+        v = optimize.brentq(shifted, lo, hi, xtol=1e-15, rtol=1e-15)
+        expected = math.log1p(math.exp(v)) / math.log(2.0)
+        assert profile.quantiles[q] == pytest.approx(expected, rel=1e-12, abs=0.0), q
+
+
+def test_rate_oracles_read_the_direct_law(monkeypatch):
+    # The mean-rate oracles integrate sinr_ccdf, which is coverage_pzf or
+    # coverage_mmse itself, bit for bit; no interpolant is built for them.
+    def refuse(*args):
+        raise AssertionError("interpolant built")
+
+    monkeypatch.setattr(rate, "_interpolant", refuse)
+    z = np.exp(np.linspace(-10.0, 10.0, 9))
+    for sigma2 in (0.0, 1.0):
+        config = _config(1, 4, sigma2=sigma2)
+        for m in (1, 2):
+            assert np.array_equal(sinr_ccdf(config, "pzf", m=m)(z), coverage_pzf(config, z, m))
+        assert np.array_equal(sinr_ccdf(config, "mmse")(z), coverage_mmse(config, z))
+    config = _config(1, 4)
+    assert _untruncated_quad_rate(config, "mmse", None) == pytest.approx(
+        _mean_rate(config, "mmse", "sst"), rel=1e-10, abs=0.0)
+
+
+def test_profile_takes_at_most_twice_the_means_law_points(monkeypatch):
+    # PZF sst 1x4 m=2: the mean takes 286 law points; with the two default
+    # levels the profile took 2881 when each level had its own law calls.
+    law = pzf._conditional_law
+    points = []
+
+    def counted(n_t, alpha, x, *rest):
+        points.append(x.size)
+        return law(n_t, alpha, x, *rest)
+
+    monkeypatch.setattr(pzf, "_conditional_law", counted)
+    _mean_rate(_config(1, 4), "pzf", "sst", m=2)
+    mean = sum(points)
+    rate_profile(_config(1, 4), "pzf", "sst", m=2)
+    assert mean == 286
+    assert sum(points) - mean <= 2 * mean
 
 
 def test_quantiles_increase_with_level():
@@ -172,7 +280,7 @@ def test_ergodic_rate_exponential_oracle():
     # the rule's panels.
     expected = math.e * special.exp1(1.0) / math.log(2.0)
     for alpha, kappa in ((2.05, 0.0), (4.0, 0.0), (4.0, 1e6), (20.0, 0.0)):
-        got = rate._mean_rate(lambda x: np.exp(-x), alpha, kappa, 1)
+        got = rate._mean_rate(lambda x: np.exp(-x), alpha, kappa, 1)[0]
         assert got == pytest.approx(expected, rel=1e-12, abs=0.0), (alpha, kappa)
 
 
@@ -264,7 +372,7 @@ def test_ergodic_rate_coverage_calls():
     # is uncut and runs to 1e-11 of the mean.
     ccdf = sinr_ccdf(_config(1, 4), "pzf", m=1)
     calls = []
-    mean = rate._mean_rate(lambda x: calls.append(x.size) or ccdf(x), 4.0, 0.0, 1)
+    mean = rate._mean_rate(lambda x: calls.append(x.size) or ccdf(x), 4.0, 0.0, 1)[0]
     assert mean > 0.0
     assert calls == [20 * 15 + 1]
 

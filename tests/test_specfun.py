@@ -99,7 +99,7 @@ def test_hyp2f1_at_zero_is_one():
 def test_gamma_oracles():
     # Without noise the radial moment is the gamma function, J(p, 0) = Gamma(p + 1).
     def log_j(p, alpha):
-        return specfun._log_radial_moment(np.array([p]), np.zeros(1), alpha)[0, 0]
+        return specfun._log_radial_moment(np.array([p]), np.full(1, -np.inf), alpha)[0, 0]
 
     assert math.exp(log_j(6.5, 4.0)) == pytest.approx(1871.254305797788346476, rel=1e-14)
     assert math.exp(log_j(0.5, 3.0)) == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-14)
@@ -378,17 +378,17 @@ def test_radial_moment_without_noise_is_gamma(alpha):
     """log J(p, 0) is log Gamma(p + 1) exactly, the form the laws consume,
     also beyond p = 170, where Gamma(p + 1) itself overflows."""
     p_grid = np.concatenate([_RADIAL_P, [200.0, 750.0]])
-    values = specfun._log_radial_moment(p_grid, np.zeros(1), alpha)
+    values = specfun._log_radial_moment(p_grid, np.full(1, -np.inf), alpha)
     assert values.shape == (p_grid.size, 1)
     for p, value in zip(p_grid, values[:, 0]):
-        alone = specfun._log_radial_moment(np.array([p]), np.zeros(1), alpha)[0, 0]
+        alone = specfun._log_radial_moment(np.array([p]), np.full(1, -np.inf), alpha)[0, 0]
         assert alone == value == special.gammaln(p + 1.0)
         assert value == pytest.approx(math.lgamma(p + 1.0), rel=1e-15)
 
 
 def test_radial_moment_matches_parabolic_cylinder_oracle():
     b_grid = np.concatenate([_RADIAL_SMALL_B, _RADIAL_B])
-    values = np.exp(specfun._log_radial_moment(_RADIAL_P, b_grid, 4.0))
+    values = np.exp(specfun._log_radial_moment(_RADIAL_P, np.log(b_grid), 4.0))
     for i, p in enumerate(_RADIAL_P):
         for j, b in enumerate(b_grid):
             expected = _mp_radial_moment_pcfd(p, b)
@@ -398,7 +398,7 @@ def test_radial_moment_matches_parabolic_cylinder_oracle():
 @pytest.mark.parametrize("alpha", [2.05, 3.0, 6.0])
 def test_radial_moment_matches_mpmath_quadrature(alpha):
     p_grid, b_grid = _RADIAL_P[::2], np.concatenate([_RADIAL_SMALL_B, _RADIAL_B[::2]])
-    values = np.exp(specfun._log_radial_moment(p_grid, b_grid, alpha))
+    values = np.exp(specfun._log_radial_moment(p_grid, np.log(b_grid), alpha))
     for i, p in enumerate(p_grid):
         for j, b in enumerate(b_grid):
             expected = _mp_radial_moment_quad(p, b, alpha)
@@ -411,12 +411,23 @@ def test_log_radial_moment_matches_mpmath_where_it_underflows(alpha, b):
     """The rule returns log J, which stays exact where J is below the
     smallest float64 (p = 64 at b = 1e30)."""
     p_grid = _RADIAL_P[::2]
-    got = specfun._radial_trapezoid(p_grid + 1.0, np.full(p_grid.size, b), 0.5 * alpha)
+    got = specfun._radial_trapezoid(p_grid + 1.0, np.full(p_grid.size, math.log(b)), 0.5 * alpha)
     for p, log_j in zip(p_grid, got):
         with mp.workdps(30):
             want = float(mp.log(_mp_radial_moment_quad(p, b, alpha)))
         # log J to 1e-11 absolute is J to 1e-11 relative.
         assert log_j == pytest.approx(want, rel=0.0, abs=1e-11), (p, b)
+
+
+@pytest.mark.parametrize("p,log_b,alpha", [(450.0, -733.0, 300.0), (600.0, -760.0, 400.0)])
+def test_log_radial_moment_keeps_a_subnormal_b(p, log_b, alpha):
+    """b reaches the rule as its log.  At alpha 300 the MMSE 1x4 law hands
+    it b near e^-733, a subnormal float with 17 bits, at p = 450, where J
+    falls like b^(-(p+1)/s); e^-760 is below every float."""
+    got = specfun._radial_trapezoid(np.array([p + 1.0]), np.array([log_b]), 0.5 * alpha)[0]
+    with mp.workdps(30):
+        want = float(mp.log(_mp_radial_moment_quad(p, mp.exp(log_b), alpha)))
+    assert got == pytest.approx(want, rel=0.0, abs=1e-11)
 
 
 @pytest.mark.parametrize("alpha", [2.05, 3.0, 4.0, 6.0])
@@ -427,14 +438,15 @@ def test_radial_rows_do_not_depend_on_their_neighbours(alpha):
     q = np.concatenate([[1.0, 65.0, 1.0, 65.0], rng.uniform(1.0, 65.0, 60)])
     b = np.concatenate([[1e-18, 1e-18, 1e4, 1e4], 10.0 ** rng.uniform(-18.0, 4.0, 60)])
     s = 0.5 * alpha
-    together = specfun._radial_trapezoid(q, b, s)
-    alone = np.array([specfun._radial_trapezoid(q[i:i + 1], b[i:i + 1], s)[0]
+    together = specfun._radial_trapezoid(q, np.log(b), s)
+    alone = np.array([specfun._radial_trapezoid(q[i:i + 1], np.log(b[i:i + 1]), s)[0]
                       for i in range(q.size)])
     # log J to 1e-13 absolute is J to 1e-13 relative.
     np.testing.assert_allclose(together, alone, rtol=0.0, atol=1e-13)
 
 
-_LATTICE_C = np.concatenate([[0.0], np.logspace(-18.0, 30.0, 25)])
+# log c: c = 0, then 1e-18 to 1e30.
+_LATTICE_LOG_C = np.concatenate([[-np.inf], np.log(np.logspace(-18.0, 30.0, 25))])
 
 
 @pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0, 6.0, 8.0])
@@ -444,9 +456,9 @@ def test_radial_lattice_matches_the_rule_on_every_order(alpha):
     for m in (1, 2, 5):
         for top in (0, 1, 3, 8, 20):
             p = specfun._law_terms(1, alpha, 0, 1, top, m, True)[3]
-            lattice = specfun._log_radial_lattice(p, _LATTICE_C, alpha)
+            lattice = specfun._log_radial_lattice(p, _LATTICE_LOG_C, alpha)
             for i in range(p.size):
-                alone = specfun._log_radial_moment(p[i:i + 1], _LATTICE_C, alpha)[0]
+                alone = specfun._log_radial_moment(p[i:i + 1], _LATTICE_LOG_C, alpha)[0]
                 bound = 1e-13 * np.maximum(1.0, np.abs(alone))
                 assert np.all(np.abs(lattice[i] - alone) <= bound), (m, top, p[i])
 
@@ -557,5 +569,6 @@ def test_radial_moment_raises_when_the_rule_cannot_resolve(monkeypatch):
     monkeypatch.setattr(specfun, "_RADIAL_STEP", 2.0)
     monkeypatch.setattr(specfun, "_RADIAL_STRIP_STEP", 2.0)
     with pytest.raises(NumericError):
-        specfun._log_radial_moment(np.zeros(1), np.ones(1), 4.0)
-    assert specfun._log_radial_moment(np.array([3.0]), np.zeros(1), 4.0)[0, 0] == np.log(6.0)
+        specfun._log_radial_moment(np.zeros(1), np.zeros(1), 4.0)
+    quiet = specfun._log_radial_moment(np.array([3.0]), np.full(1, -np.inf), 4.0)
+    assert quiet[0, 0] == np.log(6.0)
